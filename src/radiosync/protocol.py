@@ -32,24 +32,14 @@ from .randsched import (
     ScheduleMatrix,
     clamped_log2,
     detect_meetings,
+    draw_rows,
+    graph_from_meetings,
     graph_stats,
     repetition_constant,
     row_draws,
 )
 from .seeding import spawn_rng
 
-
-def _graph_from_meetings(
-    n: int, meetings: Sequence[tuple[int, tuple[int, ...]]]
-) -> CommGraph:
-    witness: dict[tuple[int, int], int] = {}
-    for col, participants in meetings:
-        for a in range(len(participants)):
-            for b in range(a + 1, len(participants)):
-                edge = (participants[a], participants[b])
-                if edge not in witness:
-                    witness[edge] = col
-    return CommGraph(n=n, witness=witness)
 
 #: identifiers are drawn uniformly below 2**63; far wider than any
 #: realistic n, so collisions are negligible (and regenerated away)
@@ -160,9 +150,12 @@ def build_pipeline_matrix(
     """The full per-node random schedule stack (offsets left unset).
 
     Row by row, ``windows`` independent random windows are drawn and
-    laid out back to back; duplicates within a window collapse.
-    Equivalent to concatenating ``windows`` independently generated
-    matrices, drawn node-major for speed.
+    laid out back to back; duplicates within a window collapse, so each
+    row is strictly increasing. Equivalent to concatenating ``windows``
+    independently generated matrices, drawn node-major (one rng call
+    per row) and deduplicated in one 2-D pass by
+    :func:`~radiosync.randsched.draw_rows`, O(n * windows * draws *
+    log draws).
     """
     if params is None:
         params = pipeline_params(
@@ -176,11 +169,7 @@ def build_pipeline_matrix(
         )
     n = config.n
     w, cols, k = params.windows, params.columns, params.draws
-    window_starts = np.arange(w, dtype=np.int64) * cols
-    positions = []
-    for _ in range(n):
-        raw = rng.integers(0, cols, size=(w, k)) + window_starts[:, None]
-        positions.append(np.unique(raw))
+    positions = draw_rows(n, w, cols, k, rng)
     return ScheduleMatrix(n=n, columns=w * cols, positions=positions)
 
 
@@ -343,9 +332,10 @@ def run_sync(
         graph_meetings = [m for m in meetings if len(m[1]) == 2]
     else:
         graph_meetings = meetings
-    graph = _graph_from_meetings(matrix.n, graph_meetings)
+    graph = graph_from_meetings(matrix.n, graph_meetings)
+    adj = graph.adjacency()
     for st in states:
-        st.neighbors = graph.neighbors(st.index)
+        st.neighbors = frozenset(adj[st.index])
 
     global_max = max(st.ident for st in states)
     rounds_used = 0

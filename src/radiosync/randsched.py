@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,13 +45,26 @@ def repetition_constant(n: int) -> int:
     return max(11, math.ceil(30.0 / clamped_log2(n - 1)))
 
 
+def _as_row(r: int, row) -> np.ndarray:
+    """Row ``r`` as a 1-D integer array (an empty one as int64)."""
+    row = np.asarray(row)
+    if row.ndim != 1:
+        raise ValueError(f"row {r}: positions must be 1-D, got shape {row.shape}")
+    if row.size == 0:
+        return row.astype(np.int64)
+    if row.dtype.kind not in "iu":
+        raise ValueError(f"row {r}: positions must be integers, got {row.dtype}")
+    return row
+
+
 @dataclass
 class ScheduleMatrix:
     """n rows of wake-up positions over a shared window.
 
-    Rows are stored as sorted unique numpy position arrays; ``rows``
-    materializes them as :class:`BitSchedule` values. ``offsets`` are
-    the per-row global start times (None until assigned).
+    Rows are strictly increasing integer numpy position arrays inside
+    ``[0, columns)`` (checked on construction); ``rows`` materializes
+    them as :class:`BitSchedule` values. ``offsets`` are the per-row
+    global start times (None until assigned).
     """
 
     n: int
@@ -60,12 +75,39 @@ class ScheduleMatrix:
     def __post_init__(self) -> None:
         if self.n != len(self.positions):
             raise ValueError(f"{self.n} rows declared, {len(self.positions)} given")
+        self.positions = [_as_row(r, row) for r, row in enumerate(self.positions)]
+        self._check_positions()
         if self.offsets is not None:
             self.offsets = np.asarray(self.offsets, dtype=np.int64)
             if self.offsets.shape != (self.n,):
                 raise ValueError("need one offset per row")
             if self.offsets.min(initial=0) < 0:
                 raise ValueError("offsets must be non-negative")
+
+    def _check_positions(self) -> None:
+        """Every row must be strictly increasing inside ``[0, columns)``;
+        a repeated position would make a row meet itself. One pass over
+        all rows concatenated."""
+        sizes = self.densities()
+        if sizes.sum() == 0:
+            return
+        flat = np.concatenate(self.positions)
+        ends = np.cumsum(sizes)
+        if flat.min() < 0 or flat.max() >= self.columns:
+            at = int(np.argmax((flat < 0) | (flat >= self.columns)))
+            raise ValueError(
+                f"row {np.searchsorted(ends, at, side='right')}: position "
+                f"{flat[at]} outside [0, {self.columns})"
+            )
+        repeat = flat[1:] <= flat[:-1]
+        # pairs straddling two rows are not steps within a row
+        repeat[ends[(ends > 0) & (ends < flat.size)] - 1] = False
+        if repeat.any():
+            at = int(np.argmax(repeat)) + 1
+            raise ValueError(
+                f"row {np.searchsorted(ends, at, side='right')}: positions must be "
+                f"strictly increasing, {flat[at - 1]} then {flat[at]}"
+            )
 
     @property
     def rows(self) -> tuple[BitSchedule, ...]:
@@ -94,6 +136,32 @@ def row_draws(columns: int, density_exponent: float, scale: float) -> int:
     return math.ceil(scale * columns**density_exponent)
 
 
+def draw_rows(
+    n: int, windows: int, columns: int, draws: int, rng: np.random.Generator
+) -> list[np.ndarray]:
+    """n rows of ``windows`` back-to-back random windows of ``columns``
+    units, ``draws`` uniform wake-ups per window, duplicates within a
+    window collapsed; each row comes out strictly increasing.
+
+    The rng is called once per row with shape ``(windows, draws)``, row
+    after row, so the stream is that of the per-row draws: a single
+    ``(n, windows, draws)`` call could consume it differently, since
+    numpy buffers the 32-bit halves of bounded draws within one call.
+    The dedupe is one 2-D pass: sort each window's draws, add the
+    window starts, drop entries equal to their left neighbour.
+    O(n * windows * draws * log draws).
+    """
+    raw = np.empty((n, windows, draws), dtype=np.int64)
+    for r in range(n):
+        raw[r] = rng.integers(0, columns, size=(windows, draws))
+    raw.sort(axis=-1)
+    raw += np.arange(windows, dtype=np.int64)[:, None] * columns
+    keep = np.ones(raw.shape, dtype=bool)
+    np.not_equal(raw[..., 1:], raw[..., :-1], out=keep[..., 1:])
+    counts = keep.reshape(n, -1).sum(axis=1)
+    return np.split(raw[keep], np.cumsum(counts[:-1]))
+
+
 def gen_matrix(
     n: int,
     columns: int,
@@ -112,9 +180,7 @@ def gen_matrix(
     draws = row_draws(columns, density_exponent, scale)
     if draws > columns:
         raise ValueError(f"{draws} draws exceed window of {columns} columns")
-    positions = [
-        np.unique(rng.integers(0, columns, size=draws)) for _ in range(n)
-    ]
+    positions = draw_rows(n, 1, columns, draws, rng)
     return ScheduleMatrix(n=n, columns=columns, positions=positions)
 
 
@@ -126,31 +192,44 @@ def detect_meetings(
     Row ``r`` is awake at global column ``t`` iff ``t - offsets[r]`` is
     one of its positions. Base mode reports every column with >= 2
     awake rows; exclusive mode keeps only columns with exactly two
-    (any third awake radio jams the channel). Meetings come out sorted
-    by column, participants sorted by row index.
+    (any third awake radio jams the channel). Meetings come out as
+    ``(column, participants)`` sorted by column, each column once,
+    participants sorted by row index.
+
+    One sort-and-group pass: every awake unit is keyed ``column * n +
+    row``, the keys are sorted, runs of equal columns form the groups,
+    and only the kept groups become tuples. O(N log N) in the N awake
+    units.
     """
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
-    sizes = [len(row) for row in m.positions]
-    if sum(sizes) == 0:
+    n = m.n
+    sizes = m.densities()
+    if sizes.sum() == 0:
         return []
-    cols = np.concatenate(
-        [row + m.offsets[r] for r, row in enumerate(m.positions)]
-    )
-    owner = np.repeat(np.arange(m.n, dtype=np.int64), sizes)
-    order = np.argsort(cols, kind="stable")
-    cols = cols[order]
-    owner = owner[order]
-    boundaries = np.flatnonzero(np.diff(cols)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [cols.size]))
-    meetings = []
-    for lo, hi in zip(starts, ends):
-        count = hi - lo
-        if count < 2 or (exclusive and count != 2):
-            continue
-        meetings.append((int(cols[lo]), tuple(int(x) for x in owner[lo:hi])))
-    return meetings
+    if (m.columns + int(m.offsets.max())) * n > np.iinfo(np.int64).max:
+        raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
+    keys = np.concatenate(m.positions).astype(np.int64, copy=False)
+    keys *= n
+    keys += np.repeat(m.offsets * n + np.arange(n, dtype=np.int64), sizes)
+    keys.sort()
+    cols = keys // n
+    # unit u shares its column with unit u + 1; each run of consecutive
+    # such u is one group of (run length + 1) awake rows
+    shared = np.flatnonzero(cols[1:] == cols[:-1])
+    del cols
+    first = np.flatnonzero(np.diff(shared, prepend=-2) != 1)
+    starts = shared[first]
+    counts = np.diff(first, append=shared.size) + 1
+    if exclusive:
+        starts, counts = starts[counts == 2], counts[counts == 2]
+    runs = []
+    for size in np.unique(counts).tolist():
+        lo = starts[counts == size]
+        # one list per participant slot, zipped back into tuples
+        who = keys[lo + np.arange(size)[:, None]] % n
+        runs.append(zip((keys[lo] // n).tolist(), zip(*who.tolist())))
+    return sorted(chain.from_iterable(runs), key=itemgetter(0))
 
 
 @dataclass(frozen=True, eq=True)
@@ -181,16 +260,50 @@ class CommGraph:
         )
 
 
+def graph_from_meetings(
+    n: int, meetings: Sequence[tuple[int, tuple[int, ...]]]
+) -> CommGraph:
+    """Graph over ``n`` rows with an edge for every pair of rows that
+    share a meeting.
+
+    ``meetings`` is :func:`detect_meetings` output (column-sorted,
+    participants sorted). Each edge (i < j) is witnessed by its earliest
+    column, and ``witness`` is filled in (column, i, j) order, which is
+    the order a loop over the meetings and their pairs would first meet
+    each edge. Pairs are built per meeting size with ``triu_indices``
+    and encoded ``i * n + j``; the earliest of each code is kept with
+    one lexsort. O(P log P) in the P meeting pairs.
+    """
+    count = len(meetings)
+    if count == 0:
+        return CommGraph(n=n, witness={})
+    sizes = np.fromiter(map(len, map(itemgetter(1), meetings)), np.int64, count)
+    starts = np.cumsum(sizes) - sizes
+    owners = np.fromiter(
+        chain.from_iterable(map(itemgetter(1), meetings)), np.int64, int(sizes.sum())
+    )
+    meeting_cols = np.fromiter(map(itemgetter(0), meetings), np.int64, count)
+    col_parts, code_parts = [], []
+    for size in np.unique(sizes).tolist():
+        sel = sizes == size
+        table = owners[starts[sel, None] + np.arange(size)]
+        a, b = np.triu_indices(size, 1)
+        col_parts.append(np.repeat(meeting_cols[sel], a.size))
+        code_parts.append((table[:, a] * n + table[:, b]).ravel())
+    cols = np.concatenate(col_parts)
+    codes = np.concatenate(code_parts)
+    order = np.lexsort((codes, cols))
+    cols, codes = cols[order], codes[order]
+    _, first = np.unique(codes, return_index=True)
+    first.sort()
+    cols, codes = cols[first], codes[first]
+    i, j = np.divmod(codes, n)
+    return CommGraph(n=n, witness=dict(zip(zip(i.tolist(), j.tolist()), cols.tolist())))
+
+
 def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False) -> CommGraph:
     """Graph whose edges are row pairs with at least one meeting."""
-    witness: dict[tuple[int, int], int] = {}
-    for col, participants in detect_meetings(m, exclusive=exclusive):
-        for a in range(len(participants)):
-            for b in range(a + 1, len(participants)):
-                edge = (participants[a], participants[b])
-                if edge not in witness:
-                    witness[edge] = col
-    return CommGraph(n=m.n, witness=witness)
+    return graph_from_meetings(m.n, detect_meetings(m, exclusive=exclusive))
 
 
 def concat_in_time(blocks: Sequence[ScheduleMatrix]) -> ScheduleMatrix:

@@ -78,11 +78,52 @@ def test_gen_matrix_seeds_differ():
     )
 
 
+# --- row validation ------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "positions, message",
+    [
+        # a repeated position would make row 0 meet itself: a self-loop
+        ([[3, 3], [5]], "row 0: .*strictly increasing, 3 then 3"),
+        ([[3], [5, 2]], "row 1: .*strictly increasing, 5 then 2"),
+        ([[3], [12]], r"row 1: position 12 outside \[0, 10\)"),
+        ([[-1, 4], [5]], "row 0: position -1 outside"),
+        ([[3, 3], [12]], "row 1: position 12 outside"),
+        ([[1], [2.0, 3.0]], "row 1: positions must be integers"),
+        ([np.array([[1, 2]]), [5]], "row 0: positions must be 1-D"),
+    ],
+)
+def test_malformed_rows_rejected(positions, message):
+    with pytest.raises(ValueError, match=message):
+        ScheduleMatrix(n=2, columns=10, positions=positions, offsets=[0, 0])
+
+
+def test_valid_rows_accepted_across_boundaries():
+    # a later row may start below where the previous one ended; empty
+    # rows come out as int64
+    m = ScheduleMatrix(n=3, columns=10, positions=[[5, 9], [], [0, 1]])
+    assert m.positions[1].dtype == np.int64
+    assert m.with_offsets([0, 0, 0]).densities().tolist() == [2, 0, 2]
+
+
+def test_with_offsets_keeps_rows_checked():
+    m = ScheduleMatrix(n=2, columns=10, positions=[[1, 2], [3]])
+    m.positions[0] = np.array([2, 2])
+    with pytest.raises(ValueError, match="row 0"):
+        m.with_offsets([0, 0])
+
+
 # --- meetings ----------------------------------------------------------------
 
 def test_detect_requires_offsets():
     m = matrix_from_ones(8, [[0], [1]])
     with pytest.raises(ValueError):
+        detect_meetings(m)
+
+
+def test_detect_rejects_key_overflow():
+    m = matrix_from_ones(2**62, [[0], [1]], offsets=[0, 0])
+    with pytest.raises(ValueError, match="overflow"):
         detect_meetings(m)
 
 
