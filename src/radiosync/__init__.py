@@ -9,10 +9,11 @@ Library layout:
 * :mod:`radiosync.birthday`    -- two-color collision Monte-Carlo
 * :mod:`radiosync.randsched`   -- random schedule matrices, meeting
   detection, communication graphs
-* :mod:`radiosync.netsim`      -- discrete radio medium, interference,
-  back-off, bounded clock drift
-* :mod:`radiosync.protocol`    -- max-identifier synchronization and
-  the unknown-count estimation loop
+* :mod:`radiosync.netsim`      -- back-off contention and the
+  bounded clock drift lemma
+* :mod:`radiosync.protocol`    -- run configuration, the radio medium
+  (delivery at meetings), max-identifier synchronization and the
+  unknown-count estimation loop
 * :mod:`radiosync.harness`     -- seeded sweeps, CSV emission
 * :mod:`radiosync.acceptance`  -- release-gating checks
 """
@@ -46,28 +47,18 @@ from .randsched import (
     GraphStats,
     ScheduleMatrix,
     build_comm_graph,
-    concat_in_time,
     detect_meetings,
     gen_matrix,
-    gen_row,
     graph_stats,
 )
-from .netsim import (
-    NOISE,
-    DriftParams,
-    RadioEvent,
-    SimConfig,
-    check_unit_overlap,
-    drift_time_step,
-    step,
-)
+from .netsim import DriftParams, check_unit_overlap
 from .protocol import (
     EstimateResult,
     NodeState,
     PipelineResult,
+    SimConfig,
     build_pipeline_matrix,
     estimate_n,
-    measure_radio_cost,
     run_pipeline,
     run_sync,
 )
@@ -95,19 +86,13 @@ __all__ = [
     "ScheduleMatrix",
     "CommGraph",
     "GraphStats",
-    "gen_row",
     "gen_matrix",
     "detect_meetings",
     "build_comm_graph",
-    "concat_in_time",
     "graph_stats",
-    "NOISE",
     "DriftParams",
-    "RadioEvent",
-    "SimConfig",
-    "step",
     "check_unit_overlap",
-    "drift_time_step",
+    "SimConfig",
     "NodeState",
     "PipelineResult",
     "EstimateResult",
@@ -115,7 +100,6 @@ __all__ = [
     "run_sync",
     "run_pipeline",
     "estimate_n",
-    "measure_radio_cost",
     "ExperimentSpec",
     "SummaryRecord",
     "run_sweep",

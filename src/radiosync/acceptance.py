@@ -27,8 +27,9 @@ from .bitstrings import (
     pack_non_overlapping,
 )
 from .detsched import build_two_proc_schedule, ceil_sqrt, radio_cost, verify_self_overlap
-from .netsim import DriftParams, SimConfig, check_unit_overlap
+from .netsim import DriftParams, check_unit_overlap
 from .protocol import (
+    SimConfig,
     build_pipeline_matrix,
     draw_offsets,
     estimate_n,
@@ -228,8 +229,7 @@ def _pipeline_trials(seeds: int = 200) -> tuple[_PipelineTrial, ...]:
     trials = []
     for seed in range(seeds):
         rng = spawn_rng(ACCEPT_SEED, 78, seed)
-        config = SimConfig(d=d, n=n)
-        matrix = build_pipeline_matrix(config, rng, params)
+        matrix = build_pipeline_matrix(n, params, rng)
         offsets = draw_offsets(n, d, rng)
         matrix = matrix.with_offsets(offsets)
         stage = ScheduleMatrix(

@@ -9,7 +9,9 @@ Subcommands:
   sweep              seeded experiment grid, CSV out
   accept             full acceptance suite
 
-Exit status is 0 iff every requested operation succeeded.
+Exit status is 0 iff every requested operation succeeded, 1 when a run
+or check fails, and 2 on invalid input (one ``radiosync: error:`` line
+on stderr).
 """
 
 from __future__ import annotations
@@ -33,8 +35,7 @@ from .harness import (
     run_sweep,
     trace_to_csv,
 )
-from .netsim import SimConfig
-from .protocol import estimate_n
+from .protocol import SimConfig, estimate_n
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -102,7 +103,6 @@ def cmd_sync_run(args) -> int:
         d=args.d,
         beta=args.beta,
         exclusive=args.exclusive,
-        drift_c=args.drift,
         seed=args.seed,
         trace=trace,
     )
@@ -167,19 +167,14 @@ def cmd_sweep(args) -> int:
     if isinstance(d_grid, str):
         d_grid = _int_list(d_grid)
     if d_grid is None:
-        print("sweep: need --d-grid (or d_grid in the config file)", file=sys.stderr)
-        return 2
+        raise ValueError("sweep needs --d-grid (or d_grid in the config file)")
     beta_grid = pick(args.beta_grid, "beta_grid", (0.5,))
     if isinstance(beta_grid, str):
         beta_grid = _float_list(beta_grid)
-    drift_grid: tuple = (None,)
-    if args.drift_grid:
-        drift_grid = _float_list(args.drift_grid)
     spec = ExperimentSpec(
         d_grid=tuple(d_grid),
         beta_grid=tuple(beta_grid),
         exclusive_grid=(False, True) if args.both_modes else (args.exclusive,),
-        drift_c_grid=drift_grid,
         trials=int(pick(args.trials, "trials", 1)),
         root_seed=int(pick(args.seed, "seed", 0)),
         out_path=args.out,
@@ -239,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--d", type=int, required=True)
     run.add_argument("--beta", type=float, default=0.5)
     run.add_argument("--exclusive", action="store_true", help="interference mode")
-    run.add_argument("--drift", type=float, default=None, help="clock speed ratio bound")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--out", default=None)
     run.add_argument("--trace", default=None, help="write the event trace CSV here")
@@ -260,10 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--beta-grid", dest="beta_grid", default=None)
     sweep.add_argument("--exclusive", action="store_true")
     sweep.add_argument("--both-modes", action="store_true")
-    sweep.add_argument(
-        "--drift-grid", dest="drift_grid", default=None,
-        help="comma-separated clock speed ratio bounds",
-    )
     sweep.add_argument("--trials", type=int, default=None)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", default=None)
@@ -277,7 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"radiosync: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

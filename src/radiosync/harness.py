@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .netsim import DriftParams, SimConfig
-from .protocol import run_pipeline
+from .protocol import SimConfig, run_pipeline
 from .randsched import graph_stats
 from .seeding import spawn_rng
 
@@ -44,7 +43,6 @@ SUMMARY_COLUMNS = (
     "beta",
     "n",
     "exclusive",
-    "drift_c",
     "trials",
     "success_rate",
     "mean_max_radio_cost",
@@ -55,12 +53,11 @@ SUMMARY_COLUMNS = (
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep grid; one cell per (d, beta, exclusive, drift_c) tuple."""
+    """A sweep grid; one cell per (d, beta, exclusive) tuple."""
 
     d_grid: tuple[int, ...]
     beta_grid: tuple[float, ...]
     exclusive_grid: tuple[bool, ...] = (False,)
-    drift_c_grid: tuple[Optional[float], ...] = (None,)
     trials: int = 1
     root_seed: int = 0
     out_path: Optional[str] = None
@@ -71,13 +68,12 @@ class ExperimentSpec:
         if not (self.d_grid and self.beta_grid and self.exclusive_grid):
             raise ValueError("grids must be non-empty")
 
-    def cells(self) -> list[tuple[int, float, bool, Optional[float]]]:
+    def cells(self) -> list[tuple[int, float, bool]]:
         return [
-            (d, beta, excl, drift_c)
+            (d, beta, excl)
             for d in self.d_grid
             for beta in self.beta_grid
             for excl in self.exclusive_grid
-            for drift_c in self.drift_c_grid
         ]
 
 
@@ -87,7 +83,6 @@ class SummaryRecord:
     beta: float
     n: int
     exclusive: bool
-    drift_c: Optional[float]
     trials: int
     success_rate: float
     mean_max_radio_cost: float
@@ -101,7 +96,6 @@ class SummaryRecord:
             self.beta,
             self.n,
             int(self.exclusive),
-            "" if self.drift_c is None else self.drift_c,
             self.trials,
             f"{self.success_rate:.6g}",
             f"{self.mean_max_radio_cost:.6g}",
@@ -110,21 +104,10 @@ class SummaryRecord:
         ]
 
 
-def make_drift(n: int, ratio_bound: float, rng: np.random.Generator) -> DriftParams:
-    """Random clock speeds within the declared ratio bound."""
-    speeds = 1.0 + rng.random(n) * (ratio_bound - 1.0)
-    return DriftParams(
-        speeds=tuple(float(s) for s in speeds),
-        ratio_bound=ratio_bound,
-        min_transmit_time=1.0,
-    )
-
-
 def run_one(
     d: int,
     beta: float,
     exclusive: bool,
-    drift_c: Optional[float],
     seed: int,
     rng: Optional[np.random.Generator] = None,
     trace: Optional[list] = None,
@@ -137,8 +120,6 @@ def run_one(
     if rng is None:
         rng = spawn_rng(seed)
     config = SimConfig(d=d, beta=beta, exclusive=exclusive, seed=seed)
-    if drift_c is not None:
-        config.drift = make_drift(config.n, drift_c, rng)
     result = run_pipeline(config, rng, trace=trace)
     stats = graph_stats(result.comm_graph, root=result.root_index)
     return {
@@ -165,12 +146,12 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
     from .seeding import derive_seed
 
     records = []
-    for cell_idx, (d, beta, excl, drift_c) in enumerate(spec.cells()):
+    for cell_idx, (d, beta, excl) in enumerate(spec.cells()):
         t0 = time.perf_counter()
         runs = []
         for trial_idx in range(spec.trials):
             seed = derive_seed(spec.root_seed, cell_idx, trial_idx)
-            runs.append(run_one(d, beta, excl, drift_c, seed))
+            runs.append(run_one(d, beta, excl, seed))
         diameters = [r["diameter"] for r in runs if math.isfinite(r["diameter"])]
         records.append(
             SummaryRecord(
@@ -178,7 +159,6 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
                 beta=beta,
                 n=runs[0]["n"],
                 exclusive=excl,
-                drift_c=drift_c,
                 trials=spec.trials,
                 success_rate=sum(r["success"] for r in runs) / spec.trials,
                 mean_max_radio_cost=sum(r["max_radio_cost"] for r in runs)

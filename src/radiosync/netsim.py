@@ -1,12 +1,10 @@
-"""Discrete radio medium: per-unit delivery resolution, back-off
-contention, and the bounded-drift time-unit model.
+"""Back-off contention and the bounded-drift time-unit model.
 
-The medium advances one global time unit at a time. Within a unit the
-outcome is a pure function of who is awake: in the base model every
-awake radio hears every other awake radio; in the interference model a
-radio decodes a message only when exactly one other radio transmits,
-and otherwise hears noise. Contention among >= 2 awake transmitters is
-resolved by expanding a unit into consecutive back-off slots in which
+The radio medium itself is :func:`radiosync.protocol._deliver_meetings`:
+in the base model every awake radio hears every other awake radio at a
+meeting. In the interference model a radio decodes a message only when
+exactly one other radio transmits, so a meeting unit is expanded by
+:func:`resolve_backoff_unit` into consecutive back-off slots in which
 each radio independently transmits with probability 1/2.
 
 Clock drift is absorbed before any of this applies: when clock speeds
@@ -21,34 +19,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
-
-from .randsched import ScheduleMatrix, clamped_log2
-
-
-class Noise:
-    """Sentinel delivered to a receiver that hears garbled transmissions."""
-
-    _instance: Optional["Noise"] = None
-
-    def __new__(cls) -> "Noise":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NOISE"
-
-
-NOISE = Noise()
-
-
-class TxDecision(Enum):
-    TRANSMIT = "transmit"
-    LISTEN = "listen"
 
 
 @dataclass(frozen=True)
@@ -93,11 +66,6 @@ class DriftParams:
     def unit_length(self) -> float:
         """Global duration of one rescaled time unit: 5 * max step."""
         return 5.0 * self.max_step
-
-
-def drift_time_step(p: DriftParams, node: int) -> float:
-    """Global-time length of one of node's logical steps."""
-    return p.step_length(node)
 
 
 def complete_steps(p: DriftParams, node: int, phase: float) -> int:
@@ -157,111 +125,6 @@ def check_unit_overlap(
     return max_step_overlap(s_i, s_j, phase_i, phase_j, p.unit_length)
 
 
-@dataclass(frozen=True)
-class RadioEvent:
-    """Resolution of one global time unit: who was awake, who
-    transmitted, and what every awake receiver heard."""
-
-    global_t: int
-    awake: tuple[int, ...]
-    transmitters: tuple[int, ...]
-    delivered: dict[int, tuple | Noise]
-
-
-@dataclass
-class SimConfig:
-    """Experiment parameters.
-
-    Either ``n`` or ``beta`` fixes the processor count (n =
-    ceil(d**beta)). Optional fields left as None are derived:
-    window 4d, back-off slot count ceil(log2 n)**2, sync rounds
-    ceil(log2 n) + 10.
-    """
-
-    d: int
-    n: Optional[int] = None
-    beta: Optional[float] = None
-    scale: float = 1.82
-    repetition_k: Optional[int] = None
-    min_meetings: int = 10
-    rounds: Optional[int] = None
-    exclusive: bool = False
-    backoff_rounds: Optional[int] = None
-    seed: int = 0
-    drift: Optional[DriftParams] = None
-    transmit_delay: int = 0
-    columns: Optional[int] = None
-    polylog_exp: int = 2
-
-    def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"offset bound must be positive, got {self.d}")
-        if self.n is None and self.beta is not None:
-            self.n = math.ceil(self.d**self.beta)
-        # n may stay None: the count is then unknown and must be estimated
-        if self.n is not None and self.n < 2:
-            raise ValueError(f"need at least two processors, got {self.n}")
-        if self.columns is None:
-            self.columns = 4 * self.d
-        if self.backoff_rounds is None:
-            known = self.n if self.n is not None else self.d
-            self.backoff_rounds = math.ceil(clamped_log2(known)) ** 2
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError(f"rounds must be positive, got {self.rounds}")
-
-
-def awake_rows(m: ScheduleMatrix, global_t: int) -> tuple[int, ...]:
-    """Rows whose radio is on at the given global column."""
-    if m.offsets is None:
-        raise ValueError("offsets must be set")
-    out = []
-    for r, row in enumerate(m.positions):
-        local = global_t - int(m.offsets[r])
-        if local >= 0:
-            at = np.searchsorted(row, local)
-            if at < len(row) and row[at] == local:
-                out.append(r)
-    return tuple(out)
-
-
-def step(
-    config: SimConfig,
-    m: ScheduleMatrix,
-    payloads: Sequence,
-    global_t: int,
-) -> RadioEvent:
-    """Resolve one global time unit.
-
-    ``payloads[r]`` is whatever row r would transmit. Base model: every
-    awake radio receives every other awake radio's payload. Interference
-    model: with exactly two awake, each hears the other; with three or
-    more, everyone hears noise (back-off, when enabled, is applied by
-    the caller via :func:`resolve_backoff_unit`).
-    """
-    if global_t < 0:
-        raise ValueError(f"time must be non-negative, got {global_t}")
-    awake = awake_rows(m, global_t)
-    delivered: dict[int, tuple | Noise] = {}
-    if len(awake) < 2:
-        return RadioEvent(global_t, awake, awake, delivered)
-    if not config.exclusive:
-        for r in awake:
-            delivered[r] = tuple(payloads[o] for o in awake if o != r)
-    elif len(awake) == 2:
-        a, b = awake
-        delivered[a] = (payloads[b],)
-        delivered[b] = (payloads[a],)
-    else:
-        for r in awake:
-            delivered[r] = NOISE
-    return RadioEvent(global_t, awake, awake, delivered)
-
-
-def backoff_transmit_decision(rng: np.random.Generator) -> TxDecision:
-    """Fair-coin slot decision, independent per node and slot."""
-    return TxDecision.TRANSMIT if rng.integers(0, 2) else TxDecision.LISTEN
-
-
 def resolve_backoff_unit(
     awake: Sequence[int], slots: int, rng: np.random.Generator
 ) -> list[tuple[int, int]]:
@@ -284,15 +147,3 @@ def resolve_backoff_unit(
         out.append((int(slot), awake[int(np.flatnonzero(coins[slot])[0])]))
     return out
 
-
-def radio_cost_units(
-    m: ScheduleMatrix, copies: int, exclusive: bool, backoff_rounds: int
-) -> np.ndarray:
-    """Awake units per row for running ``copies`` repeats of the window.
-
-    Every awake unit expands into ``backoff_rounds`` slots in
-    interference mode (a node cannot know in advance which of its
-    units are meetings).
-    """
-    expansion = backoff_rounds if exclusive else 1
-    return m.densities() * copies * expansion

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .netsim import SimConfig, resolve_backoff_unit
+from .netsim import resolve_backoff_unit
 from .randsched import (
     CommGraph,
     ScheduleMatrix,
@@ -44,6 +44,50 @@ from .seeding import spawn_rng
 #: identifiers are drawn uniformly below 2**63; far wider than any
 #: realistic n, so collisions are negligible (and regenerated away)
 ID_BITS = 63
+
+
+@dataclass
+class SimConfig:
+    """Parameters of one synchronization run.
+
+    Either ``n`` or ``beta`` fixes the processor count (n =
+    ceil(d**beta)); with neither, the count is unknown and only
+    :func:`estimate_n` applies. ``exclusive`` selects the interference
+    model, in which every awake unit is expanded into ``backoff_rounds``
+    back-off slots. Optional fields left as None are derived: window
+    ``columns`` 4d and back-off slot count ceil(log2 n)**2 here, the
+    stage shape and sync ``rounds`` (ceil(log2 n) + 10) by
+    :func:`pipeline_params`.
+    """
+
+    d: int
+    n: Optional[int] = None
+    beta: Optional[float] = None
+    scale: float = 1.82
+    repetition_k: Optional[int] = None
+    rounds: Optional[int] = None
+    exclusive: bool = False
+    backoff_rounds: Optional[int] = None
+    seed: int = 0
+    transmit_delay: int = 0
+    columns: Optional[int] = None
+    polylog_exp: int = 2
+
+    def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"offset bound must be positive, got {self.d}")
+        if self.n is None and self.beta is not None:
+            self.n = math.ceil(self.d**self.beta)
+        # n may stay None: the count is then unknown and must be estimated
+        if self.n is not None and self.n < 2:
+            raise ValueError(f"need at least two processors, got {self.n}")
+        if self.columns is None:
+            self.columns = 4 * self.d
+        if self.backoff_rounds is None:
+            known = self.n if self.n is not None else self.d
+            self.backoff_rounds = math.ceil(clamped_log2(known)) ** 2
+        if self.rounds is not None and self.rounds < 1:
+            raise ValueError(f"rounds must be positive, got {self.rounds}")
 
 
 @dataclass
@@ -65,7 +109,6 @@ class NodeState:
     max_seen: int = 0
     root_origin: int = 0
     hops: int = 0
-    neighbors: frozenset[int] = frozenset()
     synchronized: bool = False
     own_time: int = 0
     root_time: int = 0
@@ -143,11 +186,10 @@ def pipeline_params(
 
 
 def build_pipeline_matrix(
-    config: SimConfig,
-    rng: np.random.Generator,
-    params: Optional[PipelineParams] = None,
+    n: int, params: PipelineParams, rng: np.random.Generator
 ) -> ScheduleMatrix:
-    """The full per-node random schedule stack (offsets left unset).
+    """The full random schedule stack of ``n`` nodes in the shape
+    ``params`` (offsets left unset).
 
     Row by row, ``windows`` independent random windows are drawn and
     laid out back to back; duplicates within a window collapse, so each
@@ -157,17 +199,6 @@ def build_pipeline_matrix(
     :func:`~radiosync.randsched.draw_rows`, O(n * windows * draws *
     log draws).
     """
-    if params is None:
-        params = pipeline_params(
-            config.d,
-            config.n,
-            scale=config.scale,
-            columns=config.columns,
-            repetition_k=config.repetition_k,
-            rounds=config.rounds,
-            polylog_exp=config.polylog_exp,
-        )
-    n = config.n
     w, cols, k = params.windows, params.columns, params.draws
     positions = draw_rows(n, w, cols, k, rng)
     return ScheduleMatrix(n=n, columns=w * cols, positions=positions)
@@ -176,28 +207,6 @@ def build_pipeline_matrix(
 def draw_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """Adversarial start offsets, uniform in [0, d] by default."""
     return rng.integers(0, d + 1, size=n, dtype=np.int64)
-
-
-OFFSET_PRESETS = ("uniform", "zero", "extremes", "staircase")
-
-
-def preset_offsets(
-    preset: str, n: int, d: int, rng: Optional[np.random.Generator] = None
-) -> np.ndarray:
-    """Worst-case-style offset patterns for experiments."""
-    if preset == "uniform":
-        if rng is None:
-            raise ValueError("uniform preset needs an rng")
-        return draw_offsets(n, d, rng)
-    if preset == "zero":
-        return np.zeros(n, dtype=np.int64)
-    if preset == "extremes":
-        out = np.zeros(n, dtype=np.int64)
-        out[n // 2 :] = d
-        return out
-    if preset == "staircase":
-        return np.linspace(0, d, n).astype(np.int64)
-    raise ValueError(f"unknown preset {preset!r}; choose from {OFFSET_PRESETS}")
 
 
 def make_node_states(
@@ -333,9 +342,6 @@ def run_sync(
     else:
         graph_meetings = meetings
     graph = graph_from_meetings(matrix.n, graph_meetings)
-    adj = graph.adjacency()
-    for st in states:
-        st.neighbors = frozenset(adj[st.index])
 
     global_max = max(st.ident for st in states)
     rounds_used = 0
@@ -390,12 +396,6 @@ def run_sync(
     )
 
 
-def measure_radio_cost(result: PipelineResult) -> tuple[np.ndarray, int]:
-    """Per-node awake-unit counts and their maximum."""
-    counts = result.per_node_radio_cost
-    return counts, int(counts.max())
-
-
 def run_pipeline(
     config: SimConfig,
     rng: Optional[np.random.Generator] = None,
@@ -403,17 +403,12 @@ def run_pipeline(
 ) -> PipelineResult:
     """Build schedule, offsets and states from the config, then sync.
 
-    Bounded clock drift never reaches the discrete schedule: the drift
-    parameters fix the rescaled unit length (all nodes' steps come out
-    equal), so here they are only validated against the node count;
-    callers convert unit counts to seconds via ``drift.unit_length``.
+    The rng (seeded from ``config.seed`` when not given) draws, in this
+    order, the schedule stack, the start offsets, the node identifiers
+    and, in interference mode, the back-off coins.
     """
     if config.n is None:
         raise ValueError("processor count unknown; use estimate_n")
-    if config.drift is not None and len(config.drift.speeds) != config.n:
-        raise ValueError(
-            f"drift declares {len(config.drift.speeds)} clocks for {config.n} nodes"
-        )
     if rng is None:
         rng = spawn_rng(config.seed)
     params = pipeline_params(
@@ -425,7 +420,7 @@ def run_pipeline(
         rounds=config.rounds,
         polylog_exp=config.polylog_exp,
     )
-    matrix = build_pipeline_matrix(config, rng, params)
+    matrix = build_pipeline_matrix(config.n, params, rng)
     matrix = matrix.with_offsets(draw_offsets(config.n, config.d, rng))
     states = make_node_states(config.n, matrix.offsets, rng)
     return run_sync(
@@ -474,6 +469,8 @@ def estimate_n(
     are separated by more than d idle units so no message can leak
     between them. Gives up once the guess would drop below 2.
     """
+    if true_n < 2:
+        raise ValueError(f"need at least two processors, got {true_n}")
     if rng is None:
         rng = spawn_rng(config.seed)
     d = config.d
@@ -506,16 +503,7 @@ def estimate_n(
             rounds=rounds,
             repetition_k=uniform_k,
         )
-        epoch_config = SimConfig(
-            d=d,
-            n=true_n,
-            scale=config.scale,
-            exclusive=config.exclusive,
-            backoff_rounds=config.backoff_rounds,
-            seed=config.seed,
-            transmit_delay=config.transmit_delay,
-        )
-        matrix = build_pipeline_matrix(epoch_config, rng, params)
+        matrix = build_pipeline_matrix(true_n, params, rng)
         matrix = matrix.with_offsets(offsets)
         states = make_node_states(true_n, offsets, rng)
         result = run_sync(
@@ -523,7 +511,7 @@ def estimate_n(
             states,
             params.rounds,
             exclusive=config.exclusive,
-            backoff_rounds=epoch_config.backoff_rounds,
+            backoff_rounds=config.backoff_rounds,
             transmit_delay=config.transmit_delay,
             rng=rng,
         )

@@ -24,14 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bitstrings import BitSchedule
-
 #: meeting-probability scale; above sqrt(1 - ln 0.1) the shared-bin
 #: probability per window clears 0.8
 DEFAULT_SCALE = 1.82
-
-#: distinct-neighbor target per row used by the repetition rule
-MIN_DISTINCT_MEETINGS = 10
 
 
 def clamped_log2(n: int) -> float:
@@ -62,8 +57,7 @@ class ScheduleMatrix:
     """n rows of wake-up positions over a shared window.
 
     Rows are strictly increasing integer numpy position arrays inside
-    ``[0, columns)`` (checked on construction); ``rows`` materializes
-    them as :class:`BitSchedule` values. ``offsets`` are the per-row
+    ``[0, columns)`` (checked on construction). ``offsets`` are the per-row
     global start times (None until assigned).
     """
 
@@ -109,26 +103,11 @@ class ScheduleMatrix:
                 f"strictly increasing, {flat[at - 1]} then {flat[at]}"
             )
 
-    @property
-    def rows(self) -> tuple[BitSchedule, ...]:
-        return tuple(
-            BitSchedule(self.columns, tuple(int(p) for p in row))
-            for row in self.positions
-        )
-
     def densities(self) -> np.ndarray:
         return np.array([len(row) for row in self.positions], dtype=np.int64)
 
     def with_offsets(self, offsets: Sequence[int]) -> "ScheduleMatrix":
         return replace(self, offsets=np.asarray(offsets, dtype=np.int64))
-
-
-def gen_row(columns: int, draws: int, rng: np.random.Generator) -> BitSchedule:
-    """One random row: ``draws`` uniform positions, duplicates collapsed."""
-    if not 1 <= draws <= columns:
-        raise ValueError(f"draws must be in [1, {columns}], got {draws}")
-    positions = np.unique(rng.integers(0, columns, size=draws))
-    return BitSchedule(columns, tuple(int(p) for p in positions))
 
 
 def row_draws(columns: int, density_exponent: float, scale: float) -> int:
@@ -254,11 +233,6 @@ class CommGraph:
     def degrees(self) -> list[int]:
         return [len(nbrs) for nbrs in self.adjacency()]
 
-    def neighbors(self, node: int) -> frozenset[int]:
-        return frozenset(
-            j if i == node else i for i, j in self.witness if node in (i, j)
-        )
-
 
 def graph_from_meetings(
     n: int, meetings: Sequence[tuple[int, tuple[int, ...]]]
@@ -304,41 +278,6 @@ def graph_from_meetings(
 def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False) -> CommGraph:
     """Graph whose edges are row pairs with at least one meeting."""
     return graph_from_meetings(m.n, detect_meetings(m, exclusive=exclusive))
-
-
-def concat_in_time(blocks: Sequence[ScheduleMatrix]) -> ScheduleMatrix:
-    """Append windows left-to-right; row offsets carry over unchanged.
-
-    All blocks must agree on the row count and on offsets (the rows are
-    the same physical radios). With uniform offsets the concatenated
-    graph's edges are exactly the union of the block graphs' edges;
-    rows offset against each other can additionally meet across a
-    window seam, which only ever adds meetings.
-    """
-    if not blocks:
-        raise ValueError("nothing to concatenate")
-    n = blocks[0].n
-    for b in blocks[1:]:
-        if b.n != n:
-            raise ValueError(f"row count mismatch: {b.n} != {n}")
-        same = (b.offsets is None and blocks[0].offsets is None) or (
-            b.offsets is not None
-            and blocks[0].offsets is not None
-            and np.array_equal(b.offsets, blocks[0].offsets)
-        )
-        if not same:
-            raise ValueError("blocks disagree on row offsets")
-    starts = np.cumsum([0] + [b.columns for b in blocks[:-1]])
-    positions = [
-        np.concatenate([b.positions[r] + start for b, start in zip(blocks, starts)])
-        for r in range(n)
-    ]
-    return ScheduleMatrix(
-        n=n,
-        columns=int(sum(b.columns for b in blocks)),
-        positions=positions,
-        offsets=None if blocks[0].offsets is None else blocks[0].offsets.copy(),
-    )
 
 
 @dataclass(frozen=True)

@@ -49,15 +49,10 @@ def test_csv_schema_fixed():
 
 
 def test_run_one_record_shape():
-    record = run_one(d=64, beta=0.5, exclusive=False, drift_c=None, seed=7)
+    record = run_one(d=64, beta=0.5, exclusive=False, seed=7)
     assert all(col in record for col in RUN_COLUMNS)
     assert record["n"] == 8
     assert len(record["_per_node_cost"]) == 8
-
-
-def test_run_one_with_drift():
-    record = run_one(d=64, beta=0.5, exclusive=False, drift_c=2.0, seed=7)
-    assert record["d"] == 64
 
 
 def test_spec_validation():
@@ -169,6 +164,27 @@ def test_cli_sync_estimate(capsys):
     code = main(["sync", "estimate-n", "--d", "64", "--true-n", "64", "--seed", "2"])
     assert code == 0
     assert "accepted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sync", "run", "--d", "1"],
+        ["sync", "run", "--d", "64", "--beta", "0"],
+        ["sync", "estimate-n", "--d", "64", "--true-n", "1"],
+        ["sweep", "--d-grid", "64,x"],
+        ["sweep"],
+    ],
+    ids=["d-1", "beta-0", "true-n-1", "d-grid-x", "no-d-grid"],
+)
+def test_cli_bad_input_is_one_line_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("radiosync: error: ")
+    assert "Traceback" not in captured.err
 
 
 def test_cli_sweep(tmp_path):

@@ -1,91 +1,19 @@
-"""Radio medium semantics: delivery, interference, back-off, drift."""
+"""Back-off contention and the bounded-drift lemma."""
 
 import numpy as np
 import pytest
 
 from radiosync.netsim import (
-    NOISE,
     DriftParams,
-    SimConfig,
-    TxDecision,
-    backoff_transmit_decision,
     check_unit_overlap,
     complete_steps,
-    drift_time_step,
     max_step_overlap,
-    radio_cost_units,
     resolve_backoff_unit,
-    step,
 )
-from radiosync.randsched import ScheduleMatrix
 from radiosync.seeding import spawn_rng
 
 
-def matrix_from_ones(columns, rows, offsets):
-    return ScheduleMatrix(
-        n=len(rows),
-        columns=columns,
-        positions=[np.array(sorted(r), dtype=np.int64) for r in rows],
-        offsets=np.array(offsets, dtype=np.int64),
-    )
-
-
-PAYLOADS = ["msg0", "msg1", "msg2"]
-
-
-def test_base_model_mutual_delivery():
-    config = SimConfig(d=4, n=2)
-    m = matrix_from_ones(8, [[5], [5]], [0, 0])
-    ev = step(config, m, PAYLOADS, 5)
-    assert ev.awake == (0, 1)
-    assert ev.delivered == {0: ("msg1",), 1: ("msg0",)}
-
-
-def test_base_model_three_way():
-    config = SimConfig(d=4, n=3)
-    m = matrix_from_ones(8, [[2], [2], [2]], [0, 0, 0])
-    ev = step(config, m, PAYLOADS, 2)
-    assert ev.delivered[0] == ("msg1", "msg2")
-    assert ev.delivered[1] == ("msg0", "msg2")
-
-
-def test_lone_node_hears_nothing():
-    config = SimConfig(d=4, n=2)
-    m = matrix_from_ones(8, [[1], [5]], [0, 0])
-    ev = step(config, m, PAYLOADS, 1)
-    assert ev.awake == (0,)
-    assert ev.delivered == {}
-
-
-def test_interference_pair_delivers():
-    config = SimConfig(d=4, n=3, exclusive=True)
-    m = matrix_from_ones(8, [[3], [3], [6]], [0, 0, 0])
-    ev = step(config, m, PAYLOADS, 3)
-    assert ev.delivered == {0: ("msg1",), 1: ("msg0",)}
-
-
-def test_interference_crowd_hears_noise():
-    config = SimConfig(d=4, n=3, exclusive=True)
-    m = matrix_from_ones(8, [[3], [3], [3]], [0, 0, 0])
-    ev = step(config, m, PAYLOADS, 3)
-    assert all(ev.delivered[r] is NOISE for r in range(3))
-
-
-def test_awake_respects_offsets():
-    config = SimConfig(d=4, n=2)
-    m = matrix_from_ones(8, [[5], [3]], [0, 2])
-    ev = step(config, m, PAYLOADS, 5)
-    assert ev.awake == (0, 1)  # row 1 is awake at 3 + 2
-
-
 # --- back-off ----------------------------------------------------------------
-
-def test_backoff_decision_is_fair_coin():
-    rng = spawn_rng(1)
-    outcomes = [backoff_transmit_decision(rng) for _ in range(2_000)]
-    rate = sum(o is TxDecision.TRANSMIT for o in outcomes) / len(outcomes)
-    assert abs(rate - 0.5) < 0.04
-
 
 def test_backoff_single_slot_pair_success_rate():
     # exactly one of two transmits with probability 1/2
@@ -124,64 +52,11 @@ def test_backoff_winners_are_sole_transmitters():
             assert awake[int(np.flatnonzero(coins[slot])[0])] == sender
 
 
-def test_radio_cost_conservation():
-    m = matrix_from_ones(16, [[0, 5, 9], [2]], [0, 0])
-    base = radio_cost_units(m, copies=4, exclusive=False, backoff_rounds=9)
-    assert base.tolist() == [12, 4]
-    expanded = radio_cost_units(m, copies=4, exclusive=True, backoff_rounds=9)
-    assert expanded.tolist() == [108, 36]
-
-
-def test_step_consistent_with_meeting_detection():
-    # the per-unit resolver and the bucketed meeting scan must agree on
-    # every column of a random matrix
-    from radiosync.randsched import detect_meetings, gen_matrix
-
-    rng = spawn_rng(12)
-    m = gen_matrix(5, 64, 0.5, 1.82, rng).with_offsets(rng.integers(0, 17, 5))
-    config = SimConfig(d=16, n=5)
-    meetings = dict(detect_meetings(m))
-    payloads = [f"p{r}" for r in range(5)]
-    for t in range(64 + 16):
-        ev = step(config, m, payloads, t)
-        if len(ev.awake) >= 2:
-            assert meetings[t] == ev.awake
-            for r in ev.awake:
-                assert set(ev.delivered[r]) == {
-                    payloads[o] for o in ev.awake if o != r
-                }
-        else:
-            assert t not in meetings
-            assert ev.delivered == {}
-
-
-# --- config ------------------------------------------------------------------
-
-def test_config_derivations():
-    c = SimConfig(d=1024, beta=0.5)
-    assert c.n == 32
-    assert c.columns == 4096
-    assert c.backoff_rounds == 25  # ceil(log2 32)**2
-    c2 = SimConfig(d=16, n=4)
-    assert c2.backoff_rounds == 4
-    unknown = SimConfig(d=64)
-    assert unknown.n is None
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(d=0, n=2)
-    with pytest.raises(ValueError):
-        SimConfig(d=4, n=1)
-    with pytest.raises(ValueError):
-        SimConfig(d=4, n=2, rounds=0)
-
-
 # --- drift -------------------------------------------------------------------
 
 def test_drift_equal_speeds_equal_steps():
     p = DriftParams(speeds=(2.0, 2.0, 2.0), ratio_bound=1.0, min_transmit_time=0.5)
-    steps = {drift_time_step(p, i) for i in range(3)}
+    steps = {p.step_length(i) for i in range(3)}
     assert len(steps) == 1
 
 
@@ -189,7 +64,7 @@ def test_drift_ratio_bound_enforced():
     with pytest.raises(ValueError):
         DriftParams(speeds=(1.0, 3.0), ratio_bound=2.0, min_transmit_time=1.0)
     p = DriftParams(speeds=(1.0, 2.0), ratio_bound=2.0, min_transmit_time=1.0)
-    s = [drift_time_step(p, i) for i in range(2)]
+    s = [p.step_length(i) for i in range(2)]
     assert max(s) / min(s) <= p.ratio_bound + 1e-12
 
 

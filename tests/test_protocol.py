@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 
 from radiosync.detsched import build_two_proc_schedule, radio_cost
-from radiosync.netsim import SimConfig
+from radiosync.netsim import resolve_backoff_unit
 from radiosync.protocol import (
     NodeState,
+    SimConfig,
     build_pipeline_matrix,
     draw_offsets,
     estimate_n,
     make_node_states,
-    measure_radio_cost,
     pipeline_params,
-    preset_offsets,
     run_pipeline,
     run_sync,
 )
@@ -39,6 +38,28 @@ def states_with_idents(idents, offsets=None):
         NodeState(index=i, ident=ident, start_offset=off)
         for i, (ident, off) in enumerate(zip(idents, offsets))
     ]
+
+
+# --- config ------------------------------------------------------------------
+
+def test_config_derivations():
+    c = SimConfig(d=1024, beta=0.5)
+    assert c.n == 32
+    assert c.columns == 4096
+    assert c.backoff_rounds == 25  # ceil(log2 32)**2
+    c2 = SimConfig(d=16, n=4)
+    assert c2.backoff_rounds == 4
+    unknown = SimConfig(d=64)
+    assert unknown.n is None
+
+
+def test_config_validation():
+    with pytest.raises(ValueError):
+        SimConfig(d=0, n=2)
+    with pytest.raises(ValueError):
+        SimConfig(d=4, n=1)
+    with pytest.raises(ValueError):
+        SimConfig(d=4, n=2, rounds=0)
 
 
 # --- parameter derivations ---------------------------------------------------
@@ -74,26 +95,13 @@ def test_pipeline_params_oversubscribed():
 
 
 def test_build_matrix_shape_and_determinism():
-    config = SimConfig(d=64, n=4)
     params = pipeline_params(64, 4)
-    a = build_pipeline_matrix(config, spawn_rng(1), params)
-    b = build_pipeline_matrix(config, spawn_rng(1), params)
+    a = build_pipeline_matrix(4, params, spawn_rng(1))
+    b = build_pipeline_matrix(4, params, spawn_rng(1))
     assert a.columns == params.windows * 256
     assert all(np.array_equal(x, y) for x, y in zip(a.positions, b.positions))
     assert all(row[-1] < a.columns for row in a.positions)
     assert all(len(row) <= params.windows * params.draws for row in a.positions)
-
-
-def test_offset_presets():
-    rng = spawn_rng(2)
-    assert preset_offsets("zero", 4, 10).tolist() == [0, 0, 0, 0]
-    assert preset_offsets("extremes", 4, 10).tolist() == [0, 0, 10, 10]
-    stairs = preset_offsets("staircase", 5, 8)
-    assert stairs[0] == 0 and stairs[-1] == 8
-    uniform = preset_offsets("uniform", 100, 10, rng)
-    assert uniform.min() >= 0 and uniform.max() <= 10
-    with pytest.raises(ValueError):
-        preset_offsets("bogus", 4, 10)
 
 
 def test_make_node_states_unique_idents():
@@ -167,12 +175,79 @@ def test_idempotent_on_synchronized_states():
     assert rerun.success
 
 
-def test_neighbors_populated_from_graph():
-    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
+# --- radio medium ------------------------------------------------------------
+
+def test_base_mode_delivers_pair_and_triple():
+    # a pair at 1, a triple at 3, row 2 alone at 5
+    m = matrix_from_ones(8, [[1, 3], [1, 3], [3, 5]], [0, 0, 0])
+    trace = []
+    run_sync(m, states_with_idents([100, 50, 10]), 1, trace=trace)
+    assert trace == [
+        (1, (0, 1), (0, 1), {0: (1,), 1: (0,)}),
+        (3, (0, 1, 2), (0, 1, 2), {0: (1, 2), 1: (0, 2), 2: (0, 1)}),
+    ]
+
+
+def test_offset_row_meets_at_position_plus_offset():
+    m = matrix_from_ones(8, [[5], [3]], [0, 2])
+    trace = []
+    run_sync(m, states_with_idents([100, 50]), 1, trace=trace)
+    assert trace == [(5, (0, 1), (0, 1), {0: (1,), 1: (0,)})]
+
+
+def test_exclusive_transmitters_replay_backoff():
+    # pairs, triples and a quadruple, over up to three schedule copies
+    m = matrix_from_ones(
+        16, [[1, 4, 9, 12], [1, 6, 9], [4, 6, 9, 12], [4, 9, 12]], [0, 0, 0, 0]
+    )
+    trace = []
+    run_sync(
+        m,
+        states_with_idents([10, 20, 30, 40]),
+        3,
+        exclusive=True,
+        backoff_rounds=3,
+        rng=spawn_rng(21),
+        trace=trace,
+    )
+    replay = spawn_rng(21)
+    assert trace
+    for _t, awake, transmitters, delivered in trace:
+        heard = {s for _slot, s in resolve_backoff_unit(awake, 3, replay)}
+        assert transmitters == tuple(sorted(heard))
+        assert delivered == {r: tuple(sorted(heard - {r})) for r in awake}
+
+
+def test_exclusive_unit_without_winner_delivers_nothing():
+    # the first seed whose single back-off slot has no sole transmitter
+    seed = next(
+        s for s in range(100) if not resolve_backoff_unit((0, 1, 2), 1, spawn_rng(s))
+    )
+    m = matrix_from_ones(8, [[3], [3], [3]], [0, 0, 0])
     states = states_with_idents([100, 50, 10])
-    run_sync(m, states, 2)
-    assert states[0].neighbors == frozenset({1})
-    assert states[1].neighbors == frozenset({0, 2})
+    trace = []
+    run_sync(
+        m, states, 1, exclusive=True, backoff_rounds=1, rng=spawn_rng(seed), trace=trace
+    )
+    assert trace == [(3, (0, 1, 2), (), {0: (), 1: (), 2: ()})]
+    assert [st.max_seen for st in states] == [100, 50, 10]
+
+
+@pytest.mark.parametrize(
+    "exclusive, expected", [(False, [12, 4]), (True, [108, 36])]
+)
+def test_radio_cost_is_exact(exclusive, expected):
+    # awake units x rounds, times the 9 back-off slots in interference mode
+    m = matrix_from_ones(16, [[0, 5, 9], [2]], [0, 0])
+    result = run_sync(
+        m,
+        states_with_idents([100, 50]),
+        4,
+        exclusive=exclusive,
+        backoff_rounds=9,
+        rng=spawn_rng(1),
+    )
+    assert result.per_node_radio_cost.tolist() == expected
 
 
 # --- full pipeline -----------------------------------------------------------
@@ -199,23 +274,19 @@ def test_interference_mode_pipeline():
     config = SimConfig(d=256, beta=0.5, seed=3, exclusive=True)
     result = run_pipeline(config)
     # cost includes the back-off expansion on every awake unit
-    counts, top = measure_radio_cost(result)
-    assert top == counts.max()
+    counts = result.per_node_radio_cost
     assert (counts % config.backoff_rounds == 0).all()
 
 
 def test_measure_radio_cost_matches_schedule():
-    config = SimConfig(d=64, n=4, seed=9)
     rng = spawn_rng(9)
     params = pipeline_params(64, 4)
-    matrix = build_pipeline_matrix(config, rng, params)
+    matrix = build_pipeline_matrix(4, params, rng)
     matrix = matrix.with_offsets(draw_offsets(4, 64, rng))
     states = make_node_states(4, matrix.offsets, rng)
     result = run_sync(matrix, states, params.rounds)
-    counts, top = measure_radio_cost(result)
     expected = matrix.densities() * params.rounds
-    assert counts.tolist() == expected.tolist()
-    assert top == max(expected)
+    assert result.per_node_radio_cost.tolist() == expected.tolist()
 
 
 def test_deterministic_baseline_is_cheaper():

@@ -10,10 +10,8 @@ from radiosync.randsched import (
     CommGraph,
     ScheduleMatrix,
     build_comm_graph,
-    concat_in_time,
     detect_meetings,
     gen_matrix,
-    gen_row,
     graph_stats,
     repetition_constant,
 )
@@ -31,34 +29,24 @@ def matrix_from_ones(columns, rows, offsets=None):
 
 # --- generation -------------------------------------------------------------
 
-def test_gen_row_single_draw():
-    row = gen_row(50, 1, spawn_rng(0))
-    assert row.density == 1
-
-
 def test_gen_row_full_draws_classic_occupancy():
-    # k = L draws with replacement: expected distinct ~ L(1 - 1/e)
+    # k = L draws with replacement: expected distinct ~ L(1 - 1/e);
+    # exponent 1 at scale 1 draws exactly L per row
     L = 2_000
-    densities = [gen_row(L, L, spawn_rng(1, i)).density for i in range(30)]
+    densities = [
+        len(gen_matrix(1, L, 1.0, 1.0, spawn_rng(1, i)).positions[0])
+        for i in range(30)
+    ]
     expected = L * (1 - math.exp(-1))
     assert abs(np.mean(densities) - expected) < 0.02 * L
     assert all(d <= L for d in densities)
-
-
-def test_gen_row_reproducible():
-    assert gen_row(100, 10, spawn_rng(5)) == gen_row(100, 10, spawn_rng(5))
-    with pytest.raises(ValueError):
-        gen_row(10, 0, spawn_rng(0))
-    with pytest.raises(ValueError):
-        gen_row(10, 11, spawn_rng(0))
 
 
 def test_gen_matrix_zero_exponent_density():
     m = gen_matrix(4, 64, density_exponent=0.0, scale=1.82, rng=spawn_rng(2))
     assert all(len(row) <= 2 for row in m.positions)  # ceil(1.82) draws
     assert m.offsets is None
-    assert len(m.rows) == 4
-    assert all(isinstance(r, BitSchedule) for r in m.rows)
+    assert len(m.positions) == 4
 
 
 def test_gen_matrix_density_formula():
@@ -194,50 +182,6 @@ def test_double_construction_identical():
     assert detect_meetings(m) == detect_meetings(m)
 
 
-# --- concatenation -----------------------------------------------------------
-
-def test_concat_single_block_identity():
-    m = matrix_from_ones(8, [[0, 2], [1]], offsets=[0, 1])
-    got = concat_in_time([m])
-    assert got.columns == m.columns
-    assert all(np.array_equal(a, b) for a, b in zip(got.positions, m.positions))
-    assert np.array_equal(got.offsets, m.offsets)
-
-
-def test_concat_edge_union_uniform_offsets():
-    rng = spawn_rng(40)
-    blocks = [
-        gen_matrix(6, 64, 0.5, 1.82, rng).with_offsets([0] * 6) for _ in range(3)
-    ]
-    merged = concat_in_time(blocks)
-    assert merged.columns == 3 * 64
-    union_edges = frozenset().union(*(build_comm_graph(b).edges for b in blocks))
-    assert build_comm_graph(merged).edges == union_edges
-
-
-def test_concat_heterogeneous_offsets_superset():
-    # rows offset against each other can also meet across a seam
-    rng = spawn_rng(41)
-    offsets = [0, 13, 5, 9]
-    blocks = [
-        gen_matrix(4, 64, 0.5, 2.0, rng).with_offsets(offsets) for _ in range(3)
-    ]
-    merged = concat_in_time(blocks)
-    union_edges = frozenset().union(*(build_comm_graph(b).edges for b in blocks))
-    assert build_comm_graph(merged).edges >= union_edges
-
-
-def test_concat_rejects_mismatch():
-    a = matrix_from_ones(8, [[0], [1]])
-    b = matrix_from_ones(8, [[0], [1], [2]])
-    with pytest.raises(ValueError):
-        concat_in_time([a, b])
-    c = matrix_from_ones(8, [[0], [1]], offsets=[0, 1])
-    d = matrix_from_ones(8, [[0], [1]], offsets=[1, 0])
-    with pytest.raises(ValueError):
-        concat_in_time([c, d])
-
-
 # --- graph statistics ---------------------------------------------------------
 
 def complete_graph(n):
@@ -293,7 +237,7 @@ def test_single_block_meeting_rate():
         m = gen_matrix(n, L, k_exp, 1.82, rng).with_offsets(
             rng.integers(0, d + 1, n)
         )
-        if len(build_comm_graph(m).neighbors(0)) >= 1:
+        if build_comm_graph(m).degrees()[0] >= 1:
             hits += 1
     rate = hits / trials
     assert rate >= 0.75, f"meeting rate {rate}"
@@ -308,15 +252,14 @@ def test_repetition_constant_rule():
 def test_amplified_graph_diameter_distribution():
     # the amplified stack at n=64 realizes a small-diameter graph in
     # the vast majority of trials; record the measured distribution
-    from radiosync.netsim import SimConfig
-    from radiosync.protocol import build_pipeline_matrix, draw_offsets
+    from radiosync.protocol import build_pipeline_matrix, draw_offsets, pipeline_params
 
     d, n = 4096, 64
     bound = math.ceil(math.log2(n)) + 10
     diameters = []
     for seed in range(10):
         rng = spawn_rng(70, seed)
-        m = build_pipeline_matrix(SimConfig(d=d, n=n), rng)
+        m = build_pipeline_matrix(n, pipeline_params(d, n), rng)
         m = m.with_offsets(draw_offsets(n, d, rng))
         stats = graph_stats(build_comm_graph(m))
         diameters.append(stats.diameter)
