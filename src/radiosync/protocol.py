@@ -26,7 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .netsim import resolve_backoff_unit
+# resolve_backoff_unit stays importable here: the benchmark tracer wraps
+# it by this name, though the flood resolves whole passes at once
+from .netsim import resolve_backoff, resolve_backoff_unit  # noqa: F401
 from .randsched import (
     CommGraph,
     ScheduleMatrix,
@@ -76,8 +78,15 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"offset bound must be positive, got {self.d}")
+        if self.beta is not None and not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta}")
         if self.n is None and self.beta is not None:
-            self.n = math.ceil(self.d**self.beta)
+            try:
+                self.n = math.ceil(float(self.d) ** self.beta)
+            except OverflowError:
+                raise ValueError(
+                    f"beta={self.beta} is too large: d**beta overflows at d={self.d}"
+                ) from None
         # n may stay None: the count is then unknown and must be estimated
         if self.n is not None and self.n < 2:
             raise ValueError(f"need at least two processors, got {self.n}")
@@ -256,22 +265,31 @@ def _deliver_meetings(
     """One pass over the meeting sequence; returns whether any state
     changed.
 
-    Deliveries within one time unit are folded with a max-by-identifier
-    reduction, so the result does not depend on any ordering within the
-    unit; updates apply when the unit closes. When ``trace`` is given,
-    one (t, awake, transmitters, deliveries) row is appended per
-    meeting unit; receivers that hear only collisions are recorded with
+    In the base model every participant hears every other; in the
+    interference model :func:`~radiosync.netsim.resolve_backoff` draws
+    the back-off coins a chunk of units ahead, in meeting order, which
+    consumes the rng exactly as resolving unit after unit would. Each
+    receiver adopts the best message heard in the unit, the largest
+    identifier above its own, read from the snapshots taken before the
+    unit; updates apply when the unit closes. Senders carrying the same
+    identifier tie, and the first of them in the iteration order of
+    ``heard_from`` wins, which sets the receiver's ``hops`` (and its
+    clock when ``transmit_delay`` > 0). That set is filled in
+    winning-slot order (participant order in the base model); its
+    iteration order follows the values' hash slots, with insertion
+    order deciding among colliding ones. When ``trace`` is given, one
+    (t, awake, transmitters, deliveries) row is appended per meeting
+    unit; receivers that hear only collisions are recorded with
     an empty sender set.
     """
+    senders = (participants for _col, participants in meetings)
+    if exclusive and meetings:
+        if rng is None:
+            raise ValueError("interference mode needs an rng for back-off")
+        senders = resolve_backoff(senders, backoff_rounds, rng)
     changed = False
-    for col, participants in meetings:
-        if exclusive:
-            if rng is None:
-                raise ValueError("interference mode needs an rng for back-off")
-            winners = resolve_backoff_unit(participants, backoff_rounds, rng)
-            heard_from = {s for _slot, s in winners}
-        else:
-            heard_from = set(participants)
+    for (col, participants), heard in zip(meetings, senders):
+        heard_from = set(heard)
         if trace is not None:
             delivered = {
                 r: tuple(sorted(heard_from - {r})) for r in participants
@@ -469,6 +487,10 @@ def estimate_n(
     are separated by more than d idle units so no message can leak
     between them. Gives up once the guess would drop below 2.
     """
+    if config.d < 2:
+        raise ValueError(
+            f"estimate_n needs d >= 2 (the first guess is d), got {config.d}"
+        )
     if true_n < 2:
         raise ValueError(f"need at least two processors, got {true_n}")
     if rng is None:
@@ -487,14 +509,14 @@ def estimate_n(
     total_cost = np.zeros(true_n, dtype=np.int64)
     per_epoch_max: list[int] = []
 
-    max_epochs = math.floor(math.log2(d)) + 1 if d > 1 else 1
+    max_epochs = math.floor(math.log2(d)) + 1
     epochs_run = 0
     for epoch in range(max_epochs):
         guess = math.ceil(d / 2**epoch)
         if guess < 2:
             break
         epochs_run += 1
-        beta = math.log(guess, d) if d > 1 else 1.0
+        beta = math.log(guess, d)
         params = PipelineParams(
             columns=columns,
             draws=row_draws(columns, (1.0 - beta) / 2.0, config.scale),

@@ -7,6 +7,7 @@ return exactly what these do, down to dict insertion order.
 
 import numpy as np
 
+from radiosync.netsim import resolve_backoff_unit
 from radiosync.randsched import CommGraph, ScheduleMatrix
 
 
@@ -63,3 +64,66 @@ def draw_rows(
         raw = rng.integers(0, columns, size=(windows, draws)) + window_starts[:, None]
         positions.append(np.unique(raw))
     return positions
+
+
+def deliver_meetings_per_unit(
+    meetings, states, *, backoff_rounds, transmit_delay, rng, trace=None, time_base=0
+):
+    """The interference flood resolving one unit at a time: one
+    ``resolve_backoff_unit`` draw per meeting, senders collected into a
+    set in winning-slot order."""
+    changed = False
+    for col, participants in meetings:
+        winners = resolve_backoff_unit(participants, backoff_rounds, rng)
+        heard_from = {s for _slot, s in winners}
+        if trace is not None:
+            delivered = {r: tuple(sorted(heard_from - {r})) for r in participants}
+            trace.append(
+                (time_base + col, participants, tuple(sorted(heard_from)), delivered)
+            )
+        if not heard_from:
+            continue
+        snapshots = {i: states[i].snapshot() for i in participants}
+        updates = []
+        for receiver in participants:
+            best = None
+            for sender in heard_from:
+                if sender == receiver:
+                    continue
+                msg = snapshots[sender]
+                if msg[1] > states[receiver].max_seen and (
+                    best is None or msg[1] > best[1]
+                ):
+                    best = msg
+            if best is not None:
+                updates.append((receiver, best))
+        for receiver, (_s, max_ident, origin, hops) in updates:
+            st = states[receiver]
+            st.max_seen = max_ident
+            st.root_origin = origin - transmit_delay
+            st.hops = hops + 1
+            changed = True
+    return changed
+
+
+def flood_exclusive(
+    m: ScheduleMatrix, states, rounds, *, backoff_rounds, transmit_delay, rng, trace=None
+):
+    """``run_sync``'s copy loop in interference mode over the per-unit
+    flood: stop once every node holds the global maximum. Returns the
+    number of copies run."""
+    meetings = detect_meetings(m)
+    global_max = max(st.ident for st in states)
+    for copy in range(rounds):
+        deliver_meetings_per_unit(
+            meetings,
+            states,
+            backoff_rounds=backoff_rounds,
+            transmit_delay=transmit_delay,
+            rng=rng,
+            trace=trace,
+            time_base=copy * m.columns,
+        )
+        if all(st.max_seen == global_max for st in states):
+            break
+    return copy + 1

@@ -1,5 +1,9 @@
-"""The vectorized meeting kernel, graph builder and schedule draw
-return exactly what the slow reference loops in ``oracles`` return."""
+"""The vectorized meeting kernel, graph builder, schedule draw and
+batched back-off medium return exactly what the slow reference loops in
+``oracles`` return."""
+
+from itertools import cycle, islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,9 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from radiosync import netsim
+from radiosync.netsim import resolve_backoff_unit
 from radiosync.protocol import (
+    NodeState,
     SimConfig,
     build_pipeline_matrix,
+    draw_offsets,
     make_node_states,
     pipeline_params,
     run_sync,
@@ -38,6 +46,18 @@ def matrices(draw, zero_offsets=False):
         offsets = [0] * n
     else:
         offsets = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    return ScheduleMatrix(n=n, columns=columns, positions=rows, offsets=offsets)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """9 to 24 rows of one to three awake units, so meetings are mostly
+    of two to four radios, as in the interference workloads."""
+    n = draw(st.integers(9, 24))
+    columns = draw(st.integers(4, 16))
+    awake = st.sets(st.integers(0, columns - 1), min_size=1, max_size=3)
+    rows = [np.array(sorted(draw(awake)), dtype=np.int64) for _ in range(n)]
+    offsets = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     return ScheduleMatrix(n=n, columns=columns, positions=rows, offsets=offsets)
 
 
@@ -160,3 +180,146 @@ def test_gen_matrix_matches_per_row_unique():
     ref_rng = spawn_rng(12)
     ref = [np.unique(ref_rng.integers(0, 300, size=32)) for _ in range(6)]
     assert all(np.array_equal(a, b) for a, b in zip(got.positions, ref))
+
+
+def replay_backoff(units, slots, rng):
+    """Each unit resolved on its own; transmitters kept at their first
+    winning slot."""
+    return [
+        tuple(dict.fromkeys(s for _slot, s in resolve_backoff_unit(u, slots, rng)))
+        for u in units
+    ]
+
+
+contended_units = st.lists(
+    st.sets(st.integers(0, 30), min_size=2, max_size=5).map(sorted).map(tuple),
+    min_size=1,
+    max_size=25,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    units=contended_units,
+    slots=st.integers(1, 40),
+    chunk=st.integers(1, 7),
+    seed=st.integers(0, 2**32),
+)
+def test_batched_backoff_matches_per_unit_replay(units, slots, chunk, seed):
+    # a tiny chunk puts many chunk boundaries, and mixed unit sizes
+    # inside a chunk, into every example
+    fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
+    with mock.patch.object(netsim, "BACKOFF_CHUNK", chunk):
+        fast = list(netsim.resolve_backoff(units, slots, fast_rng))
+    assert fast == replay_backoff(units, slots, slow_rng)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    units=contended_units,
+    tail=st.integers(1, 40),
+    slots=st.integers(1, 40),
+    seed=st.integers(0, 2**32),
+)
+def test_batched_backoff_crosses_a_real_chunk_boundary(units, tail, slots, seed):
+    sequence = list(islice(cycle(units), netsim.BACKOFF_CHUNK + tail))
+    fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
+    fast = list(netsim.resolve_backoff(sequence, slots, fast_rng))
+    assert fast == replay_backoff(sequence, slots, slow_rng)
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def test_batched_backoff_lone_units_draw_nothing():
+    rng = spawn_rng(4)
+    before = rng.bit_generator.state
+    assert list(netsim.resolve_backoff([(), (3,), (5,)], 9, rng)) == [(), (), ()]
+    assert list(netsim.resolve_backoff([], 9, rng)) == []
+    assert rng.bit_generator.state == before
+    fast_rng, slow_rng = spawn_rng(4), spawn_rng(4)
+    units = [(1,), (0, 2), (), (1, 3, 4)]
+    assert list(netsim.resolve_backoff(units, 6, fast_rng)) == replay_backoff(
+        units, 6, slow_rng
+    )
+    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+def flood_both_ways(m, held, rounds, backoff_rounds, seed):
+    """(trace, states, rounds used, rng state) of ``run_sync`` and of the
+    per-unit oracle flood, from equal inputs. ``held`` gives each node's
+    (ident, max_seen, hops) at the start; a max_seen of 0 means its own
+    identifier."""
+    out = []
+    for fast in (True, False):
+        states = [
+            NodeState(i, ident, int(m.offsets[i]), max_seen=seen, hops=hops)
+            for i, (ident, seen, hops) in enumerate(held)
+        ]
+        rng, trace = spawn_rng(seed), []
+        kwargs = dict(backoff_rounds=backoff_rounds, transmit_delay=1, rng=rng, trace=trace)
+        if fast:
+            used = run_sync(m, states, rounds, exclusive=True, **kwargs).rounds_used
+        else:
+            used = oracles.flood_exclusive(m, states, rounds, **kwargs)
+        out.append(
+            (
+                trace,
+                [(s.max_seen, s.root_origin, s.hops) for s in states],
+                used,
+                rng.bit_generator.state,
+            )
+        )
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    # past 8 radios, identifiers share hash slots in the senders' set, so
+    # the order winners are inserted in can decide ties
+    m=sparse_matrices(),
+    rounds=st.integers(1, 4),
+    backoff_rounds=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_exclusive_flood_matches_per_unit_oracle(m, rounds, backoff_rounds, seed, data):
+    # nodes may start out holding one of two large identifiers at
+    # different hop counts, so senders tie often
+    idents = spawn_rng(seed, 1).permutation(np.arange(1, m.n + 1)).tolist()
+    held = [
+        (ident, data.draw(st.sampled_from([0, 1000, 2000])), data.draw(st.integers(0, 4)))
+        for ident in idents
+    ]
+    fast, slow = flood_both_ways(m, held, rounds, backoff_rounds, seed)
+    assert fast == slow
+
+
+def test_exclusive_tie_goes_to_first_sender_in_set_order():
+    # radios 1 and 9 both carry identifier 1000 to radio 0, at different
+    # hop counts; they share a hash slot in a small set, so the senders'
+    # set keeps them in insertion (winning-slot) order and whichever won
+    # first is the one radio 0 adopts
+    positions = [[0], [0]] + [[]] * 7 + [[0]]
+    m = ScheduleMatrix(n=10, columns=2, positions=positions, offsets=[0] * 10)
+    held = [(i + 1, 0, 0) for i in range(10)]
+    held[1] = (2, 1000, 1)
+    held[9] = (10, 1000, 3)
+    adopted = set()
+    for seed in range(40):
+        fast, slow = flood_both_ways(m, held, 1, 8, seed)
+        assert fast == slow
+        adopted.add(fast[1][0][2])
+    assert {2, 4} <= adopted
+
+
+@pytest.mark.parametrize("d, beta, seed", [(256, 0.5, 1), (256, 0.75, 2), (1024, 0.5, 3)])
+def test_seeded_exclusive_flood_matches_per_unit_oracle(d, beta, seed):
+    config = SimConfig(d=d, beta=beta, exclusive=True)
+    params = pipeline_params(d, config.n)
+    rng = spawn_rng(seed, d)
+    m = build_pipeline_matrix(config.n, params, rng)
+    m = m.with_offsets(draw_offsets(config.n, d, rng))
+    held = [(s.ident, 0, 0) for s in make_node_states(config.n, m.offsets, rng)]
+    fast, slow = flood_both_ways(m, held, params.rounds, config.backoff_rounds, seed)
+    assert fast == slow
+    assert fast[0]

@@ -174,8 +174,22 @@ def test_cli_sync_estimate(capsys):
         ["sync", "estimate-n", "--d", "64", "--true-n", "1"],
         ["sweep", "--d-grid", "64,x"],
         ["sweep"],
+        ["sync", "run", "--d", "64", "--beta", "inf"],
+        ["sync", "run", "--d", "64", "--beta", "nan"],
+        ["sync", "run", "--d", "64", "--beta", "200"],
+        ["sync", "estimate-n", "--d", "1", "--true-n", "2"],
     ],
-    ids=["d-1", "beta-0", "true-n-1", "d-grid-x", "no-d-grid"],
+    ids=[
+        "d-1",
+        "beta-0",
+        "true-n-1",
+        "d-grid-x",
+        "no-d-grid",
+        "beta-inf",
+        "beta-nan",
+        "beta-overflow",
+        "estimate-d-1",
+    ],
 )
 def test_cli_bad_input_is_one_line_error(argv, capsys):
     assert main(argv) == 2

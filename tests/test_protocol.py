@@ -60,6 +60,10 @@ def test_config_validation():
         SimConfig(d=4, n=1)
     with pytest.raises(ValueError):
         SimConfig(d=4, n=2, rounds=0)
+    # non-finite, or so large that d**beta overflows a float
+    for beta in (math.inf, -math.inf, math.nan, 200.0):
+        with pytest.raises(ValueError, match="beta"):
+            SimConfig(d=64, beta=beta)
 
 
 # --- parameter derivations ---------------------------------------------------
