@@ -21,7 +21,7 @@ radio spend is dominated by the last epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -155,7 +155,6 @@ def pipeline_params(
     scale: float = 1.82,
     columns: Optional[int] = None,
     repetition_k: Optional[int] = None,
-    amplification: Optional[int] = None,
     rounds: Optional[int] = None,
     polylog_exp: int = 2,
 ) -> PipelineParams:
@@ -180,15 +179,13 @@ def pipeline_params(
     else:
         draws = min(columns, math.ceil(math.log2(max(d, 2)) ** polylog_exp))
         stage_windows = 1
-    if amplification is None:
-        amplification = math.ceil(log_n1)
     if rounds is None:
         rounds = math.ceil(clamped_log2(n)) + 10
     return PipelineParams(
         columns=columns,
         draws=draws,
         stage_windows=stage_windows,
-        amplification=amplification,
+        amplification=math.ceil(log_n1),
         rounds=rounds,
         repetition_k=repetition_k,
     )
@@ -496,14 +493,9 @@ def estimate_n(
     if rng is None:
         rng = spawn_rng(config.seed)
     d = config.d
-    columns = config.columns if config.columns is not None else 4 * d
     # repetition counts and round budget depend only on d (the known
     # quantity); only the density tracks the current guess
-    uniform_k = repetition_constant(d)
-    log_d1 = clamped_log2(d - 1)
-    stage_windows = math.ceil(uniform_k * log_d1)
-    amplification = math.ceil(log_d1)
-    rounds = math.ceil(clamped_log2(d)) + 10
+    shape = pipeline_params(d, d, scale=config.scale, columns=config.columns)
 
     offsets = draw_offsets(true_n, d, rng)
     total_cost = np.zeros(true_n, dtype=np.int64)
@@ -517,13 +509,8 @@ def estimate_n(
             break
         epochs_run += 1
         beta = math.log(guess, d)
-        params = PipelineParams(
-            columns=columns,
-            draws=row_draws(columns, (1.0 - beta) / 2.0, config.scale),
-            stage_windows=stage_windows,
-            amplification=amplification,
-            rounds=rounds,
-            repetition_k=uniform_k,
+        params = replace(
+            shape, draws=row_draws(shape.columns, (1.0 - beta) / 2.0, config.scale)
         )
         matrix = build_pipeline_matrix(true_n, params, rng)
         matrix = matrix.with_offsets(offsets)

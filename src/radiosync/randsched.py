@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, or_
 from typing import Optional, Sequence
 
 import numpy as np
@@ -289,23 +290,16 @@ class GraphStats:
     root: int
 
 
-def _bfs_depths(adj: list[list[int]], source: int) -> list[int]:
-    depth = [-1] * len(adj)
-    depth[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if depth[v] < 0:
-                    depth[v] = depth[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return depth
-
-
 def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
-    """Exact BFS statistics plus the BFS spanning tree from ``root``."""
+    """Exact BFS statistics plus the BFS spanning tree from ``root``.
+
+    The diameter is a bit-parallel BFS from every source at once (Akiba,
+    Iwata & Yoshida, SIGMOD 2013): node v's reach set is an int with bit
+    u set once u lies within the current radius of v, and each round ORs
+    every set with its neighbours' sets of the round before. The number
+    of rounds until every set is full is the diameter. O(diameter * (n +
+    m)) ORs of n-bit ints.
+    """
     adj = g.adjacency()
     for nbrs in adj:
         nbrs.sort()
@@ -323,13 +317,20 @@ def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
         frontier = nxt
 
     connected = len(tree) == g.n
+    # the run CSV prints it as is: 0.0 for one node, an int otherwise
     diameter: float = 0.0
     if not connected:
         diameter = math.inf
-    else:
-        for src in range(g.n):
-            depths = _bfs_depths(adj, src)
-            diameter = max(diameter, max(depths))
+    elif g.n > 1:
+        full = (1 << g.n) - 1
+        reach = [1 << v for v in range(g.n)]
+        diameter = 0
+        while any(r != full for r in reach):
+            reach = [
+                reduce(or_, map(reach.__getitem__, nbrs), own)
+                for own, nbrs in zip(reach, adj)
+            ]
+            diameter += 1
     return GraphStats(
         min_degree=min_degree,
         connected=connected,

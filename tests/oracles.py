@@ -1,14 +1,17 @@
-"""Slow reference implementations of the vectorized hot paths.
+"""Slow reference implementations of the library's fast paths.
 
 Each function is the straightforward loop the library once used; the
 hypothesis tests in ``test_fast_paths.py`` check that the fast paths
 return exactly what these do, down to dict insertion order.
 """
 
+import math
+from typing import Optional
+
 import numpy as np
 
 from radiosync.netsim import resolve_backoff_unit
-from radiosync.randsched import CommGraph, ScheduleMatrix
+from radiosync.randsched import CommGraph, GraphStats, ScheduleMatrix
 
 
 def detect_meetings(m: ScheduleMatrix, exclusive: bool = False):
@@ -52,6 +55,57 @@ def graph_from_meetings(n: int, meetings) -> CommGraph:
 
 def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False) -> CommGraph:
     return graph_from_meetings(m.n, detect_meetings(m, exclusive=exclusive))
+
+
+def _bfs_depths(adj: list[list[int]], source: int) -> list[int]:
+    depth = [-1] * len(adj)
+    depth[source] = 0
+    frontier = [source]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if depth[v] < 0:
+                    depth[v] = depth[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return depth
+
+
+def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
+    """The BFS tree from ``root``, and the diameter as the largest
+    depth of one BFS from every source."""
+    adj = g.adjacency()
+    for nbrs in adj:
+        nbrs.sort()
+    min_degree = min((len(nbrs) for nbrs in adj), default=0)
+
+    tree: dict[int, Optional[int]] = {root: None}
+    frontier = [root]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in tree:
+                    tree[v] = u
+                    nxt.append(v)
+        frontier = nxt
+
+    connected = len(tree) == g.n
+    diameter: float = 0.0
+    if not connected:
+        diameter = math.inf
+    else:
+        for src in range(g.n):
+            depths = _bfs_depths(adj, src)
+            diameter = max(diameter, max(depths))
+    return GraphStats(
+        min_degree=min_degree,
+        connected=connected,
+        diameter=diameter,
+        spanning_tree=tree,
+        root=root,
+    )
 
 
 def draw_rows(

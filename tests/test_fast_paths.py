@@ -1,6 +1,6 @@
-"""The vectorized meeting kernel, graph builder, schedule draw and
-batched back-off medium return exactly what the slow reference loops in
-``oracles`` return."""
+"""The vectorized meeting kernel, graph builder, schedule draw, batched
+back-off medium and bit-parallel graph statistics return exactly what
+the slow reference loops in ``oracles`` return."""
 
 from itertools import cycle, islice
 from unittest import mock
@@ -20,15 +20,18 @@ from radiosync.protocol import (
     draw_offsets,
     make_node_states,
     pipeline_params,
+    run_pipeline,
     run_sync,
 )
 from radiosync.randsched import (
+    CommGraph,
     ScheduleMatrix,
     build_comm_graph,
     detect_meetings,
     draw_rows,
     gen_matrix,
     graph_from_meetings,
+    graph_stats,
 )
 from radiosync.seeding import spawn_rng
 
@@ -180,6 +183,53 @@ def test_gen_matrix_matches_per_row_unique():
     ref_rng = spawn_rng(12)
     ref = [np.unique(ref_rng.integers(0, 300, size=32)) for _ in range(6)]
     assert all(np.array_equal(a, b) for a, b in zip(got.positions, ref))
+
+
+@st.composite
+def graphs(draw):
+    """Graphs of 1 to 40 nodes at any density, from empty to complete,
+    with the edges in ``witness`` in shuffled order, and any root."""
+    n = draw(st.integers(1, 40))
+    density = draw(st.floats(0, 1)) ** 2
+    rng = spawn_rng(draw(st.integers(0, 2**32)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kept = [pairs[k] for k in rng.permutation(len(pairs)) if rng.random() < density]
+    root = draw(st.integers(0, n - 1))
+    return CommGraph(n=n, witness=dict.fromkeys(kept, 0)), root
+
+
+def stats_fields(stats):
+    # the diameter's type is part of the value: 2 and 2.0 print
+    # differently in the run CSV
+    return (
+        stats.min_degree,
+        stats.connected,
+        stats.root,
+        stats.diameter,
+        type(stats.diameter),
+        list(stats.spanning_tree.items()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=graphs())
+def test_graph_stats_matches_oracle(case):
+    g, root = case
+    assert stats_fields(graph_stats(g, root)) == stats_fields(oracles.graph_stats(g, root))
+
+
+def test_graph_stats_matches_oracle_on_sparse_pipeline_graphs():
+    # the sparse-multihop shape at test size: connected graphs whose
+    # diameter is more than 2
+    diameters = []
+    for seed in range(3):
+        config = SimConfig(d=1024, beta=0.75, scale=0.5, repetition_k=1, seed=seed)
+        result = run_pipeline(config)
+        got = graph_stats(result.comm_graph, root=result.root_index)
+        want = oracles.graph_stats(result.comm_graph, root=result.root_index)
+        assert stats_fields(got) == stats_fields(want)
+        diameters.append(got.diameter)
+    assert min(diameters) > 2
 
 
 def replay_backoff(units, slots, rng):

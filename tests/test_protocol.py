@@ -2,6 +2,7 @@
 gossip cases, convergence invariants, and the unknown-count loop."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -280,6 +281,30 @@ def test_interference_mode_pipeline():
     # cost includes the back-off expansion on every awake unit
     counts = result.per_node_radio_cost
     assert (counts % config.backoff_rounds == 0).all()
+
+
+def test_interference_trial_peak_memory_stays_near_the_raw_draw():
+    # what is still live at a trial's peak sets the benchmark's peak
+    # RSS; one more array of the kernel's size kept alive pushes the
+    # ratio from about 3.2 to about 4.2
+    def trial(config):
+        result = run_pipeline(config)
+        graph_stats(result.comm_graph, root=result.root_index)
+
+    # a fresh process's first trial allocates more than later ones do
+    trial(SimConfig(d=4096, beta=0.5, exclusive=True, seed=0))
+    config = SimConfig(d=4096, beta=0.5, exclusive=True, seed=1)
+    params = pipeline_params(config.d, config.n)
+    raw_draw_bytes = config.n * params.windows * params.draws * 8
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        trial(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ratio = (peak - start) / raw_draw_bytes
+    assert ratio < 3.5, f"peak {ratio:.2f} x the raw draw's {raw_draw_bytes} bytes"
 
 
 def test_measure_radio_cost_matches_schedule():
