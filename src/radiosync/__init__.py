@@ -45,6 +45,7 @@ from .birthday import (
 from .randsched import (
     CommGraph,
     GraphStats,
+    Meetings,
     ScheduleMatrix,
     build_comm_graph,
     detect_meetings,
@@ -86,6 +87,7 @@ __all__ = [
     "ScheduleMatrix",
     "CommGraph",
     "GraphStats",
+    "Meetings",
     "gen_matrix",
     "detect_meetings",
     "build_comm_graph",

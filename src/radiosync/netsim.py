@@ -6,14 +6,17 @@ meeting. In the interference model a radio decodes a message only when
 exactly one other radio transmits, so a meeting unit is expanded into
 consecutive back-off slots in which each radio independently transmits
 with probability 1/2. :func:`resolve_backoff_unit` defines this for one
-unit. The flood calls :func:`resolve_backoff` once per schedule copy:
-it draws the coins of the copy's units in meeting order, in chunks of
-``BACKOFF_CHUNK`` units per ``rng.integers(0, 2, ...)`` call so the
-buffer stays small, and finds the sole-transmitter slots of all of a
-chunk's units of one size at once. Consecutive int64 coin draws consume the
-generator exactly as one draw of their total size does, so this gives
-the same coins, the same winners and the same rng state afterwards as
-resolving the units one by one.
+unit. The flood calls :func:`resolve_backoff` once per schedule copy,
+over all of the copy's meeting units: it draws their coins in meeting
+order, in chunks of ``BACKOFF_CHUNK`` units per ``rng.integers(0, 2,
+...)`` call so the buffer stays small, finds the sole-transmitter
+slots of all of a chunk's units of one size at once, and returns one
+bool per radio: did it transmit alone in some slot. Consecutive int64
+coin draws consume the generator exactly as one draw of their total
+size does, so this gives the same coins, the same winners and the same
+rng state afterwards as resolving the units one by one. The flood then
+relaxes the drawn copies' deliveries (each winner to every other radio
+of its unit) as arrays.
 
 Clock drift is absorbed before any of this applies: when clock speeds
 differ by a bounded ratio, each node groups enough of its own ticks
@@ -27,8 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -168,52 +170,47 @@ BACKOFF_CHUNK = 256
 
 
 def resolve_backoff(
-    units: Iterable[Sequence[int]], slots: int, rng: np.random.Generator
-) -> Iterator[tuple[int, ...]]:
-    """Senders heard in each of ``units``, each unit's senders in the
-    order of their first winning slot.
+    sizes: np.ndarray, slots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Which radios transmit alone in at least one back-off slot of
+    their unit, for units of ``sizes[u]`` radios each, in order.
 
-    Yields what calling :func:`resolve_backoff_unit` on every unit in
-    turn and keeping each transmitter's first win gives, and leaves the
-    rng in the same state once exhausted. The coins of ``BACKOFF_CHUNK``
-    units at a time are drawn by one ``rng.integers(0, 2, ...)`` call
-    when the iterator reaches them, unit after unit and each unit
+    Returns one bool per radio, units back to back: radio j of unit u
+    is entry ``sizes[:u].sum() + j``, set iff it is among the
+    transmitters :func:`resolve_backoff_unit` reports for that unit. The
+    coins of ``BACKOFF_CHUNK`` units at a time are drawn by one
+    ``rng.integers(0, 2, ...)`` call, unit after unit and each unit
     slot-major: back-to-back int64 draws of that kind consume the stream
-    exactly as one draw of their total size does. Units of fewer than
-    two radios draw nothing and hear nothing.
+    exactly as one draw of their total size does, so the coins and the
+    rng state afterwards equal those of the per-unit calls. Units of
+    fewer than two radios draw nothing and win nothing.
     """
-    remaining = iter(units)
-    while chunk := list(islice(remaining, BACKOFF_CHUNK)):
-        yield from _resolve_chunk(chunk, slots, rng)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    won = np.zeros(int(sizes.sum()), dtype=bool)
+    first = np.cumsum(sizes) - sizes
+    for lo in range(0, sizes.size, BACKOFF_CHUNK):
+        chunk = slice(lo, lo + BACKOFF_CHUNK)
+        _resolve_chunk(sizes[chunk], first[chunk], slots, rng, won)
+    return won
 
 
 def _resolve_chunk(
-    units: Sequence[Sequence[int]], slots: int, rng: np.random.Generator
-) -> list[tuple[int, ...]]:
-    sizes = np.fromiter(map(len, units), dtype=np.int64, count=len(units))
-    sizes[sizes < 2] = 0
+    sizes: np.ndarray,
+    first: np.ndarray,
+    slots: int,
+    rng: np.random.Generator,
+    won: np.ndarray,
+) -> None:
+    sizes = np.where(sizes < 2, 0, sizes)
     ends = np.cumsum(sizes * slots)
-    heard: list[tuple[int, ...]] = [()] * len(units)
     if not ends[-1]:
-        return heard
+        return
     coins = rng.integers(0, 2, size=int(ends[-1])).astype(bool)
     starts = ends - sizes * slots
     for k in np.unique(sizes[sizes > 0]).tolist():
         which = np.flatnonzero(sizes == k)
-        block = coins[starts[which, None] + np.arange(slots * k)]
-        block = block.reshape(which.size, slots, k)
-        sole = block.sum(axis=2) == 1
-        # first[u, j]: the first slot in which radio j of unit u
-        # transmitted alone, or ``slots`` if it never did
-        first = np.empty((which.size, k), dtype=np.int64)
-        for j in range(k):
-            wins = sole & block[:, :, j]
-            first[:, j] = np.where(wins.any(axis=1), wins.argmax(axis=1), slots)
-        order = np.argsort(first, axis=1, kind="stable")
-        radios = np.array([units[u] for u in which.tolist()], dtype=np.int64)
-        ranked = np.take_along_axis(radios, order, axis=1).tolist()
-        counts = (first < slots).sum(axis=1).tolist()
-        for u, row, count in zip(which.tolist(), ranked, counts):
-            heard[u] = tuple(row[:count])
-    return heard
-
+        # tx[j, u, t]: radio j of unit u transmits in slot t
+        at = starts[which, None] + np.arange(slots) * k
+        tx = coins[np.arange(k)[:, None, None] + at]
+        sole = tx.sum(axis=0) == 1
+        won[first[which, None] + np.arange(k)] = (tx & sole).any(axis=2).T

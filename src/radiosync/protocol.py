@@ -21,6 +21,7 @@ radio spend is dominated by the last epoch.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -31,11 +32,12 @@ import numpy as np
 from .netsim import resolve_backoff, resolve_backoff_unit  # noqa: F401
 from .randsched import (
     CommGraph,
+    Meetings,
     ScheduleMatrix,
     clamped_log2,
     detect_meetings,
     draw_rows,
-    graph_from_meetings,
+    graph_from_pairs,
     graph_stats,
     repetition_constant,
     row_draws,
@@ -101,7 +103,7 @@ class SimConfig:
 
 @dataclass
 class NodeState:
-    """Algorithm state of one node.
+    """State of one node before and after a run.
 
     ``ident`` is the node's random identifier, ``max_seen`` the largest
     identifier heard so far. The believed root clock is carried as its
@@ -109,7 +111,9 @@ class NodeState:
     replica keeps running while it propagates; ``root_time`` and
     ``own_time`` are filled in with concrete readings when a run
     finishes. ``hops`` counts adoptions between the root and this node,
-    for transmission-delay accounting.
+    for transmission-delay accounting. :func:`run_sync` reads
+    ``max_seen``, ``root_origin`` and ``hops`` once, floods them as
+    arrays, and writes every field back once at the end.
     """
 
     index: int
@@ -126,10 +130,6 @@ class NodeState:
         if self.max_seen == 0:
             self.max_seen = self.ident
         self.root_origin = self.start_offset
-
-    def snapshot(self) -> tuple[int, int, int, int]:
-        """Message payload: (sender index, max ident, root origin, hops)."""
-        return (self.index, self.max_seen, self.root_origin, self.hops)
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,21 @@ def build_pipeline_matrix(
     log draws).
     """
     w, cols, k = params.windows, params.columns, params.draws
+    _check_draw_fits(n, params)
     positions = draw_rows(n, w, cols, k, rng)
     return ScheduleMatrix(n=n, columns=w * cols, positions=positions)
+
+
+def _check_draw_fits(n: int, params: PipelineParams) -> None:
+    """Refuse a schedule draw whose raw int64 buffer alone would exceed
+    the machine's physical memory, before anything is allocated."""
+    need = n * params.windows * params.draws * 8
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(
+            f"schedule draw too large: n={n} rows x {params.windows} windows x "
+            f"{params.draws} draws needs {need} bytes, physical memory is {have}"
+        )
 
 
 def draw_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -248,82 +261,297 @@ class PipelineResult:
     states: list[NodeState] = field(repr=False, default_factory=list)
 
 
+def _arrivals(
+    label: np.ndarray, cols: np.ndarray, period: int, never: int
+) -> np.ndarray:
+    """Arrival labels of deliveries at ``cols`` from senders that
+    adopted at ``label``: the column in the sender's own copy if it
+    comes later, in the next copy otherwise (-1, a holder, means copy
+    0), and ``never`` once past the budget."""
+    at = label % period
+    return np.minimum(label - at + cols + np.where(cols > at, 0, period), never)
+
+
+def _by_receiver(
+    senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Deliveries sorted by receiver, plus the index of each receiver's
+    first delivery and that receiver, for ``np.minimum.reduceat``."""
+    order = np.argsort(receivers, kind="stable")
+    senders, receivers, cols = senders[order], receivers[order], cols[order]
+    heads = np.flatnonzero(np.diff(receivers, prepend=-1))
+    return senders, receivers, cols, heads, receivers[heads]
+
+
+def _relax(
+    label: np.ndarray, deliveries: tuple[np.ndarray, ...], period: int, never: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Earliest arrivals from the holders' -1 labels: relax over the
+    :func:`_by_receiver` deliveries until nothing moves. Returns the
+    labels and every delivery's arrival."""
+    senders, _receivers, cols, heads, into = deliveries
+    while True:
+        arrive = _arrivals(label[senders], cols, period, never)
+        nxt = label.copy()
+        nxt[into] = np.minimum(label[into], np.minimum.reduceat(arrive, heads))
+        if np.array_equal(nxt, label):
+            return label, arrive
+        label = nxt
+
+
+def _deadlines(
+    open_: np.ndarray, backward: tuple[np.ndarray, ...], period: int, never: int
+) -> np.ndarray:
+    """For every node, the label before which it must hold a message
+    for that message to reach an ``open_`` node by a time-respecting
+    path within the budget; -1 where none can. Latest departures,
+    relaxed backwards over the deliveries grouped by sender (the
+    :func:`_by_receiver` layout with the ends swapped) until nothing
+    moves."""
+    receivers, _senders, cols, heads, into = backward
+    deadline = np.where(open_, never, -1)
+    while True:
+        copy = (deadline[receivers] - 1 - cols) // period
+        leave = np.where(copy >= 0, copy * period + cols, -1)
+        nxt = deadline.copy()
+        nxt[into] = np.maximum(deadline[into], np.maximum.reduceat(leave, heads))
+        if np.array_equal(nxt, deadline):
+            return deadline
+        deadline = nxt
+
+
+def _components(senders: np.ndarray, receivers: np.ndarray, n: int) -> np.ndarray:
+    """Each node's smallest fellow member of its connected component,
+    ignoring direction and time: min-label propagation along the pairs
+    with pointer jumping."""
+    comp = np.arange(n)
+    while True:
+        low = comp.copy()
+        np.minimum.at(low, receivers, comp[senders])
+        np.minimum.at(low, senders, comp[receivers])
+        low = low[low]
+        if np.array_equal(low, comp):
+            return comp
+        comp = low
+
+
+def _ranks(value: np.ndarray, comp: np.ndarray) -> np.ndarray:
+    """How many distinct values above its own are held in a node's
+    component."""
+    by = np.lexsort((-value, comp))
+    c, v = comp[by], value[by]
+    first = np.r_[True, c[1:] != c[:-1]]
+    step = np.cumsum(first | np.r_[True, v[1:] != v[:-1]])
+    rank = np.empty_like(step)
+    rank[by] = step - step[first][np.cumsum(first) - 1]
+    return rank
+
+
+def _chains(
+    active: tuple[np.ndarray, ...],
+    label: np.ndarray,
+    arrive: np.ndarray,
+    never: int,
+    source: np.ndarray,
+    hops: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hop count of every node reached in a round, and the holder its
+    chain of adoptions starts at. A receiver adopts from the senders
+    whose delivery is its arrival, the one with the fewest hops, then
+    the lowest index. Those deliveries form a DAG (labels grow along
+    it), over which (hops + 1, sender) keys are relaxed; the chosen
+    senders are then followed up by pointer jumping."""
+    n = label.size
+    senders, receivers = active[:2]
+    tight = (arrive == label[receivers]) & (arrive < never)
+    senders, receivers = senders[tight], receivers[tight]
+    heads = np.flatnonzero(np.diff(receivers, prepend=-1))
+    into = receivers[heads]
+    # above any hop count a round reaches: no chain is longer than n
+    level = np.where(source, hops, int(hops.max()) + n)
+    while True:
+        best = np.minimum.reduceat((level[senders] + 1) * n + senders, heads)
+        nxt = level.copy()
+        nxt[into] = best // n
+        if np.array_equal(nxt, level):
+            break
+        level = nxt
+    root = np.arange(n)
+    root[into] = best % n
+    while not np.array_equal(up := root[root], root):
+        root = up
+    return level, root
+
+
+def _spread(
+    senders: np.ndarray,
+    receivers: np.ndarray,
+    cols: np.ndarray,
+    period: int,
+    copies: int,
+    held: tuple[np.ndarray, np.ndarray, np.ndarray],
+    transmit_delay: int,
+) -> np.ndarray:
+    """Flood the held identifiers over ``copies`` copies of a schedule
+    of ``period`` columns in which ``senders[i]`` reaches
+    ``receivers[i]`` at column ``cols[i]``.
+
+    ``held`` is (max_seen, root_origin, hops) per node, updated in
+    place. Returns each node's adoption label ``copy * period + column``
+    of its final identifier, -1 where it kept what it held.
+
+    A node ends with the largest identifier that reaches it by a
+    time-respecting path: label -1 at the holders, and over a delivery
+    the column in the sender's arrival copy if it is later, else in the
+    next one. The distinct held identifiers are taken in descending
+    order; each gets one multi-source earliest-arrival relaxation
+    (``np.minimum.reduceat`` over the receiver-sorted deliveries until
+    nothing moves) and is assigned to the nodes it reaches that no
+    larger identifier reached. That is exact under the budget: a
+    larger identifier held by any node on a path would reach the end
+    of that path too, so an unassigned node's paths, and the senders
+    it adopts from, are never overtaken. Connected components do not
+    interact, so round k relaxes the k-th largest value of every
+    component at once. From the second round on, holders that cannot
+    reach an unassigned node within the budget (:func:`_deadlines`) are
+    left out, and a round with none left is skipped. A receiver
+    adopts from one of the senders whose delivery is its arrival
+    (:func:`_chains`) and takes that sender's origin minus the delay (a
+    running replica set to the received value plus the delay keeps
+    that origin from then on).
+    """
+    value, origin, hops = held
+    n = value.size
+    never = copies * period
+    deliveries = _by_receiver(senders, receivers, cols)
+    senders, receivers, cols = deliveries[:3]
+    comp = _components(senders, receivers, n)
+    rank = _ranks(value, comp)
+    open_ = np.ones(n, dtype=bool)
+    adopted = np.full(n, -1, dtype=np.int64)
+    out = value.copy(), origin.copy(), hops.copy()
+    active, backward = deliveries, None
+    for k in range(int(rank.max()) + 1):
+        source = rank == k
+        if k:
+            # paths that cannot reach an unassigned node in time end at
+            # assigned nodes, whose results stand: leave them out
+            if backward is None:
+                backward = _by_receiver(receivers, senders, cols)
+            if active is deliveries:
+                deadline = _deadlines(open_, backward, period, never)
+                keep = (deadline[receivers] - 1 - cols) // period >= 0
+                active = _by_receiver(senders[keep], receivers[keep], cols[keep])
+            source &= deadline >= 0
+            if not source.any():
+                continue
+        label, arrive = _relax(np.where(source, -1, never), active, period, never)
+        take = open_ & (label < never)
+        level, root = _chains(active, label, arrive, never, source, hops)
+        out[0][take] = value[root[take]]
+        out[1][take] = (origin[root] - transmit_delay * (level - hops[root]))[take]
+        out[2][take] = level[take]
+        adopted[take] = label[take]
+        open_ &= ~take
+        if not open_.any():
+            break
+        active = deliveries
+    for array, result in zip(held, out):
+        array[:] = result
+    return adopted
+
+
+def _trace_rows(meetings: Meetings, won: Optional[np.ndarray], time_base: int) -> list:
+    """One (t, awake, transmitters, deliveries) row per meeting unit.
+    Every participant transmits unless ``won`` (one bool per owner
+    slot) names the sole transmitters; receivers that hear only
+    collisions get an empty sender tuple."""
+    owners = meetings.owners.tolist()
+    sent = owners if won is None else np.where(won, meetings.owners, -1).tolist()
+    rows = []
+    for col, lo, k in zip(
+        meetings.cols.tolist(), meetings.starts.tolist(), meetings.sizes.tolist()
+    ):
+        awake = tuple(owners[lo : lo + k])
+        heard = tuple(s for s in sent[lo : lo + k] if s >= 0)
+        delivered = {r: tuple(s for s in heard if s != r) for r in awake}
+        rows.append((time_base + col, awake, heard, delivered))
+    return rows
+
+
 def _deliver_meetings(
-    meetings: Sequence[tuple[int, tuple[int, ...]]],
-    states: list[NodeState],
+    meetings: Meetings,
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    held: tuple[np.ndarray, np.ndarray, np.ndarray],
+    rounds: int,
     *,
+    global_max: int,
     exclusive: bool,
     backoff_rounds: int,
     transmit_delay: int,
     rng: Optional[np.random.Generator],
+    columns: int,
     trace: Optional[list] = None,
-    time_base: int = 0,
-) -> bool:
-    """One pass over the meeting sequence; returns whether any state
-    changed.
+) -> int:
+    """The whole flood over ``rounds`` copies of the meetings; returns
+    the number of copies it used.
 
-    In the base model every participant hears every other; in the
-    interference model :func:`~radiosync.netsim.resolve_backoff` draws
-    the back-off coins a chunk of units ahead, in meeting order, which
-    consumes the rng exactly as resolving unit after unit would. Each
-    receiver adopts the best message heard in the unit, the largest
-    identifier above its own, read from the snapshots taken before the
-    unit; updates apply when the unit closes. Senders carrying the same
-    identifier tie, and the first of them in the iteration order of
-    ``heard_from`` wins, which sets the receiver's ``hops`` (and its
-    clock when ``transmit_delay`` > 0). That set is filled in
-    winning-slot order (participant order in the base model); its
-    iteration order follows the values' hash slots, with insertion
-    order deciding among colliding ones. When ``trace`` is given, one
-    (t, awake, transmitters, deliveries) row is appended per meeting
-    unit; receivers that hear only collisions are recorded with
-    an empty sender set.
+    ``pairs`` are the meetings' directed pairs (sender, receiver,
+    column, sender's slot in ``meetings.owners``) and ``held`` the
+    per-node (max_seen, root_origin, hops), updated in place by
+    :func:`_spread`. In the base model every participant hears every
+    other, so the flood is one relaxation over all copies; the copies
+    used follow from the last copy L in which any node adopted: L + 1
+    when every node ends at ``global_max``, else one more pass that
+    changes nothing, min(rounds, L + 2). In the interference model
+    each copy draws its back-off coins with
+    :func:`~radiosync.netsim.resolve_backoff`; its deliveries are every
+    sole transmitter to the rest of its unit. Copies are drawn until
+    ``global_max`` alone has reached every node (every node then holds
+    it), then the copies drawn are laid end to end and flooded by one
+    relaxation, as one copy of a longer period. When ``trace`` is
+    given, one row per meeting unit and copy is appended (see
+    :func:`_trace_rows`), at time ``copy * columns + column``.
     """
-    senders = (participants for _col, participants in meetings)
-    if exclusive and meetings:
-        if rng is None:
-            raise ValueError("interference mode needs an rng for back-off")
-        senders = resolve_backoff(senders, backoff_rounds, rng)
-    changed = False
-    for (col, participants), heard in zip(meetings, senders):
-        heard_from = set(heard)
+    senders, receivers, cols, slots = pairs
+    period = int(meetings.cols[-1]) + 1 if len(meetings) else 1
+    if not exclusive:
+        adopted = _spread(
+            senders, receivers, cols, period, rounds, held, transmit_delay
+        )
+        last = int(adopted.max()) // period
+        if (held[0] == global_max).all():
+            used = max(last, 0) + 1
+        else:
+            used = min(rounds, last + 2)
         if trace is not None:
-            delivered = {
-                r: tuple(sorted(heard_from - {r})) for r in participants
-            }
-            trace.append(
-                (
-                    time_base + col,
-                    participants,
-                    tuple(sorted(heard_from)) if exclusive else participants,
-                    delivered,
-                )
-            )
-        if not heard_from:
-            continue
-        snapshots = {i: states[i].snapshot() for i in participants}
-        updates = []
-        for receiver in participants:
-            best = None
-            for sender in heard_from:
-                if sender == receiver:
-                    continue
-                msg = snapshots[sender]
-                if msg[1] > states[receiver].max_seen and (
-                    best is None or msg[1] > best[1]
-                ):
-                    best = msg
-            if best is not None:
-                updates.append((receiver, best))
-        for receiver, (_s, max_ident, origin, hops) in updates:
-            st = states[receiver]
-            st.max_seen = max_ident
-            # a running replica set to (received value + delay) at
-            # delivery time keeps this origin from then on
-            st.root_origin = origin - transmit_delay
-            st.hops = hops + 1
-            changed = True
-    return changed
+            for copy in range(used):
+                trace.extend(_trace_rows(meetings, None, copy * columns))
+        return used
+    if len(meetings) and rng is None:
+        raise ValueError("interference mode needs an rng for back-off")
+    # the copies' deliveries do not depend on what the radios carry, so
+    # only the stop needs the flood: every node holds ``global_max``
+    # once that alone has reached them all (unless a node holds more)
+    horizon = rounds * period
+    reach = np.where(held[0] == global_max, -1, horizon)
+    can_stop = not (held[0] > global_max).any()
+    heard_per_copy = []
+    for copy in range(rounds):
+        won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
+        heard = won[slots]
+        part = senders[heard], receivers[heard], cols[heard] + copy * period
+        heard_per_copy.append(part)
+        if trace is not None:
+            trace.extend(_trace_rows(meetings, won, copy * columns))
+        reach, _ = _relax(reach, _by_receiver(*part), horizon, horizon)
+        if can_stop and (reach < horizon).all():
+            break
+    used = copy + 1
+    # the copies used, laid end to end, are one copy of a longer period
+    deliveries = (np.concatenate(arrays) for arrays in zip(*heard_per_copy))
+    _spread(*deliveries, used * period, 1, held, transmit_delay)
+    return used
 
 
 def run_sync(
@@ -342,43 +570,45 @@ def run_sync(
 
     Every node broadcasts its current (max ident, root clock) at each
     of its meetings; a node hearing a larger identifier adopts it and
-    the accompanying clock plus the per-hop transmission delay. Copies
-    of the schedule beyond the point where a full pass changes nothing
-    are skipped (they are no-ops by idempotence), but are still paid
-    for in radio cost. Success requires every node to end at the
+    the accompanying clock plus the per-hop transmission delay, from
+    the sender with the fewest hops (then the lowest index) among those
+    carrying it. The meetings stay arrays from detection on: one pass
+    builds their directed pairs, which give the graph (pairs of two-
+    radio meetings only in the interference model) and feed the flood,
+    :func:`_deliver_meetings`. Copies of the schedule beyond the point
+    where a full pass changes nothing count as unused, but are still
+    paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
     the unreached nodes are reported.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     meetings = detect_meetings(matrix, exclusive=False)
-    if exclusive:
-        graph_meetings = [m for m in meetings if len(m[1]) == 2]
-    else:
-        graph_meetings = meetings
-    graph = graph_from_meetings(matrix.n, graph_meetings)
+    slots, dst, which = meetings.pairs()
+    senders, receivers = meetings.owners[slots], meetings.owners[dst]
+    cols = meetings.cols[which]
+    edges = meetings.sizes[which] == 2 if exclusive else slice(None)
+    graph = graph_from_pairs(matrix.n, senders[edges], receivers[edges], cols[edges])
 
-    global_max = max(st.ident for st in states)
-    rounds_used = 0
-    for copy in range(rounds):
-        rounds_used += 1
-        changed = _deliver_meetings(
-            meetings,
-            states,
-            exclusive=exclusive,
-            backoff_rounds=backoff_rounds,
-            transmit_delay=transmit_delay,
-            rng=rng,
-            trace=trace,
-            time_base=copy * matrix.columns,
-        )
-        # every node at the global maximum is a true fixpoint in either
-        # mode; an unchanged pass proves one only when deliveries are
-        # deterministic (base model)
-        if all(st.max_seen == global_max for st in states):
-            break
-        if not exclusive and not changed:
-            break
+    held = tuple(
+        np.array([getattr(st, name) for st in states], dtype=np.int64)
+        for name in ("max_seen", "root_origin", "hops")
+    )
+    rounds_used = _deliver_meetings(
+        meetings,
+        (senders, receivers, cols, slots),
+        held,
+        rounds,
+        global_max=max(st.ident for st in states),
+        exclusive=exclusive,
+        backoff_rounds=backoff_rounds,
+        transmit_delay=transmit_delay,
+        rng=rng,
+        columns=matrix.columns,
+        trace=trace,
+    )
+    for st, *row in zip(states, *(array.tolist() for array in held)):
+        st.max_seen, st.root_origin, st.hops = row
 
     root_index = max(range(len(states)), key=lambda i: states[i].ident)
     root_ident = states[root_index].ident
@@ -496,22 +726,21 @@ def estimate_n(
     # repetition counts and round budget depend only on d (the known
     # quantity); only the density tracks the current guess
     shape = pipeline_params(d, d, scale=config.scale, columns=config.columns)
+    max_epochs = math.floor(math.log2(d)) + 1
+    guesses = [math.ceil(d / 2**epoch) for epoch in range(max_epochs)]
+    guesses = [guess for guess in guesses if guess >= 2]
+    epochs = [
+        replace(shape, draws=row_draws(shape.columns, (1.0 - beta) / 2.0, config.scale))
+        for beta in (math.log(guess, d) for guess in guesses)
+    ]
+    # the last epoch is the densest
+    _check_draw_fits(true_n, epochs[-1])
 
     offsets = draw_offsets(true_n, d, rng)
     total_cost = np.zeros(true_n, dtype=np.int64)
     per_epoch_max: list[int] = []
 
-    max_epochs = math.floor(math.log2(d)) + 1
-    epochs_run = 0
-    for epoch in range(max_epochs):
-        guess = math.ceil(d / 2**epoch)
-        if guess < 2:
-            break
-        epochs_run += 1
-        beta = math.log(guess, d)
-        params = replace(
-            shape, draws=row_draws(shape.columns, (1.0 - beta) / 2.0, config.scale)
-        )
+    for epoch, (guess, params) in enumerate(zip(guesses, epochs)):
         matrix = build_pipeline_matrix(true_n, params, rng)
         matrix = matrix.with_offsets(offsets)
         states = make_node_states(true_n, offsets, rng)
@@ -542,7 +771,7 @@ def estimate_n(
     return EstimateResult(
         estimate=None,
         accepted=False,
-        epochs_run=epochs_run,
+        epochs_run=len(guesses),
         synchronized_fraction=0.0,
         per_node_cost=total_cost,
         per_epoch_max_cost=per_epoch_max,

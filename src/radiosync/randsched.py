@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
-from operator import itemgetter, or_
-from typing import Optional, Sequence
+from operator import or_
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -164,29 +163,64 @@ def gen_matrix(
     return ScheduleMatrix(n=n, columns=columns, positions=positions)
 
 
-def detect_meetings(
-    m: ScheduleMatrix, exclusive: bool = False
-) -> list[tuple[int, tuple[int, ...]]]:
+@dataclass(frozen=True, eq=False)
+class Meetings:
+    """Meetings as arrays: meeting ``k`` happens at global column
+    ``cols[k]`` among the ``sizes[k]`` rows ``owners[starts[k]:starts[k]
+    + sizes[k]]`` (ascending). Meetings are sorted by column, each column
+    once, and their rows lie back to back in ``owners`` (``starts[k]`` is
+    ``sizes[:k].sum()``). Iterating yields ``(column, participants)``
+    tuples."""
+
+    cols: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    owners: np.ndarray
+
+    def __len__(self) -> int:
+        return self.cols.size
+
+    def __iter__(self) -> Iterator[tuple[int, tuple[int, ...]]]:
+        owners = self.owners.tolist()
+        spans = zip(self.starts.tolist(), self.sizes.tolist())
+        return zip(self.cols.tolist(), (tuple(owners[lo : lo + k]) for lo, k in spans))
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every ordered pair of distinct participants of every meeting,
+        as (sender slot, receiver slot, meeting); slots index ``owners``.
+        Built per meeting size, so O(sum of size**2)."""
+        src, dst, which = [_EMPTY], [_EMPTY], [_EMPTY]
+        for size in np.unique(self.sizes).tolist():
+            sel = np.flatnonzero(self.sizes == size)
+            a, b = np.nonzero(~np.eye(size, dtype=bool))
+            src.append((self.starts[sel, None] + a).ravel())
+            dst.append((self.starts[sel, None] + b).ravel())
+            which.append(np.repeat(sel, a.size))
+        return np.concatenate(src), np.concatenate(dst), np.concatenate(which)
+
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+
+
+def detect_meetings(m: ScheduleMatrix, exclusive: bool = False) -> Meetings:
     """Columns at which rows can exchange messages.
 
     Row ``r`` is awake at global column ``t`` iff ``t - offsets[r]`` is
     one of its positions. Base mode reports every column with >= 2
     awake rows; exclusive mode keeps only columns with exactly two
-    (any third awake radio jams the channel). Meetings come out as
-    ``(column, participants)`` sorted by column, each column once,
-    participants sorted by row index.
+    (any third awake radio jams the channel).
 
     One sort-and-group pass: every awake unit is keyed ``column * n +
-    row``, the keys are sorted, runs of equal columns form the groups,
-    and only the kept groups become tuples. O(N log N) in the N awake
-    units.
+    row``, the keys are sorted, and runs of equal columns form the
+    groups, whose rows are gathered into one owner array. O(N log N) in
+    the N awake units.
     """
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
     n = m.n
     sizes = m.densities()
     if sizes.sum() == 0:
-        return []
+        return Meetings(cols=_EMPTY, starts=_EMPTY, sizes=_EMPTY, owners=_EMPTY)
     if (m.columns + int(m.offsets.max())) * n > np.iinfo(np.int64).max:
         raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
     keys = np.concatenate(m.positions).astype(np.int64, copy=False)
@@ -203,13 +237,10 @@ def detect_meetings(
     counts = np.diff(first, append=shared.size) + 1
     if exclusive:
         starts, counts = starts[counts == 2], counts[counts == 2]
-    runs = []
-    for size in np.unique(counts).tolist():
-        lo = starts[counts == size]
-        # one list per participant slot, zipped back into tuples
-        who = keys[lo + np.arange(size)[:, None]] % n
-        runs.append(zip((keys[lo] // n).tolist(), zip(*who.tolist())))
-    return sorted(chain.from_iterable(runs), key=itemgetter(0))
+    packed = np.cumsum(counts) - counts
+    units = keys[np.repeat(starts - packed, counts) + np.arange(counts.sum())]
+    owners = units % n
+    return Meetings(cols=keys[starts] // n, starts=packed, sizes=counts, owners=owners)
 
 
 @dataclass(frozen=True, eq=True)
@@ -235,38 +266,22 @@ class CommGraph:
         return [len(nbrs) for nbrs in self.adjacency()]
 
 
-def graph_from_meetings(
-    n: int, meetings: Sequence[tuple[int, tuple[int, ...]]]
+def graph_from_pairs(
+    n: int, senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
 ) -> CommGraph:
-    """Graph over ``n`` rows with an edge for every pair of rows that
-    share a meeting.
+    """Graph over ``n`` rows from directed meeting pairs (sender,
+    receiver, column); each undirected edge is read off its pairs with
+    sender < receiver.
 
-    ``meetings`` is :func:`detect_meetings` output (column-sorted,
-    participants sorted). Each edge (i < j) is witnessed by its earliest
-    column, and ``witness`` is filled in (column, i, j) order, which is
-    the order a loop over the meetings and their pairs would first meet
-    each edge. Pairs are built per meeting size with ``triu_indices``
-    and encoded ``i * n + j``; the earliest of each code is kept with
-    one lexsort. O(P log P) in the P meeting pairs.
+    Each edge (i < j) is witnessed by its earliest column, and
+    ``witness`` is filled in (column, i, j) order, which is the order a
+    loop over column-sorted meetings and their pairs would first meet
+    each edge. Pairs are encoded ``i * n + j`` and the earliest of each
+    code is kept with one lexsort. O(P log P) in the P pairs.
     """
-    count = len(meetings)
-    if count == 0:
-        return CommGraph(n=n, witness={})
-    sizes = np.fromiter(map(len, map(itemgetter(1), meetings)), np.int64, count)
-    starts = np.cumsum(sizes) - sizes
-    owners = np.fromiter(
-        chain.from_iterable(map(itemgetter(1), meetings)), np.int64, int(sizes.sum())
-    )
-    meeting_cols = np.fromiter(map(itemgetter(0), meetings), np.int64, count)
-    col_parts, code_parts = [], []
-    for size in np.unique(sizes).tolist():
-        sel = sizes == size
-        table = owners[starts[sel, None] + np.arange(size)]
-        a, b = np.triu_indices(size, 1)
-        col_parts.append(np.repeat(meeting_cols[sel], a.size))
-        code_parts.append((table[:, a] * n + table[:, b]).ravel())
-    cols = np.concatenate(col_parts)
-    codes = np.concatenate(code_parts)
+    keep = senders < receivers
+    cols = cols[keep]
+    codes = senders[keep] * n + receivers[keep]
     order = np.lexsort((codes, cols))
     cols, codes = cols[order], codes[order]
     _, first = np.unique(codes, return_index=True)
@@ -274,6 +289,14 @@ def graph_from_meetings(
     cols, codes = cols[first], codes[first]
     i, j = np.divmod(codes, n)
     return CommGraph(n=n, witness=dict(zip(zip(i.tolist(), j.tolist()), cols.tolist())))
+
+
+def graph_from_meetings(n: int, meetings: Meetings) -> CommGraph:
+    """Graph over ``n`` rows with an edge for every pair of rows that
+    share a meeting (see :func:`graph_from_pairs`)."""
+    src, dst, which = meetings.pairs()
+    owners = meetings.owners
+    return graph_from_pairs(n, owners[src], owners[dst], meetings.cols[which])
 
 
 def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False) -> CommGraph:

@@ -1,8 +1,10 @@
 """Slow reference implementations of the library's fast paths.
 
-Each function is the straightforward loop the library once used; the
-hypothesis tests in ``test_fast_paths.py`` check that the fast paths
-return exactly what these do, down to dict insertion order.
+Each function is the straightforward loop the library once used (the
+floods with their tie-break made explicit), or a helper that feeds or
+finishes one; the hypothesis tests in ``test_fast_paths.py`` check that
+the fast paths return exactly what these do, down to dict insertion
+order.
 """
 
 import math
@@ -11,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from radiosync.netsim import resolve_backoff_unit
-from radiosync.randsched import CommGraph, GraphStats, ScheduleMatrix
+from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
 
 
 def detect_meetings(m: ScheduleMatrix, exclusive: bool = False):
@@ -120,12 +122,82 @@ def draw_rows(
     return positions
 
 
+def as_meetings(groups) -> Meetings:
+    """A :class:`Meetings` record of ``(column, participants)`` groups,
+    given column-sorted with sorted participants."""
+    sizes = np.array([len(who) for _col, who in groups], dtype=np.int64)
+    return Meetings(
+        cols=np.array([col for col, _who in groups], dtype=np.int64),
+        starts=np.cumsum(sizes) - sizes,
+        sizes=sizes,
+        owners=np.array([r for _col, who in groups for r in who], dtype=np.int64),
+    )
+
+
+def deliver_unit(participants, heard_from, states, transmit_delay):
+    """One meeting unit: each receiver adopts the largest identifier
+    above its own among the senders it heard, from the one with the
+    fewest hops and then the lowest index, reading the states as they
+    were before the unit. Returns whether any state changed."""
+    snapshots = {
+        i: (states[i].max_seen, states[i].root_origin, states[i].hops)
+        for i in participants
+    }
+    updates = []
+    for receiver in participants:
+        offers = [
+            (snapshots[s][0], -snapshots[s][2], -s)
+            for s in heard_from
+            if s != receiver and snapshots[s][0] > states[receiver].max_seen
+        ]
+        if offers:
+            updates.append((receiver, snapshots[-max(offers)[2]]))
+    for receiver, (max_ident, origin, hops) in updates:
+        st = states[receiver]
+        st.max_seen = max_ident
+        st.root_origin = origin - transmit_delay
+        st.hops = hops + 1
+    return bool(updates)
+
+
+def deliver_meetings(meetings, states, *, transmit_delay, trace=None, time_base=0):
+    """The base-model flood of one schedule copy, meeting after
+    meeting: every participant hears every other."""
+    changed = False
+    for col, participants in meetings:
+        if trace is not None:
+            delivered = {
+                r: tuple(s for s in participants if s != r) for r in participants
+            }
+            trace.append((time_base + col, participants, participants, delivered))
+        changed |= deliver_unit(participants, participants, states, transmit_delay)
+    return changed
+
+
+def flood_base(m: ScheduleMatrix, states, rounds, *, transmit_delay, trace=None):
+    """``run_sync``'s copy loop in the base model over the per-meeting
+    flood: stop once every node holds the global maximum or a copy
+    changes nothing. Returns the number of copies run."""
+    meetings = detect_meetings(m)
+    global_max = max(st.ident for st in states)
+    for copy in range(rounds):
+        changed = deliver_meetings(
+            meetings,
+            states,
+            transmit_delay=transmit_delay,
+            trace=trace,
+            time_base=copy * m.columns,
+        )
+        if all(st.max_seen == global_max for st in states) or not changed:
+            break
+    return copy + 1
+
+
 def deliver_meetings_per_unit(
     meetings, states, *, backoff_rounds, transmit_delay, rng, trace=None, time_base=0
 ):
     """The interference flood resolving one unit at a time: one
-    ``resolve_backoff_unit`` draw per meeting, senders collected into a
-    set in winning-slot order."""
+    ``resolve_backoff_unit`` draw per meeting."""
     changed = False
     for col, participants in meetings:
         winners = resolve_backoff_unit(participants, backoff_rounds, rng)
@@ -135,28 +207,7 @@ def deliver_meetings_per_unit(
             trace.append(
                 (time_base + col, participants, tuple(sorted(heard_from)), delivered)
             )
-        if not heard_from:
-            continue
-        snapshots = {i: states[i].snapshot() for i in participants}
-        updates = []
-        for receiver in participants:
-            best = None
-            for sender in heard_from:
-                if sender == receiver:
-                    continue
-                msg = snapshots[sender]
-                if msg[1] > states[receiver].max_seen and (
-                    best is None or msg[1] > best[1]
-                ):
-                    best = msg
-            if best is not None:
-                updates.append((receiver, best))
-        for receiver, (_s, max_ident, origin, hops) in updates:
-            st = states[receiver]
-            st.max_seen = max_ident
-            st.root_origin = origin - transmit_delay
-            st.hops = hops + 1
-            changed = True
+        changed |= deliver_unit(participants, heard_from, states, transmit_delay)
     return changed
 
 
@@ -181,3 +232,16 @@ def flood_exclusive(
         if all(st.max_seen == global_max for st in states):
             break
     return copy + 1
+
+
+def finish(m: ScheduleMatrix, states, rounds, *, transmit_delay):
+    """``run_sync``'s readings once the flood is over: every clock read
+    at the end of the last paid copy, and a node synchronized iff it
+    holds the root's identifier and, net of the per-hop delay, the
+    root's clock."""
+    root = max(states, key=lambda st: st.ident)
+    end_time = int(m.offsets.max()) + m.columns * rounds
+    for st in states:
+        st.root_time = st.own_time = end_time - st.root_origin
+        adjusted = st.root_origin + transmit_delay * st.hops
+        st.synchronized = st.max_seen == root.ident and adjusted == root.start_offset

@@ -1,6 +1,6 @@
 """The vectorized meeting kernel, graph builder, schedule draw, batched
-back-off medium and bit-parallel graph statistics return exactly what
-the slow reference loops in ``oracles`` return."""
+back-off medium, array flood and bit-parallel graph statistics return
+exactly what the slow reference loops in ``oracles`` return."""
 
 from itertools import cycle, islice
 from unittest import mock
@@ -53,10 +53,10 @@ def matrices(draw, zero_offsets=False):
 
 
 @st.composite
-def sparse_matrices(draw):
-    """9 to 24 rows of one to three awake units, so meetings are mostly
-    of two to four radios, as in the interference workloads."""
-    n = draw(st.integers(9, 24))
+def sparse_matrices(draw, min_rows=9):
+    """``min_rows`` to 24 rows of one to three awake units, so meetings
+    are mostly of two to four radios, as in the interference workloads."""
+    n = draw(st.integers(min_rows, 24))
     columns = draw(st.integers(4, 16))
     awake = st.sets(st.integers(0, columns - 1), min_size=1, max_size=3)
     rows = [np.array(sorted(draw(awake)), dtype=np.int64) for _ in range(n)]
@@ -82,7 +82,7 @@ def witness_items(graph):
 @settings(max_examples=200, deadline=None)
 @given(m=matrices(), exclusive=st.booleans())
 def test_kernel_and_graph_match_oracle(m, exclusive):
-    assert detect_meetings(m, exclusive) == oracles.detect_meetings(m, exclusive)
+    assert list(detect_meetings(m, exclusive)) == oracles.detect_meetings(m, exclusive)
     assert witness_items(build_comm_graph(m, exclusive)) == witness_items(
         oracles.build_comm_graph(m, exclusive)
     )
@@ -91,7 +91,7 @@ def test_kernel_and_graph_match_oracle(m, exclusive):
 @settings(max_examples=50, deadline=None)
 @given(m=matrices(zero_offsets=True), exclusive=st.booleans())
 def test_zero_offsets_match_oracle(m, exclusive):
-    assert detect_meetings(m, exclusive) == oracles.detect_meetings(m, exclusive)
+    assert list(detect_meetings(m, exclusive)) == oracles.detect_meetings(m, exclusive)
     assert witness_items(build_comm_graph(m, exclusive)) == witness_items(
         oracles.build_comm_graph(m, exclusive)
     )
@@ -101,7 +101,8 @@ def test_zero_offsets_match_oracle(m, exclusive):
 @given(case=meeting_lists())
 def test_graph_builder_matches_oracle(case):
     n, meetings = case
-    assert witness_items(graph_from_meetings(n, meetings)) == witness_items(
+    got = graph_from_meetings(n, oracles.as_meetings(meetings))
+    assert witness_items(got) == witness_items(
         oracles.graph_from_meetings(n, meetings)
     )
 
@@ -126,22 +127,22 @@ def test_every_row_awake_in_one_column(n):
         n=n, columns=8, positions=[np.array([3])] * n, offsets=[0] * n
     )
     for exclusive in (False, True):
-        got = detect_meetings(m, exclusive)
+        got = list(detect_meetings(m, exclusive))
         assert got == oracles.detect_meetings(m, exclusive)
         assert witness_items(build_comm_graph(m, exclusive)) == witness_items(
             oracles.build_comm_graph(m, exclusive)
         )
     expected = [(3, tuple(range(n)))] if n >= 2 else []
-    assert detect_meetings(m) == expected
-    assert detect_meetings(m, exclusive=True) == (expected if n == 2 else [])
+    assert list(detect_meetings(m)) == expected
+    assert list(detect_meetings(m, exclusive=True)) == (expected if n == 2 else [])
 
 
 def test_empty_rows():
     empty = ScheduleMatrix(n=3, columns=4, positions=[[], [], []], offsets=[0, 1, 2])
-    assert detect_meetings(empty) == oracles.detect_meetings(empty) == []
+    assert list(detect_meetings(empty)) == oracles.detect_meetings(empty) == []
     assert build_comm_graph(empty).witness == {}
     some = ScheduleMatrix(n=3, columns=4, positions=[[1], [], [0, 2]], offsets=[1, 0, 0])
-    assert detect_meetings(some) == oracles.detect_meetings(some) == [(2, (0, 2))]
+    assert list(detect_meetings(some)) == oracles.detect_meetings(some) == [(2, (0, 2))]
 
 
 @settings(max_examples=50, deadline=None)
@@ -233,12 +234,20 @@ def test_graph_stats_matches_oracle_on_sparse_pipeline_graphs():
 
 
 def replay_backoff(units, slots, rng):
-    """Each unit resolved on its own; transmitters kept at their first
-    winning slot."""
-    return [
-        tuple(dict.fromkeys(s for _slot, s in resolve_backoff_unit(u, slots, rng)))
-        for u in units
-    ]
+    """Each unit resolved on its own: the set of its transmitters."""
+    return [{s for _slot, s in resolve_backoff_unit(u, slots, rng)} for u in units]
+
+
+def batched_backoff(units, slots, rng):
+    """``resolve_backoff`` over the units' sizes, read back as the set of
+    each unit's transmitters."""
+    won = netsim.resolve_backoff([len(u) for u in units], slots, rng).tolist()
+    out, at = [], 0
+    for u in units:
+        out.append({r for r, w in zip(u, won[at : at + len(u)]) if w})
+        at += len(u)
+    assert at == len(won)
+    return out
 
 
 contended_units = st.lists(
@@ -260,7 +269,7 @@ def test_batched_backoff_matches_per_unit_replay(units, slots, chunk, seed):
     # inside a chunk, into every example
     fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
     with mock.patch.object(netsim, "BACKOFF_CHUNK", chunk):
-        fast = list(netsim.resolve_backoff(units, slots, fast_rng))
+        fast = batched_backoff(units, slots, fast_rng)
     assert fast == replay_backoff(units, slots, slow_rng)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
@@ -275,7 +284,7 @@ def test_batched_backoff_matches_per_unit_replay(units, slots, chunk, seed):
 def test_batched_backoff_crosses_a_real_chunk_boundary(units, tail, slots, seed):
     sequence = list(islice(cycle(units), netsim.BACKOFF_CHUNK + tail))
     fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
-    fast = list(netsim.resolve_backoff(sequence, slots, fast_rng))
+    fast = batched_backoff(sequence, slots, fast_rng)
     assert fast == replay_backoff(sequence, slots, slow_rng)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
@@ -283,14 +292,12 @@ def test_batched_backoff_crosses_a_real_chunk_boundary(units, tail, slots, seed)
 def test_batched_backoff_lone_units_draw_nothing():
     rng = spawn_rng(4)
     before = rng.bit_generator.state
-    assert list(netsim.resolve_backoff([(), (3,), (5,)], 9, rng)) == [(), (), ()]
-    assert list(netsim.resolve_backoff([], 9, rng)) == []
+    assert batched_backoff([(), (3,), (5,)], 9, rng) == [set(), set(), set()]
+    assert batched_backoff([], 9, rng) == []
     assert rng.bit_generator.state == before
     fast_rng, slow_rng = spawn_rng(4), spawn_rng(4)
     units = [(1,), (0, 2), (), (1, 3, 4)]
-    assert list(netsim.resolve_backoff(units, 6, fast_rng)) == replay_backoff(
-        units, 6, slow_rng
-    )
+    assert batched_backoff(units, 6, fast_rng) == replay_backoff(units, 6, slow_rng)
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
@@ -344,22 +351,94 @@ def test_exclusive_flood_matches_per_unit_oracle(m, rounds, backoff_rounds, seed
     assert fast == slow
 
 
-def test_exclusive_tie_goes_to_first_sender_in_set_order():
-    # radios 1 and 9 both carry identifier 1000 to radio 0, at different
-    # hop counts; they share a hash slot in a small set, so the senders'
-    # set keeps them in insertion (winning-slot) order and whichever won
-    # first is the one radio 0 adopts
+def flood_both_ways_base(m, held, rounds, transmit_delay):
+    """(trace, states, rounds used) of ``run_sync`` in the base model
+    and of the per-meeting oracle flood, from equal inputs; ``held`` as
+    in :func:`flood_both_ways`."""
+    out = []
+    for fast in (True, False):
+        states = [
+            NodeState(i, ident, int(m.offsets[i]), max_seen=seen, hops=hops)
+            for i, (ident, seen, hops) in enumerate(held)
+        ]
+        trace = []
+        if fast:
+            used = run_sync(
+                m, states, rounds, transmit_delay=transmit_delay, trace=trace
+            ).rounds_used
+        else:
+            used = oracles.flood_base(
+                m, states, rounds, transmit_delay=transmit_delay, trace=trace
+            )
+            oracles.finish(m, states, rounds, transmit_delay=transmit_delay)
+        out.append((trace, states, used))
+    return out
+
+
+def test_tie_goes_to_fewest_hops_then_lowest_sender():
+    # radios 1 and 9 both carry identifier 1000 to radio 0 in one unit,
+    # at hop counts 1 and 3; they share a hash slot in a small set, so
+    # a set-ordered choice would depend on which won its slot first
     positions = [[0], [0]] + [[]] * 7 + [[0]]
     m = ScheduleMatrix(n=10, columns=2, positions=positions, offsets=[0] * 10)
     held = [(i + 1, 0, 0) for i in range(10)]
     held[1] = (2, 1000, 1)
     held[9] = (10, 1000, 3)
-    adopted = set()
+    heard_both = 0
     for seed in range(40):
         fast, slow = flood_both_ways(m, held, 1, 8, seed)
         assert fast == slow
-        adopted.add(fast[1][0][2])
-    assert {2, 4} <= adopted
+        ((_t, _awake, _sent, delivered),) = fast[0]
+        if delivered[0] == (1, 9):
+            heard_both += 1
+            assert fast[1][0][2] == 2
+    assert heard_both > 0
+    fast, slow = flood_both_ways_base(m, held, 1, 1)
+    assert fast == slow and fast[1][0].hops == 2
+    # equal hop counts: the lower sender index wins, and with it that
+    # sender's clock (radios 1 and 9 start at different offsets)
+    positions = [[1], [0]] + [[]] * 7 + [[1]]
+    m = ScheduleMatrix(n=10, columns=2, positions=positions, offsets=[0, 1] + [0] * 8)
+    held[9] = (10, 1000, 1)
+    fast, slow = flood_both_ways_base(m, held, 1, 1)
+    assert fast == slow
+    assert (fast[1][0].hops, fast[1][0].root_origin) == (2, 1 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=sparse_matrices(min_rows=2),
+    rounds=st.integers(1, 4),
+    transmit_delay=st.integers(0, 2),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_base_flood_matches_per_meeting_oracle(m, rounds, transmit_delay, seed, data):
+    # few rounds on sparse matrices: budget-cut and disconnected floods
+    # are common, and pre-held tied identifiers make senders tie
+    idents = spawn_rng(seed, 1).permutation(np.arange(1, m.n + 1)).tolist()
+    seen, hops = st.sampled_from([0, 1000, 2000]), st.integers(0, 4)
+    held = [(ident, data.draw(seen), data.draw(hops)) for ident in idents]
+    fast, slow = flood_both_ways_base(m, held, rounds, transmit_delay)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("d, scale, seed", [(1024, 0.3, 0), (1024, 0.3, 1), (4096, 0.5, 0)])
+def test_budget_cut_pipeline_floods_match_oracles(d, scale, seed):
+    # one paid copy of a sparse schedule: most nodes end below the
+    # global maximum, on many distinct identifiers, so the flood runs
+    # many rounds after its first and prunes holders by deadline
+    config = SimConfig(d=d, beta=0.75, scale=scale, repetition_k=1)
+    params = pipeline_params(d, config.n, scale=scale, repetition_k=1)
+    rng = spawn_rng(seed, d)
+    m = build_pipeline_matrix(config.n, params, rng)
+    m = m.with_offsets(draw_offsets(config.n, d, rng))
+    held = [(s.ident, 0, 0) for s in make_node_states(config.n, m.offsets, rng)]
+    fast, slow = flood_both_ways_base(m, held, 1, 1)
+    assert fast == slow
+    assert len({s.max_seen for s in fast[1]}) > 4
+    fast, slow = flood_both_ways(m, held, 1, config.backoff_rounds, seed)
+    assert fast == slow
 
 
 @pytest.mark.parametrize("d, beta, seed", [(256, 0.5, 1), (256, 0.75, 2), (1024, 0.5, 3)])

@@ -178,6 +178,9 @@ def test_cli_sync_estimate(capsys):
         ["sync", "run", "--d", "64", "--beta", "nan"],
         ["sync", "run", "--d", "64", "--beta", "200"],
         ["sync", "estimate-n", "--d", "1", "--true-n", "2"],
+        # refused before anything is allocated: far beyond any memory
+        ["sync", "run", "--d", "4096", "--beta", "3"],
+        ["sync", "estimate-n", "--d", "64", "--true-n", str(10**13)],
     ],
     ids=[
         "d-1",
@@ -189,6 +192,8 @@ def test_cli_sync_estimate(capsys):
         "beta-nan",
         "beta-overflow",
         "estimate-d-1",
+        "beta-huge",
+        "true-n-huge",
     ],
 )
 def test_cli_bad_input_is_one_line_error(argv, capsys):

@@ -109,6 +109,20 @@ def test_build_matrix_shape_and_determinism():
     assert all(len(row) <= params.windows * params.draws for row in a.positions)
 
 
+def test_schedule_draw_beyond_memory_is_refused():
+    # n = ceil(4096**3) rows would need petabytes; nothing is drawn
+    config = SimConfig(d=4096, beta=3.0)
+    params = pipeline_params(config.d, config.n)
+    rng = spawn_rng(0)
+    before = rng.bit_generator.state
+    shape = f"n={config.n} rows x {params.windows} windows x {params.draws} draws"
+    with pytest.raises(ValueError, match=shape):
+        build_pipeline_matrix(config.n, params, rng)
+    with pytest.raises(ValueError, match="schedule draw too large"):
+        estimate_n(SimConfig(d=64), true_n=10**13, rng=rng)
+    assert rng.bit_generator.state == before
+
+
 def test_make_node_states_unique_idents():
     for seed in range(5):
         states = make_node_states(64, [0] * 64, spawn_rng(3, seed))

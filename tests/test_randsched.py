@@ -118,13 +118,13 @@ def test_detect_rejects_key_overflow():
 def test_single_meeting_hand_case():
     # both awake only at global column 5
     m = matrix_from_ones(8, [[5], [3]], offsets=[0, 2])
-    assert detect_meetings(m) == [(5, (0, 1))]
+    assert list(detect_meetings(m)) == [(5, (0, 1))]
 
 
 def test_exclusive_drops_crowded_columns():
     m = matrix_from_ones(8, [[4], [4], [4]], offsets=[0, 0, 0])
-    assert detect_meetings(m, exclusive=True) == []
-    assert detect_meetings(m, exclusive=False) == [(4, (0, 1, 2))]
+    assert list(detect_meetings(m, exclusive=True)) == []
+    assert list(detect_meetings(m, exclusive=False)) == [(4, (0, 1, 2))]
     g = build_comm_graph(m, exclusive=False)
     assert g.edges == {(0, 1), (0, 2), (1, 2)}  # all pairs witnessed
     assert build_comm_graph(m, exclusive=True).edges == frozenset()
@@ -149,7 +149,7 @@ def test_packed_shifts_produce_no_meetings():
     m = matrix_from_ones(
         L, [s.ones for s in strings], offsets=list(got.shifts)
     )
-    assert detect_meetings(m) == []
+    assert list(detect_meetings(m)) == []
     assert build_comm_graph(m).edges == frozenset()
 
 
@@ -179,7 +179,7 @@ def test_double_construction_identical():
     rng = spawn_rng(32)
     m = gen_matrix(5, 128, 0.5, 1.82, rng).with_offsets([3, 0, 7, 2, 5])
     assert build_comm_graph(m) == build_comm_graph(m)
-    assert detect_meetings(m) == detect_meetings(m)
+    assert list(detect_meetings(m)) == list(detect_meetings(m))
 
 
 # --- graph statistics ---------------------------------------------------------
