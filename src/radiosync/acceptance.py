@@ -233,15 +233,18 @@ def _pipeline_trials(seeds: int = 200) -> tuple[_PipelineTrial, ...]:
         matrix = build_pipeline_matrix(n, params, rng)
         offsets = draw_offsets(n, d, rng)
         matrix = matrix.with_offsets(offsets)
+        # rows are sorted, so the first stage is a prefix of each row
+        early = matrix.positions < stage_cols
         stage = ScheduleMatrix(
-            n=n,
-            columns=stage_cols,
-            positions=[row[row < stage_cols] for row in matrix.positions],
-            offsets=offsets,
+            n,
+            stage_cols,
+            matrix.positions[early],
+            offsets,
+            starts=np.cumsum(np.r_[0, early])[matrix.starts],
         )
-        stage_deg = min(build_comm_graph(stage).degrees(), default=0)
+        stage_deg = int(build_comm_graph(stage).degrees().min())
         result = run_sync(matrix, make_node_states(n, offsets, rng), params.rounds)
-        full_deg = min(result.comm_graph.degrees(), default=0)
+        full_deg = int(result.comm_graph.degrees().min())
         stats = graph_stats(result.comm_graph)
         sync_exact = result.success if stats.connected else None
         trials.append(

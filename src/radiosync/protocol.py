@@ -34,6 +34,7 @@ from .randsched import (
     CommGraph,
     Meetings,
     ScheduleMatrix,
+    _radix_order,
     clamped_log2,
     detect_meetings,
     draw_rows,
@@ -203,12 +204,13 @@ def build_pipeline_matrix(
     independently generated matrices, drawn node-major (one rng call
     per row) and deduplicated in one 2-D pass by
     :func:`~radiosync.randsched.draw_rows`, O(n * windows * draws *
-    log draws).
+    log draws). The rows stay flat, one position array plus row
+    starts, and are checked once.
     """
     w, cols, k = params.windows, params.columns, params.draws
     _check_draw_fits(n, params)
-    positions = draw_rows(n, w, cols, k, rng)
-    return ScheduleMatrix(n=n, columns=w * cols, positions=positions)
+    positions, starts = draw_rows(n, w, cols, k, rng)
+    return ScheduleMatrix(n, w * cols, positions, starts=starts)
 
 
 def _check_draw_fits(n: int, params: PipelineParams) -> None:
@@ -273,11 +275,12 @@ def _arrivals(
 
 
 def _by_receiver(
-    senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
+    senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray, n: int
 ) -> tuple[np.ndarray, ...]:
-    """Deliveries sorted by receiver, plus the index of each receiver's
-    first delivery and that receiver, for ``np.minimum.reduceat``."""
-    order = np.argsort(receivers, kind="stable")
+    """Deliveries among ``n`` nodes grouped by receiver (a stable radix
+    sort), plus the index of each receiver's first delivery and that
+    receiver, for ``np.minimum.reduceat``."""
+    order = _radix_order(receivers, n)
     senders, receivers, cols = senders[order], receivers[order], cols[order]
     heads = np.flatnonzero(np.diff(receivers, prepend=-1))
     return senders, receivers, cols, heads, receivers[heads]
@@ -405,9 +408,9 @@ def _spread(
     the column in the sender's arrival copy if it is later, else in the
     next one. The distinct held identifiers are taken in descending
     order; each gets one multi-source earliest-arrival relaxation
-    (``np.minimum.reduceat`` over the receiver-sorted deliveries until
-    nothing moves) and is assigned to the nodes it reaches that no
-    larger identifier reached. That is exact under the budget: a
+    (``np.minimum.reduceat`` over the deliveries grouped by receiver,
+    :func:`_by_receiver`, until nothing moves) and is assigned to the
+    nodes it reaches that no larger identifier reached. That is exact under the budget: a
     larger identifier held by any node on a path would reach the end
     of that path too, so an unassigned node's paths, and the senders
     it adopts from, are never overtaken. Connected components do not
@@ -423,7 +426,7 @@ def _spread(
     value, origin, hops = held
     n = value.size
     never = copies * period
-    deliveries = _by_receiver(senders, receivers, cols)
+    deliveries = _by_receiver(senders, receivers, cols, n)
     senders, receivers, cols = deliveries[:3]
     comp = _components(senders, receivers, n)
     rank = _ranks(value, comp)
@@ -437,11 +440,11 @@ def _spread(
             # paths that cannot reach an unassigned node in time end at
             # assigned nodes, whose results stand: leave them out
             if backward is None:
-                backward = _by_receiver(receivers, senders, cols)
+                backward = _by_receiver(receivers, senders, cols, n)
             if active is deliveries:
                 deadline = _deadlines(open_, backward, period, never)
                 keep = (deadline[receivers] - 1 - cols) // period >= 0
-                active = _by_receiver(senders[keep], receivers[keep], cols[keep])
+                active = _by_receiver(senders[keep], receivers[keep], cols[keep], n)
             source &= deadline >= 0
             if not source.any():
                 continue
@@ -544,7 +547,7 @@ def _deliver_meetings(
         heard_per_copy.append(part)
         if trace is not None:
             trace.extend(_trace_rows(meetings, won, copy * columns))
-        reach, _ = _relax(reach, _by_receiver(*part), horizon, horizon)
+        reach, _ = _relax(reach, _by_receiver(*part, reach.size), horizon, horizon)
         if can_stop and (reach < horizon).all():
             break
     used = copy + 1
@@ -573,9 +576,12 @@ def run_sync(
     the accompanying clock plus the per-hop transmission delay, from
     the sender with the fewest hops (then the lowest index) among those
     carrying it. The meetings stay arrays from detection on: one pass
-    builds their directed pairs, which give the graph (pairs of two-
-    radio meetings only in the interference model) and feed the flood,
-    :func:`_deliver_meetings`. Copies of the schedule beyond the point
+    builds their directed pairs in meeting order, which give the graph
+    (pairs of two-radio meetings only in the interference model; edge
+    arrays plus CSR adjacency, see
+    :func:`~radiosync.randsched.graph_from_pairs`) and feed the flood,
+    :func:`_deliver_meetings`, which groups them by receiver with a
+    radix sort. Copies of the schedule beyond the point
     where a full pass changes nothing count as unused, but are still
     paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise

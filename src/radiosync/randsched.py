@@ -12,21 +12,32 @@ Windows are concatenated in time to amplify meeting probabilities;
 because every row repeats its own pattern, the graph edges of one
 window recur in every copy, which is what lets a later protocol round
 reuse the same communication structure.
+
+Everything is held as flat arrays from the draw to the graph: a
+matrix's rows lie back to back in one position array, meetings are
+arrays of columns and owners, and the graph is an edge list plus a CSR
+adjacency. Grouping by node index uses stable 16-bit radix passes
+(:func:`_radix_order`) rather than comparison sorts.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
-from functools import reduce
-from operator import or_
-from typing import Iterator, Optional, Sequence
+import numbers
+import operator
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 #: meeting-probability scale; above sqrt(1 - ln 0.1) the shared-bin
 #: probability per window clears 0.8
 DEFAULT_SCALE = 1.82
+
+_EMPTY = np.zeros(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
 
 def clamped_log2(n: int) -> float:
@@ -40,53 +51,104 @@ def repetition_constant(n: int) -> int:
     return max(11, math.ceil(30.0 / clamped_log2(n - 1)))
 
 
+def _integers(name: str, values) -> np.ndarray:
+    """``values`` as an int64 array. Non-integers, and integers beyond
+    int64, are refused rather than truncated or wrapped."""
+    array = np.asarray(values)
+    if array.dtype == object:
+        if not all(isinstance(x, numbers.Integral) for x in array.flat):
+            raise ValueError(f"{name} must be integers")
+        try:
+            return array.astype(np.int64)
+        except OverflowError:
+            raise ValueError(f"{name} must fit in int64") from None
+    if array.size == 0:
+        return array.astype(np.int64)
+    if array.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {array.dtype}")
+    if array.dtype == np.uint64 and array.max() > np.iinfo(np.int64).max:
+        raise ValueError(f"{name} must fit in int64")
+    return array.astype(np.int64, copy=False)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
 def _as_row(r: int, row) -> np.ndarray:
-    """Row ``r`` as a 1-D integer array (an empty one as int64)."""
-    row = np.asarray(row)
+    """Row ``r`` as a 1-D int64 array."""
+    row = _integers(f"row {r}: positions", row)
     if row.ndim != 1:
         raise ValueError(f"row {r}: positions must be 1-D, got shape {row.shape}")
-    if row.size == 0:
-        return row.astype(np.int64)
-    if row.dtype.kind not in "iu":
-        raise ValueError(f"row {r}: positions must be integers, got {row.dtype}")
     return row
 
 
-@dataclass
-class ScheduleMatrix:
-    """n rows of wake-up positions over a shared window.
+def _as_offsets(n: int, offsets) -> np.ndarray:
+    offsets = _integers("offsets", offsets)
+    if offsets.shape != (n,):
+        raise ValueError("need one offset per row")
+    if offsets.min(initial=0) < 0:
+        raise ValueError("offsets must be non-negative")
+    return _read_only(offsets)
 
-    Rows are strictly increasing integer numpy position arrays inside
-    ``[0, columns)`` (checked on construction). ``offsets`` are the per-row
-    global start times (None until assigned).
+
+class ScheduleMatrix:
+    """n rows of wake-up positions over a shared window, held flat.
+
+    Row ``r`` is ``positions[starts[r]:starts[r + 1]]``, strictly
+    increasing integers inside ``[0, columns)``; both arrays are
+    read-only int64, and the rows are checked once, on construction.
+    ``positions`` may also be given as a sequence of ``n`` 1-D integer
+    rows, with ``starts`` left out. ``offsets`` are the per-row global
+    start times (None until assigned); :meth:`with_offsets` assigns them
+    to a copy that shares the checked rows.
     """
 
-    n: int
-    columns: int
-    positions: list[np.ndarray]
-    offsets: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        if self.n != len(self.positions):
-            raise ValueError(f"{self.n} rows declared, {len(self.positions)} given")
-        self.positions = [_as_row(r, row) for r, row in enumerate(self.positions)]
+    def __init__(
+        self,
+        n: int,
+        columns: int,
+        positions,
+        offsets: Optional[Sequence[int]] = None,
+        *,
+        starts: Optional[np.ndarray] = None,
+    ) -> None:
+        if starts is None:
+            if n != len(positions):
+                raise ValueError(f"{n} rows declared, {len(positions)} given")
+            rows = [_as_row(r, row) for r, row in enumerate(positions)]
+            positions = np.concatenate([_EMPTY, *rows])
+            starts = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
+        else:
+            positions = _integers("positions", positions)
+            starts = _integers("row starts", starts)
+            if (
+                positions.ndim != 1
+                or starts.shape != (n + 1,)
+                or starts[0] != 0
+                or starts[-1] != positions.size
+                or (starts[1:] < starts[:-1]).any()
+            ):
+                raise ValueError(
+                    f"need {n + 1} ascending row starts from 0 to {positions.size} "
+                    "over one flat position array"
+                )
+        self.n = n
+        self.columns = columns
+        self.positions = _read_only(positions)
+        self.starts = _read_only(starts)
         self._check_positions()
-        if self.offsets is not None:
-            self.offsets = np.asarray(self.offsets, dtype=np.int64)
-            if self.offsets.shape != (self.n,):
-                raise ValueError("need one offset per row")
-            if self.offsets.min(initial=0) < 0:
-                raise ValueError("offsets must be non-negative")
+        self.offsets = None if offsets is None else _as_offsets(n, offsets)
 
     def _check_positions(self) -> None:
         """Every row must be strictly increasing inside ``[0, columns)``;
         a repeated position would make a row meet itself. One pass over
-        all rows concatenated."""
-        sizes = self.densities()
-        if sizes.sum() == 0:
+        the flat positions."""
+        flat, ends = self.positions, self.starts[1:]
+        if flat.size == 0:
             return
-        flat = np.concatenate(self.positions)
-        ends = np.cumsum(sizes)
         if flat.min() < 0 or flat.max() >= self.columns:
             at = int(np.argmax((flat < 0) | (flat >= self.columns)))
             raise ValueError(
@@ -104,10 +166,12 @@ class ScheduleMatrix:
             )
 
     def densities(self) -> np.ndarray:
-        return np.array([len(row) for row in self.positions], dtype=np.int64)
+        return np.diff(self.starts)
 
     def with_offsets(self, offsets: Sequence[int]) -> "ScheduleMatrix":
-        return replace(self, offsets=np.asarray(offsets, dtype=np.int64))
+        out = copy.copy(self)
+        out.offsets = _as_offsets(self.n, offsets)
+        return out
 
 
 def row_draws(columns: int, density_exponent: float, scale: float) -> int:
@@ -117,10 +181,12 @@ def row_draws(columns: int, density_exponent: float, scale: float) -> int:
 
 def draw_rows(
     n: int, windows: int, columns: int, draws: int, rng: np.random.Generator
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """n rows of ``windows`` back-to-back random windows of ``columns``
     units, ``draws`` uniform wake-ups per window, duplicates within a
-    window collapsed; each row comes out strictly increasing.
+    window collapsed; each row comes out strictly increasing. Returns
+    the rows flat, as ``(positions, starts)`` in the
+    :class:`ScheduleMatrix` layout.
 
     The rng is called once per row with shape ``(windows, draws)``, row
     after row, so the stream is that of the per-row draws: a single
@@ -137,8 +203,9 @@ def draw_rows(
     raw += np.arange(windows, dtype=np.int64)[:, None] * columns
     keep = np.ones(raw.shape, dtype=bool)
     np.not_equal(raw[..., 1:], raw[..., :-1], out=keep[..., 1:])
-    counts = keep.reshape(n, -1).sum(axis=1)
-    return np.split(raw[keep], np.cumsum(counts[:-1]))
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(keep.reshape(n, -1).sum(axis=1), out=starts[1:])
+    return raw[keep], starts
 
 
 def gen_matrix(
@@ -159,8 +226,20 @@ def gen_matrix(
     draws = row_draws(columns, density_exponent, scale)
     if draws > columns:
         raise ValueError(f"{draws} draws exceed window of {columns} columns")
-    positions = draw_rows(n, 1, columns, draws, rng)
-    return ScheduleMatrix(n=n, columns=columns, positions=positions)
+    positions, starts = draw_rows(n, 1, columns, draws, rng)
+    return ScheduleMatrix(n, columns, positions, starts=starts)
+
+
+def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """The stable sorting permutation of non-negative integer ``keys``
+    below ``bound``: LSD radix over 16-bit digits, one stable argsort
+    of ``uint16`` digits (itself a counting sort in numpy) per digit.
+    A bound up to 65536 takes one pass."""
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    for shift in range(16, max(bound - 1, 1).bit_length(), 16):
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+    return order
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,18 +267,17 @@ class Meetings:
     def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every ordered pair of distinct participants of every meeting,
         as (sender slot, receiver slot, meeting); slots index ``owners``.
-        Built per meeting size, so O(sum of size**2)."""
-        src, dst, which = [_EMPTY], [_EMPTY], [_EMPTY]
-        for size in np.unique(self.sizes).tolist():
-            sel = np.flatnonzero(self.sizes == size)
-            a, b = np.nonzero(~np.eye(size, dtype=bool))
-            src.append((self.starts[sel, None] + a).ravel())
-            dst.append((self.starts[sel, None] + b).ravel())
-            which.append(np.repeat(sel, a.size))
-        return np.concatenate(src), np.concatenate(dst), np.concatenate(which)
-
-
-_EMPTY = np.zeros(0, dtype=np.int64)
+        Pairs come in meeting order, and within a meeting in (sender,
+        receiver) order. O(sum of size**2)."""
+        per = self.sizes * (self.sizes - 1)
+        which = np.repeat(np.arange(len(self)), per)
+        # pair p of a meeting of k rows is slot p // (k - 1) to the
+        # (p % (k - 1))-th other slot
+        p = np.arange(which.size) - np.repeat(np.cumsum(per) - per, per)
+        src, dst = np.divmod(p, (self.sizes - 1)[which])
+        dst += dst >= src
+        base = self.starts[which]
+        return src + base, dst + base, which
 
 
 def detect_meetings(m: ScheduleMatrix, exclusive: bool = False) -> Meetings:
@@ -218,16 +296,19 @@ def detect_meetings(m: ScheduleMatrix, exclusive: bool = False) -> Meetings:
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
     n = m.n
-    sizes = m.densities()
-    if sizes.sum() == 0:
+    if m.positions.size == 0:
         return Meetings(cols=_EMPTY, starts=_EMPTY, sizes=_EMPTY, owners=_EMPTY)
-    if (m.columns + int(m.offsets.max())) * n > np.iinfo(np.int64).max:
+    top = int(m.offsets.max())
+    if (m.columns + top) * n > np.iinfo(np.int64).max:
         raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
-    keys = np.concatenate(m.positions).astype(np.int64, copy=False)
-    keys *= n
-    keys += np.repeat(m.offsets * n + np.arange(n, dtype=np.int64), sizes)
+    # the two transients beside the keys, each row's base and each
+    # unit's column, are int32 when they fit, which halves their memory
+    fits = max(m.columns + top, (top + 1) * n) <= np.iinfo(np.int32).max
+    narrow = np.int32 if fits else np.int64
+    keys = m.positions * n
+    keys += np.repeat((m.offsets * n + np.arange(n)).astype(narrow), m.densities())
     keys.sort()
-    cols = keys // n
+    cols = np.floor_divide(keys, n, out=np.empty(keys.size, narrow), casting="unsafe")
     # unit u shares its column with unit u + 1; each run of consecutive
     # such u is one group of (run length + 1) awake rows
     shared = np.flatnonzero(cols[1:] == cols[:-1])
@@ -243,52 +324,103 @@ def detect_meetings(m: ScheduleMatrix, exclusive: bool = False) -> Meetings:
     return Meetings(cols=keys[starts] // n, starts=packed, sizes=counts, owners=owners)
 
 
-@dataclass(frozen=True, eq=True)
 class CommGraph:
-    """Undirected meeting graph; ``witness`` maps each edge (i < j) to
-    the earliest global column establishing it."""
+    """Undirected meeting graph over ``n`` rows, held as arrays.
 
-    n: int
-    witness: dict[tuple[int, int], int]
+    Edge ``e`` joins rows ``i[e] < j[e]``, which first meet at global
+    column ``cols[e]``; the edges are kept in (column, i, j) order, the
+    order a walk over the column-sorted meetings first meets them (the
+    constructor sorts them into it if needed). ``indptr`` and
+    ``indices`` are the CSR adjacency: row ``r``'s neighbours, ascending,
+    are ``indices[indptr[r]:indptr[r + 1]]``. Every array is read-only
+    int64. The constructor checks 0 <= i < j < n and that no edge
+    repeats.
+    """
+
+    def __init__(self, n: int, i, j, cols) -> None:
+        n = operator.index(n)
+        if n < 0:
+            raise ValueError(f"need a non-negative node count, got {n}")
+        i, j, cols = _integers("i", i), _integers("j", j), _integers("cols", cols)
+        if i.ndim != 1 or not i.shape == j.shape == cols.shape:
+            raise ValueError("edge arrays i, j and cols must be 1-D and of one length")
+        bad = (i < 0) | (i >= j) | (j >= n)
+        if bad.any():
+            e = int(np.argmax(bad))
+            raise ValueError(f"edge ({i[e]}, {j[e]}) needs 0 <= i < j < n = {n}")
+        codes = i * n + j
+        same_col = cols[1:] == cols[:-1]
+        ascending = (cols[1:] > cols[:-1]) | (same_col & (codes[1:] > codes[:-1]))
+        if not ascending.all():
+            order = np.lexsort((j, i, cols))
+            i, j, cols = i[order], j[order], cols[order]
+        # each edge both ways, grouped by (row, neighbour)
+        src, dst = np.concatenate((i, j)), np.concatenate((j, i))
+        order = _radix_order(src * n + dst, n * n)
+        src, dst = src[order], dst[order]
+        twice = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
+        if twice.size:
+            a, b = sorted((int(src[twice[0]]), int(dst[twice[0]])))
+            raise ValueError(f"edge ({a}, {b}) given twice")
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        self.n = n
+        self.i, self.j, self.cols = _read_only(i), _read_only(j), _read_only(cols)
+        self.indptr, self.indices = _read_only(indptr), _read_only(dst)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CommGraph):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b)
+            for a, b in zip((self.i, self.j, self.cols), (other.i, other.j, other.cols))
+        )
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"CommGraph(n={self.n}, edges={self.i.size})"
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.witness)
+        return frozenset(zip(self.i.tolist(), self.j.tolist()))
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.witness:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+    @property
+    def witness(self) -> Mapping[tuple[int, int], int]:
+        """Read-only map of each edge (i, j) to its first column, in
+        (column, i, j) order; built from the arrays on every access."""
+        edges = zip(self.i.tolist(), self.j.tolist())
+        return MappingProxyType(dict(zip(edges, self.cols.tolist())))
 
-    def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency()]
+    def degrees(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
 
 def graph_from_pairs(
     n: int, senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
 ) -> CommGraph:
     """Graph over ``n`` rows from directed meeting pairs (sender,
-    receiver, column); each undirected edge is read off its pairs with
-    sender < receiver.
+    receiver, column) in column order, as :meth:`Meetings.pairs` emits
+    them; each undirected edge (i < j) is read off its pairs with sender
+    < receiver and witnessed by its earliest column.
 
-    Each edge (i < j) is witnessed by its earliest column, and
-    ``witness`` is filled in (column, i, j) order, which is the order a
-    loop over column-sorted meetings and their pairs would first meet
-    each edge. Pairs are encoded ``i * n + j`` and the earliest of each
-    code is kept with one lexsort. O(P log P) in the P pairs.
+    The pairs are encoded ``i * n + j`` and put in code order by a
+    stable radix sort (:func:`_radix_order`), so the first pair of each
+    run of equal codes is the edge's earliest. Marking those pairs in
+    the input keeps the edges in column order, and in (column, i, j)
+    order when each meeting's pairs come in (sender, receiver) order.
+    O(P) per 16-bit digit of n**2 in the P pairs.
     """
     keep = senders < receivers
     cols = cols[keep]
+    if (cols[1:] < cols[:-1]).any():
+        raise ValueError("meeting pairs must come in column order")
     codes = senders[keep] * n + receivers[keep]
-    order = np.lexsort((codes, cols))
-    cols, codes = cols[order], codes[order]
-    _, first = np.unique(codes, return_index=True)
-    first.sort()
-    cols, codes = cols[first], codes[first]
-    i, j = np.divmod(codes, n)
-    return CommGraph(n=n, witness=dict(zip(zip(i.tolist(), j.tolist()), cols.tolist())))
+    order = _radix_order(codes, n * n)
+    first = np.zeros(codes.size, dtype=bool)
+    first[order[np.flatnonzero(np.diff(codes[order], prepend=-1))]] = True
+    i, j = np.divmod(codes[first], n)
+    return CommGraph(n, i, j, cols[first])
 
 
 def graph_from_meetings(n: int, meetings: Meetings) -> CommGraph:
@@ -313,31 +445,72 @@ class GraphStats:
     root: int
 
 
+#: the most bytes of neighbour reach words :func:`_diameter` gathers at once
+_REACH_BYTES = 1 << 24
+
+
+def _diameter(g: CommGraph) -> int:
+    """Diameter of a connected graph of two or more nodes, by
+    bit-parallel BFS from every source at once (Akiba, Iwata & Yoshida,
+    SIGMOD 2013). Node v's reach set has bit u set once u lies within
+    the current radius of v; each round ORs every set with its
+    neighbours' sets of the round before (``np.bitwise_or.reduceat``
+    over the CSR rows), and the rounds until every set is full are the
+    diameter. The sets are uint64 words, 64 sources each, taken in
+    blocks of words whose gathered neighbour sets fit in
+    ``_REACH_BYTES``. O(diameter * m * n / 64) word ORs over the m
+    edges."""
+    n, indices, heads = g.n, g.indices, g.indptr[:-1]
+    words = -(-n // 64)
+    block = max(1, _REACH_BYTES // (8 * indices.size))
+    diameter = 0
+    for first in range(0, words, block):
+        source = np.arange(64 * first, min(n, 64 * (first + block)))
+        reach = np.zeros((n, -(-source.size // 64)), dtype=np.uint64)
+        reach[source, source // 64 - first] = np.left_shift(
+            np.uint64(1), (source % 64).astype(np.uint64)
+        )
+        full = np.bitwise_or.reduce(reach, axis=0)
+        rounds = 0
+        while not (reach == full).all():
+            reach |= np.bitwise_or.reduceat(reach[indices], heads, axis=0)
+            rounds += 1
+        diameter = max(diameter, rounds)
+    return diameter
+
+
 def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
     """Exact BFS statistics plus the BFS spanning tree from ``root``.
 
-    The diameter is a bit-parallel BFS from every source at once (Akiba,
-    Iwata & Yoshida, SIGMOD 2013): node v's reach set is an int with bit
-    u set once u lies within the current radius of v, and each round ORs
-    every set with its neighbours' sets of the round before. The number
-    of rounds until every set is full is the diameter. O(diameter * (n +
-    m)) ORs of n-bit ints.
+    The tree is built one BFS level at a time from the CSR rows: the
+    frontier's neighbour lists are gathered in frontier order, and each
+    new node's parent is the first frontier node listing it, which is
+    the insertion order of a queue-based BFS over ascending neighbours.
+
+    The diameter is :func:`_diameter` on connected graphs of two or
+    more nodes.
     """
-    adj = g.adjacency()
-    for nbrs in adj:
-        nbrs.sort()
-    min_degree = min((len(nbrs) for nbrs in adj), default=0)
+    root = operator.index(root)
+    if not 0 <= root < g.n:
+        raise ValueError(f"root {root} is not a node of a graph of n = {g.n} nodes")
+    indptr, indices = g.indptr, g.indices
+    degree = g.degrees()
 
     tree: dict[int, Optional[int]] = {root: None}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in tree:
-                    tree[v] = u
-                    nxt.append(v)
-        frontier = nxt
+    seen = np.zeros(g.n, dtype=bool)
+    seen[root] = True
+    frontier = np.array([root])
+    while frontier.size:
+        lens = degree[frontier]
+        at = np.repeat(indptr[frontier] - (np.cumsum(lens) - lens), lens)
+        found = indices[at + np.arange(at.size)]
+        fresh = ~seen[found]
+        found, parent = found[fresh], np.repeat(frontier, lens)[fresh]
+        _, first = np.unique(found, return_index=True)
+        first.sort()
+        frontier = found[first]
+        seen[frontier] = True
+        tree.update(zip(frontier.tolist(), parent[first].tolist()))
 
     connected = len(tree) == g.n
     # the run CSV prints it as is: 0.0 for one node, an int otherwise
@@ -345,17 +518,9 @@ def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
     if not connected:
         diameter = math.inf
     elif g.n > 1:
-        full = (1 << g.n) - 1
-        reach = [1 << v for v in range(g.n)]
-        diameter = 0
-        while any(r != full for r in reach):
-            reach = [
-                reduce(or_, map(reach.__getitem__, nbrs), own)
-                for own, nbrs in zip(reach, adj)
-            ]
-            diameter += 1
+        diameter = _diameter(g)
     return GraphStats(
-        min_degree=min_degree,
+        min_degree=int(degree.min()),
         connected=connected,
         diameter=diameter,
         spanning_tree=tree,

@@ -16,16 +16,19 @@ from radiosync.netsim import resolve_backoff_unit
 from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
 
 
+def rows(m: ScheduleMatrix) -> list[np.ndarray]:
+    """The matrix's rows, as views of its flat positions."""
+    return np.split(m.positions, m.starts[1:-1])
+
+
 def detect_meetings(m: ScheduleMatrix, exclusive: bool = False):
     """One Python step per awake global column."""
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
-    sizes = [len(row) for row in m.positions]
+    sizes = [len(row) for row in rows(m)]
     if sum(sizes) == 0:
         return []
-    cols = np.concatenate(
-        [row + m.offsets[r] for r, row in enumerate(m.positions)]
-    )
+    cols = np.concatenate([row + m.offsets[r] for r, row in enumerate(rows(m))])
     owner = np.repeat(np.arange(m.n, dtype=np.int64), sizes)
     order = np.argsort(cols, kind="stable")
     cols = cols[order]
@@ -42,9 +45,10 @@ def detect_meetings(m: ScheduleMatrix, exclusive: bool = False):
     return meetings
 
 
-def graph_from_meetings(n: int, meetings) -> CommGraph:
+def graph_from_meetings(meetings) -> dict[tuple[int, int], int]:
     """Dict-based graph build: every pair of every meeting, first
-    column wins."""
+    column wins. Returns the witness dict, each edge (i < j) mapped to
+    its first column, in insertion order."""
     witness: dict[tuple[int, int], int] = {}
     for col, participants in meetings:
         for a in range(len(participants)):
@@ -52,11 +56,26 @@ def graph_from_meetings(n: int, meetings) -> CommGraph:
                 edge = (participants[a], participants[b])
                 if edge not in witness:
                     witness[edge] = col
-    return CommGraph(n=n, witness=witness)
+    return witness
 
 
-def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False) -> CommGraph:
-    return graph_from_meetings(m.n, detect_meetings(m, exclusive=exclusive))
+def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False):
+    return graph_from_meetings(detect_meetings(m, exclusive=exclusive))
+
+
+def graph(n: int, witness) -> CommGraph:
+    """The :class:`CommGraph` of a witness dict (edge -> column)."""
+    pairs = np.array(list(witness), dtype=np.int64).reshape(-1, 2)
+    return CommGraph(n, pairs[:, 0], pairs[:, 1], list(witness.values()))
+
+
+def adjacency(g: CommGraph) -> list[list[int]]:
+    """Sorted neighbour lists, from the edge set."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return [sorted(nbrs) for nbrs in adj]
 
 
 def _bfs_depths(adj: list[list[int]], source: int) -> list[int]:
@@ -77,9 +96,7 @@ def _bfs_depths(adj: list[list[int]], source: int) -> list[int]:
 def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
     """The BFS tree from ``root``, and the diameter as the largest
     depth of one BFS from every source."""
-    adj = g.adjacency()
-    for nbrs in adj:
-        nbrs.sort()
+    adj = adjacency(g)
     min_degree = min((len(nbrs) for nbrs in adj), default=0)
 
     tree: dict[int, Optional[int]] = {root: None}

@@ -15,6 +15,7 @@ from radiosync import netsim
 from radiosync.netsim import resolve_backoff_unit
 from radiosync.protocol import (
     NodeState,
+    _by_receiver,
     SimConfig,
     build_pipeline_matrix,
     draw_offsets,
@@ -24,8 +25,8 @@ from radiosync.protocol import (
     run_sync,
 )
 from radiosync.randsched import (
-    CommGraph,
     ScheduleMatrix,
+    _radix_order,
     build_comm_graph,
     detect_meetings,
     draw_rows,
@@ -75,15 +76,24 @@ def meeting_lists(draw):
     ]
 
 
-def witness_items(graph):
-    return list(graph.witness.items())
+def witness_items(witness):
+    return list(witness.items())
+
+
+def assert_csr_matches(g):
+    """The CSR rows are the sorted neighbour lists of the edge set, and
+    the degrees their lengths."""
+    adj = oracles.adjacency(g)
+    ptr = g.indptr.tolist()
+    assert [g.indices[lo:hi].tolist() for lo, hi in zip(ptr, ptr[1:])] == adj
+    assert g.degrees().tolist() == [len(nbrs) for nbrs in adj]
 
 
 @settings(max_examples=200, deadline=None)
 @given(m=matrices(), exclusive=st.booleans())
 def test_kernel_and_graph_match_oracle(m, exclusive):
     assert list(detect_meetings(m, exclusive)) == oracles.detect_meetings(m, exclusive)
-    assert witness_items(build_comm_graph(m, exclusive)) == witness_items(
+    assert witness_items(build_comm_graph(m, exclusive).witness) == witness_items(
         oracles.build_comm_graph(m, exclusive)
     )
 
@@ -92,7 +102,7 @@ def test_kernel_and_graph_match_oracle(m, exclusive):
 @given(m=matrices(zero_offsets=True), exclusive=st.booleans())
 def test_zero_offsets_match_oracle(m, exclusive):
     assert list(detect_meetings(m, exclusive)) == oracles.detect_meetings(m, exclusive)
-    assert witness_items(build_comm_graph(m, exclusive)) == witness_items(
+    assert witness_items(build_comm_graph(m, exclusive).witness) == witness_items(
         oracles.build_comm_graph(m, exclusive)
     )
 
@@ -102,9 +112,10 @@ def test_zero_offsets_match_oracle(m, exclusive):
 def test_graph_builder_matches_oracle(case):
     n, meetings = case
     got = graph_from_meetings(n, oracles.as_meetings(meetings))
-    assert witness_items(got) == witness_items(
-        oracles.graph_from_meetings(n, meetings)
+    assert witness_items(got.witness) == witness_items(
+        oracles.graph_from_meetings(meetings)
     )
+    assert_csr_matches(got)
 
 
 @settings(max_examples=50, deadline=None)
@@ -113,12 +124,12 @@ def test_run_sync_graph_and_neighbors_match_oracle(m, exclusive):
     meetings = oracles.detect_meetings(m)
     if exclusive:
         meetings = [mt for mt in meetings if len(mt[1]) == 2]
-    expected = oracles.graph_from_meetings(m.n, meetings)
+    expected = oracles.graph_from_meetings(meetings)
     rng = spawn_rng(5)
     states = make_node_states(m.n, m.offsets, rng)
     result = run_sync(m, states, 1, exclusive=exclusive, rng=rng)
-    assert witness_items(result.comm_graph) == witness_items(expected)
-    assert result.comm_graph.adjacency() == expected.adjacency()
+    assert witness_items(result.comm_graph.witness) == witness_items(expected)
+    assert_csr_matches(result.comm_graph)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -129,7 +140,7 @@ def test_every_row_awake_in_one_column(n):
     for exclusive in (False, True):
         got = list(detect_meetings(m, exclusive))
         assert got == oracles.detect_meetings(m, exclusive)
-        assert witness_items(build_comm_graph(m, exclusive)) == witness_items(
+        assert witness_items(build_comm_graph(m, exclusive).witness) == witness_items(
             oracles.build_comm_graph(m, exclusive)
         )
     expected = [(3, tuple(range(n)))] if n >= 2 else []
@@ -141,6 +152,7 @@ def test_empty_rows():
     empty = ScheduleMatrix(n=3, columns=4, positions=[[], [], []], offsets=[0, 1, 2])
     assert list(detect_meetings(empty)) == oracles.detect_meetings(empty) == []
     assert build_comm_graph(empty).witness == {}
+    assert build_comm_graph(empty).indptr.tolist() == [0, 0, 0, 0]
     some = ScheduleMatrix(n=3, columns=4, positions=[[1], [], [0, 2]], offsets=[1, 0, 0])
     assert list(detect_meetings(some)) == oracles.detect_meetings(some) == [(2, (0, 2))]
 
@@ -155,8 +167,10 @@ def test_empty_rows():
 )
 def test_draw_rows_matches_oracle(n, windows, columns, draws, seed):
     fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
-    fast = draw_rows(n, windows, columns, draws, fast_rng)
+    positions, starts = draw_rows(n, windows, columns, draws, fast_rng)
     slow = oracles.draw_rows(n, windows, columns, draws, slow_rng)
+    fast = np.split(positions, starts[1:-1])
+    assert starts[0] == 0 and starts[-1] == positions.size
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -175,7 +189,7 @@ def test_seeded_pipeline_matrix_matches_oracle(d, beta):
         config.n, params.windows, params.columns, params.draws, spawn_rng(9, d)
     )
     assert got.columns == params.windows * params.columns
-    assert all(np.array_equal(a, b) for a, b in zip(got.positions, rows))
+    assert all(np.array_equal(a, b) for a, b in zip(oracles.rows(got), rows))
 
 
 def test_gen_matrix_matches_per_row_unique():
@@ -183,20 +197,20 @@ def test_gen_matrix_matches_per_row_unique():
     got = gen_matrix(6, 300, 0.5, 1.82, rng)
     ref_rng = spawn_rng(12)
     ref = [np.unique(ref_rng.integers(0, 300, size=32)) for _ in range(6)]
-    assert all(np.array_equal(a, b) for a, b in zip(got.positions, ref))
+    assert all(np.array_equal(a, b) for a, b in zip(oracles.rows(got), ref))
 
 
 @st.composite
 def graphs(draw):
     """Graphs of 1 to 40 nodes at any density, from empty to complete,
-    with the edges in ``witness`` in shuffled order, and any root."""
+    built from its edges in shuffled order, and any root."""
     n = draw(st.integers(1, 40))
     density = draw(st.floats(0, 1)) ** 2
     rng = spawn_rng(draw(st.integers(0, 2**32)))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     kept = [pairs[k] for k in rng.permutation(len(pairs)) if rng.random() < density]
     root = draw(st.integers(0, n - 1))
-    return CommGraph(n=n, witness=dict.fromkeys(kept, 0)), root
+    return oracles.graph(n, dict.fromkeys(kept, 0)), root
 
 
 def stats_fields(stats):
@@ -231,6 +245,71 @@ def test_graph_stats_matches_oracle_on_sparse_pipeline_graphs():
         assert stats_fields(got) == stats_fields(want)
         diameters.append(got.diameter)
     assert min(diameters) > 2
+
+
+@pytest.mark.parametrize("n, seed", [(65, 0), (130, 1), (200, 2)])
+def test_diameter_in_blocks_of_sources_matches_oracle(n, seed):
+    # several reach words, taken one word per block: a path with random
+    # chords, so the diameter is long and every block's differs
+    rng = spawn_rng(41, seed)
+    edges = {(v, v + 1): 0 for v in range(n - 1)}
+    for a, b in rng.integers(0, n, size=(n // 8, 2)).tolist():
+        if a != b:
+            edges[min(a, b), max(a, b)] = 0
+    g = oracles.graph(n, edges)
+    want = oracles.graph_stats(g, root=n // 2)
+    assert stats_fields(graph_stats(g, root=n // 2)) == stats_fields(want)
+    with mock.patch("radiosync.randsched._REACH_BYTES", 1):
+        assert stats_fields(graph_stats(g, root=n // 2)) == stats_fields(want)
+    assert want.diameter > 5
+
+
+@pytest.mark.parametrize(
+    "bound", [1, 2, 255, 65535, 65536, 65537, 70000, 2**32 - 1, 2**32 + 7, 70000**2]
+)
+def test_radix_order_is_a_stable_sort(bound):
+    # keys crowd both ends of the range, so the high digits decide
+    # between keys that tie on the low ones, and ties are many
+    rng = spawn_rng(43, bound % 1000)
+    keys = np.concatenate(
+        [
+            rng.integers(0, min(bound, 300), size=500),
+            bound - 1 - rng.integers(0, min(bound, 300), size=500),
+            rng.integers(0, bound, size=500),
+            (rng.integers(0, bound, size=300) >> 16) << 16,
+        ]
+    )
+    rng.shuffle(keys)
+    assert np.array_equal(_radix_order(keys, bound), np.lexsort((keys,)))
+
+
+def test_graph_beyond_16_bit_node_indices_matches_oracles():
+    # n = 70000: node codes i * n + j span three 16-bit digits and the
+    # receivers two; a few hundred meetings of two to four radios, most
+    # radios in none
+    n = 70000
+    rng = spawn_rng(44)
+    hubs = rng.choice(n, size=400, replace=False)
+    groups = []
+    for col in sorted(rng.choice(10**6, size=300, replace=False).tolist()):
+        size = int(rng.integers(2, 5))
+        groups.append((col, tuple(sorted(rng.choice(hubs, size, replace=False).tolist()))))
+    meetings = oracles.as_meetings(groups)
+    g = graph_from_meetings(n, meetings)
+    assert witness_items(g.witness) == witness_items(oracles.graph_from_meetings(groups))
+    assert_csr_matches(g)
+    root = int(np.argmax(g.degrees()))
+    got = graph_stats(g, root=root)
+    assert stats_fields(got) == stats_fields(oracles.graph_stats(g, root=root))
+    assert 3 < len(got.spanning_tree) < n
+    # the flood's receiver grouping at this size is the stable sort
+    slots, dst, which = meetings.pairs()
+    receivers = meetings.owners[dst]
+    by = _by_receiver(meetings.owners[slots], receivers, meetings.cols[which], n)
+    order = np.argsort(receivers, kind="stable")
+    assert np.array_equal(by[1], receivers[order])
+    assert np.array_equal(by[0], meetings.owners[slots][order])
+    assert np.array_equal(by[4], np.unique(receivers))
 
 
 def replay_backoff(units, slots, rng):

@@ -104,9 +104,10 @@ def test_build_matrix_shape_and_determinism():
     a = build_pipeline_matrix(4, params, spawn_rng(1))
     b = build_pipeline_matrix(4, params, spawn_rng(1))
     assert a.columns == params.windows * 256
-    assert all(np.array_equal(x, y) for x, y in zip(a.positions, b.positions))
-    assert all(row[-1] < a.columns for row in a.positions)
-    assert all(len(row) <= params.windows * params.draws for row in a.positions)
+    assert np.array_equal(a.positions, b.positions)
+    assert np.array_equal(a.starts, b.starts)
+    assert a.positions.max() < a.columns
+    assert all(a.densities() <= params.windows * params.draws)
 
 
 def test_schedule_draw_beyond_memory_is_refused():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from radiosync.bitstrings import BitSchedule, ShiftAssignment, pack_non_overlapping
 from radiosync.randsched import (
     CommGraph,
@@ -34,7 +35,7 @@ def test_gen_row_full_draws_classic_occupancy():
     # exponent 1 at scale 1 draws exactly L per row
     L = 2_000
     densities = [
-        len(gen_matrix(1, L, 1.0, 1.0, spawn_rng(1, i)).positions[0])
+        gen_matrix(1, L, 1.0, 1.0, spawn_rng(1, i)).densities()[0]
         for i in range(30)
     ]
     expected = L * (1 - math.exp(-1))
@@ -44,9 +45,9 @@ def test_gen_row_full_draws_classic_occupancy():
 
 def test_gen_matrix_zero_exponent_density():
     m = gen_matrix(4, 64, density_exponent=0.0, scale=1.82, rng=spawn_rng(2))
-    assert all(len(row) <= 2 for row in m.positions)  # ceil(1.82) draws
+    assert all(m.densities() <= 2)  # ceil(1.82) draws
     assert m.offsets is None
-    assert len(m.positions) == 4
+    assert m.densities().size == 4
 
 
 def test_gen_matrix_density_formula():
@@ -54,15 +55,15 @@ def test_gen_matrix_density_formula():
     d = 4096
     m = gen_matrix(3, 4 * d, density_exponent=0.25, scale=1.82, rng=spawn_rng(3))
     k = math.ceil(1.82 * (4 * d) ** 0.25)
-    assert all(len(row) <= k for row in m.positions)
-    assert max(len(row) for row in m.positions) > k - 3  # few duplicates
+    assert all(m.densities() <= k)
+    assert m.densities().max() > k - 3  # few duplicates
 
 
 def test_gen_matrix_seeds_differ():
     a = gen_matrix(4, 256, 0.5, 1.82, spawn_rng(10))
     b = gen_matrix(4, 256, 0.5, 1.82, spawn_rng(11))
     assert any(
-        not np.array_equal(ra, rb) for ra, rb in zip(a.positions, b.positions)
+        not np.array_equal(ra, rb) for ra, rb in zip(oracles.rows(a), oracles.rows(b))
     )
 
 
@@ -90,15 +91,51 @@ def test_valid_rows_accepted_across_boundaries():
     # a later row may start below where the previous one ended; empty
     # rows come out as int64
     m = ScheduleMatrix(n=3, columns=10, positions=[[5, 9], [], [0, 1]])
-    assert m.positions[1].dtype == np.int64
+    assert m.positions.dtype == np.int64
+    assert m.positions.tolist() == [5, 9, 0, 1]
+    assert m.starts.tolist() == [0, 2, 2, 4]
     assert m.with_offsets([0, 0, 0]).densities().tolist() == [2, 0, 2]
 
 
 def test_with_offsets_keeps_rows_checked():
+    # the rows are checked once and cannot be changed afterwards, so a
+    # matrix with offsets shares rows that were checked
     m = ScheduleMatrix(n=2, columns=10, positions=[[1, 2], [3]])
-    m.positions[0] = np.array([2, 2])
-    with pytest.raises(ValueError, match="row 0"):
-        m.with_offsets([0, 0])
+    with pytest.raises(ValueError, match="read-only"):
+        m.positions[1] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        m.starts[1] = 0
+    shifted = m.with_offsets([0, 4])
+    assert shifted.positions.base is m.positions.base
+    assert m.offsets is None and shifted.offsets.tolist() == [0, 4]
+
+
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ([0.7, 1.9], "offsets must be integers, got float64"),
+        ([0, 2**70], "offsets must fit in int64"),
+        (np.array([0, 2**63], dtype=np.uint64), "offsets must fit in int64"),
+        ([0, 1.5, 2**70][1:], "offsets must be integers"),
+        ([0, -1], "offsets must be non-negative"),
+        ([0], "need one offset per row"),
+    ],
+)
+def test_bad_offsets_rejected(offsets, message):
+    m = ScheduleMatrix(n=2, columns=10, positions=[[1, 2], [3]])
+    with pytest.raises(ValueError, match=message):
+        m.with_offsets(offsets)
+    with pytest.raises(ValueError, match=message):
+        ScheduleMatrix(n=2, columns=10, positions=[[1, 2], [3]], offsets=offsets)
+
+
+def test_flat_rows_must_be_consistent():
+    with pytest.raises(ValueError, match="row starts"):
+        ScheduleMatrix(2, 10, np.array([1, 2, 3]), starts=np.array([0, 2]))
+    with pytest.raises(ValueError, match="row starts"):
+        ScheduleMatrix(2, 10, np.array([1, 2, 3]), starts=np.array([0, 2, 2]))
+    with pytest.raises(ValueError, match="row 1: positions must be strictly increasing"):
+        ScheduleMatrix(2, 10, np.array([1, 5, 3]), starts=np.array([0, 1, 3]))
 
 
 # --- meetings ----------------------------------------------------------------
@@ -113,6 +150,16 @@ def test_detect_rejects_key_overflow():
     m = matrix_from_ones(2**62, [[0], [1]], offsets=[0, 0])
     with pytest.raises(ValueError, match="overflow"):
         detect_meetings(m)
+
+
+def test_detect_beyond_int32_columns():
+    # columns and row bases past int32: the kernel's transients widen
+    big = 2**40
+    m = matrix_from_ones(big, [[5, big - 9], [big - 7], [0, big - 10]], [2, 0, 3])
+    assert list(detect_meetings(m)) == [(big - 7, (0, 1, 2))]
+    assert list(detect_meetings(m, exclusive=True)) == []
+    m = matrix_from_ones(64, [[5], [3]], offsets=[2**31, 2**31 + 2])
+    assert list(detect_meetings(m)) == [(2**31 + 5, (0, 1))]
 
 
 def test_single_meeting_hand_case():
@@ -162,7 +209,7 @@ def test_witness_soundness():
             awake = [
                 r
                 for r in range(m.n)
-                if (col - int(m.offsets[r])) in set(m.positions[r].tolist())
+                if (col - int(m.offsets[r])) in set(oracles.rows(m)[r].tolist())
             ]
             assert i in awake and j in awake
             if exclusive:
@@ -185,9 +232,7 @@ def test_double_construction_identical():
 # --- graph statistics ---------------------------------------------------------
 
 def complete_graph(n):
-    return CommGraph(
-        n=n, witness={(i, j): 0 for i in range(n) for j in range(i + 1, n)}
-    )
+    return oracles.graph(n, {(i, j): 0 for i in range(n) for j in range(i + 1, n)})
 
 
 def test_stats_complete_graph():
@@ -199,7 +244,7 @@ def test_stats_complete_graph():
 
 
 def test_stats_empty_graph():
-    stats = graph_stats(CommGraph(n=3, witness={}))
+    stats = graph_stats(oracles.graph(3, {}))
     assert not stats.connected
     assert stats.diameter == math.inf
     assert stats.min_degree == 0
@@ -207,7 +252,7 @@ def test_stats_empty_graph():
 
 
 def test_stats_path_graph():
-    g = CommGraph(n=4, witness={(0, 1): 0, (1, 2): 1, (2, 3): 2})
+    g = oracles.graph(4, {(0, 1): 0, (1, 2): 1, (2, 3): 2})
     stats = graph_stats(g, root=1)
     assert stats.diameter == 3
     assert stats.connected
@@ -217,9 +262,45 @@ def test_stats_path_graph():
 
 
 def test_single_node_graph():
-    stats = graph_stats(CommGraph(n=1, witness={}))
+    stats = graph_stats(oracles.graph(1, {}))
     assert stats.connected
     assert stats.diameter == 0
+
+
+@pytest.mark.parametrize("root", [-1, 3, 2**70])
+def test_stats_root_outside_graph_rejected(root):
+    g = oracles.graph(3, {(0, 1): 0, (1, 2): 1})
+    with pytest.raises(ValueError, match=f"root {root} is not a node .* n = 3"):
+        graph_stats(g, root=root)
+
+
+@pytest.mark.parametrize(
+    "i, j, message",
+    [
+        ([0], [5], r"edge \(0, 5\) needs 0 <= i < j < n = 3"),
+        ([-1], [1], r"edge \(-1, 1\) needs"),
+        ([2], [1], r"edge \(2, 1\) needs"),
+        ([1], [1], r"edge \(1, 1\) needs"),
+        ([0, 1, 0], [1, 2, 1], r"edge \(0, 1\) given twice"),
+        ([0.5], [1], "i must be integers"),
+        ([0, 1], [1], "one length"),
+    ],
+)
+def test_bad_edges_rejected(i, j, message):
+    with pytest.raises(ValueError, match=message):
+        CommGraph(3, i, j, [0] * len(i))
+
+
+def test_graph_edges_kept_in_column_order():
+    # given out of order, the edges are stored in (column, i, j) order
+    g = CommGraph(4, [2, 0, 1, 0], [3, 3, 2, 1], [5, 1, 1, 0])
+    assert list(g.witness.items()) == [((0, 1), 0), ((0, 3), 1), ((1, 2), 1), ((2, 3), 5)]
+    assert g.indptr.tolist() == [0, 2, 4, 6, 8]
+    assert g.indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
+    assert g.degrees().tolist() == [2, 2, 2, 2]
+    assert g == oracles.graph(4, g.witness)
+    with pytest.raises(TypeError):
+        g.witness[(0, 1)] = 3
 
 
 # --- statistical block properties ----------------------------------------------
