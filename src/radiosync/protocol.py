@@ -83,6 +83,16 @@ class SimConfig:
             raise ValueError(f"offset bound must be positive, got {self.d}")
         if self.beta is not None and not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {self.scale}")
+        for name in ("repetition_k", "rounds", "columns", "backoff_rounds"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if self.transmit_delay < 0:
+            raise ValueError(
+                f"transmit_delay must be non-negative, got {self.transmit_delay}"
+            )
         if self.n is None and self.beta is not None:
             try:
                 self.n = math.ceil(float(self.d) ** self.beta)
@@ -98,8 +108,6 @@ class SimConfig:
         if self.backoff_rounds is None:
             known = self.n if self.n is not None else self.d
             self.backoff_rounds = math.ceil(clamped_log2(known)) ** 2
-        if self.rounds is not None and self.rounds < 1:
-            raise ValueError(f"rounds must be positive, got {self.rounds}")
 
 
 @dataclass
@@ -201,11 +209,10 @@ def build_pipeline_matrix(
     Row by row, ``windows`` independent random windows are drawn and
     laid out back to back; duplicates within a window collapse, so each
     row is strictly increasing. Equivalent to concatenating ``windows``
-    independently generated matrices, drawn node-major (one rng call
-    per row) and deduplicated in one 2-D pass by
-    :func:`~radiosync.randsched.draw_rows`, O(n * windows * draws *
-    log draws). The rows stay flat, one position array plus row
-    starts, and are checked once.
+    independently generated matrices, drawn node-major by one rng call
+    and deduplicated by sorting runs of whole windows in
+    :func:`~radiosync.randsched.draw_rows`. The rows stay flat, one
+    position array plus row starts, and are checked once.
     """
     w, cols, k = params.windows, params.columns, params.draws
     _check_draw_fits(n, params)
@@ -239,13 +246,16 @@ def make_node_states(
     one is ever detected the batch is redrawn, so uniqueness is an
     enforced invariant rather than a probabilistic one.
     """
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets.shape != (n,):
+        raise ValueError(f"need {n} start offsets, got shape {offsets.shape}")
     while True:
         idents = rng.integers(1, 1 << ID_BITS, size=n, dtype=np.int64)
-        if len(set(int(x) for x in idents)) == n:
+        if np.unique(idents).size == n:
             break
     return [
-        NodeState(index=i, ident=int(idents[i]), start_offset=int(offsets[i]))
-        for i in range(n)
+        NodeState(index=i, ident=ident, start_offset=offset)
+        for i, (ident, offset) in enumerate(zip(idents.tolist(), offsets.tolist()))
     ]
 
 
@@ -589,6 +599,8 @@ def run_sync(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
+    if len(states) != matrix.n:
+        raise ValueError(f"{len(states)} node states for a schedule of {matrix.n} rows")
     meetings = detect_meetings(matrix, exclusive=False)
     slots, dst, which = meetings.pairs()
     senders, receivers = meetings.owners[slots], meetings.owners[dst]

@@ -39,6 +39,10 @@ DEFAULT_SCALE = 1.82
 _EMPTY = np.zeros(0, dtype=np.int64)
 _EMPTY.flags.writeable = False
 
+#: values per sort in :func:`draw_rows`: whole windows are sorted
+#: together in runs of about this many (64-256 measure alike)
+_SORT_RUN = 128
+
 
 def clamped_log2(n: int) -> float:
     """log2(n), floored at 1 so degenerate tiny networks keep nonzero
@@ -188,24 +192,36 @@ def draw_rows(
     the rows flat, as ``(positions, starts)`` in the
     :class:`ScheduleMatrix` layout.
 
-    The rng is called once per row with shape ``(windows, draws)``, row
-    after row, so the stream is that of the per-row draws: a single
-    ``(n, windows, draws)`` call could consume it differently, since
-    numpy buffers the 32-bit halves of bounded draws within one call.
-    The dedupe is one 2-D pass: sort each window's draws, add the
-    window starts, drop entries equal to their left neighbour.
-    O(n * windows * draws * log draws).
+    The rng is called once, with shape ``(n, windows, draws)``. That
+    consumes the stream exactly as ``n`` row-by-row calls of shape
+    ``(windows, draws)`` do: bounded draws below 2**32 take 32-bit
+    halves of 64-bit words, and the unused half is cached in the bit
+    generator's own state, not within one call.
+
+    Each window's start is added first, so windows occupy disjoint
+    ranges and sorting a run of whole windows sorts each of them. Runs
+    hold about :data:`_SORT_RUN` values (at least one window), plus one
+    sort of each row's leftover windows. Entries equal to their left
+    neighbour along a row are then dropped. O(n * windows * draws *
+    log _SORT_RUN).
     """
-    raw = np.empty((n, windows, draws), dtype=np.int64)
-    for r in range(n):
-        raw[r] = rng.integers(0, columns, size=(windows, draws))
-    raw.sort(axis=-1)
+    raw = rng.integers(0, columns, size=(n, windows, draws))
+    size = windows * draws
+    if raw.size == 0:
+        return raw.reshape(-1), np.zeros(n + 1, dtype=np.int64)
     raw += np.arange(windows, dtype=np.int64)[:, None] * columns
-    keep = np.ones(raw.shape, dtype=bool)
-    np.not_equal(raw[..., 1:], raw[..., :-1], out=keep[..., 1:])
+    flat = raw.reshape(n, size)
+    run = max(1, _SORT_RUN // draws) * draws
+    whole = size - size % run
+    # both sorts act on views of ``raw``: each row's slice is contiguous
+    flat[:, :whole].reshape(n, -1, run).sort(axis=-1)
+    flat[:, whole:].sort(axis=-1)
+    keep = np.empty(flat.shape, dtype=bool)
+    keep[:, 0] = True
+    np.not_equal(flat[:, 1:], flat[:, :-1], out=keep[:, 1:])
     starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(keep.reshape(n, -1).sum(axis=1), out=starts[1:])
-    return raw[keep], starts
+    np.cumsum(keep.sum(axis=1), out=starts[1:])
+    return flat[keep], starts
 
 
 def gen_matrix(

@@ -157,25 +157,70 @@ def test_empty_rows():
     assert list(detect_meetings(some)) == oracles.detect_meetings(some) == [(2, (0, 2))]
 
 
-@settings(max_examples=50, deadline=None)
-@given(
-    n=st.integers(1, 5),
-    windows=st.integers(1, 4),
-    columns=st.integers(1, 20),
-    draws=st.integers(1, 25),
-    seed=st.integers(0, 2**32),
-)
-def test_draw_rows_matches_oracle(n, windows, columns, draws, seed):
-    fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
+def assert_draw_matches_oracle(n, windows, columns, draws, fast_rng, slow_rng):
     positions, starts = draw_rows(n, windows, columns, draws, fast_rng)
     slow = oracles.draw_rows(n, windows, columns, draws, slow_rng)
-    fast = np.split(positions, starts[1:-1])
+    assert positions.dtype == starts.dtype == np.int64
+    assert starts.shape == (n + 1,)
     assert starts[0] == 0 and starts[-1] == positions.size
+    assert (np.diff(starts) >= 0).all()
+    fast = [positions[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
         assert a.dtype == b.dtype and np.array_equal(a, b)
     # the stream is consumed identically, so later draws agree too
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
+
+
+#: window bounds that are not powers of two, or lie beyond 2**31 and
+#: 2**32 (where bounded draws take whole 64-bit words)
+ODD_COLUMNS = [3, 37, 40_000, 2**31 + 1, 2**32 + 3, 2**33 + 7]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    windows=st.integers(0, 150),
+    columns=st.one_of(st.integers(1, 20), st.sampled_from(ODD_COLUMNS)),
+    draws=st.integers(0, 160),
+    seed=st.integers(0, 2**32),
+)
+def test_draw_rows_matches_oracle(n, windows, columns, draws, seed):
+    assert_draw_matches_oracle(
+        n, windows, columns, draws, spawn_rng(seed), spawn_rng(seed)
+    )
+
+
+@pytest.mark.parametrize(
+    "n, windows, columns, draws",
+    [
+        # many windows per sorted run, and leftover windows in each row
+        (4, 121, 65_536, 2),
+        (3, 130, 37, 3),
+        (2, 64, 5, 2),  # a whole number of runs, no leftover
+        # one window per run, and draws beyond the run length
+        (3, 5, 40_000, 128),
+        (2, 3, 200, 300),
+        (2, 7, 2**31 + 1, 129),
+        (3, 9, 2**32 + 3, 11),
+        (2, 4, 2**33 + 7, 131),
+        # nothing to draw
+        (3, 5, 17, 0),
+        (3, 0, 17, 5),
+    ],
+)
+@pytest.mark.parametrize("cached_half", [False, True], ids=["fresh", "cached-half"])
+def test_draw_rows_runs_and_stream(n, windows, columns, draws, cached_half):
+    fast_rng, slow_rng = spawn_rng(21, draws), spawn_rng(21, draws)
+    if cached_half:
+        # one bounded draw below 2**32 leaves half a 64-bit word cached
+        for rng in (fast_rng, slow_rng):
+            rng.integers(0, 10)
+        assert fast_rng.bit_generator.state["has_uint32"] == 1
+    before = fast_rng.bit_generator.state
+    assert_draw_matches_oracle(n, windows, columns, draws, fast_rng, slow_rng)
+    if draws == 0 or windows == 0:
+        assert fast_rng.bit_generator.state == before
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,19 @@ def test_config_validation():
         SimConfig(d=4, n=1)
     with pytest.raises(ValueError):
         SimConfig(d=4, n=2, rounds=0)
+    # each bad field fails here, naming itself, before any schedule is drawn
+    for field, value in [
+        ("scale", -1.0),
+        ("scale", 0.0),
+        ("scale", math.nan),
+        ("scale", math.inf),
+        ("repetition_k", 0),
+        ("columns", 0),
+        ("backoff_rounds", 0),
+        ("transmit_delay", -1),
+    ]:
+        with pytest.raises(ValueError, match=field):
+            SimConfig(d=64, beta=0.5, exclusive=True, **{field: value})
     # non-finite, or so large that d**beta overflows a float
     for beta in (math.inf, -math.inf, math.nan, 200.0):
         with pytest.raises(ValueError, match="beta"):
@@ -122,6 +135,20 @@ def test_schedule_draw_beyond_memory_is_refused():
     with pytest.raises(ValueError, match="schedule draw too large"):
         estimate_n(SimConfig(d=64), true_n=10**13, rng=rng)
     assert rng.bit_generator.state == before
+
+
+def test_make_node_states_needs_one_offset_per_node():
+    for offsets in ([0, 0], [0, 0, 0, 0], [[0, 0, 0]]):
+        with pytest.raises(ValueError, match="need 3 start offsets"):
+            make_node_states(3, offsets, spawn_rng(0))
+
+
+def test_run_sync_refuses_mismatched_states():
+    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
+    for idents in ([100, 50], [100, 50, 10, 5]):
+        states = states_with_idents(idents)
+        with pytest.raises(ValueError, match=f"{len(idents)} node states .* 3 rows"):
+            run_sync(m, states, rounds=2)
 
 
 def test_make_node_states_unique_idents():
