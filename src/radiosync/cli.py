@@ -10,8 +10,8 @@ Subcommands:
   accept             full acceptance suite
 
 Exit status is 0 iff every requested operation succeeded, 1 when a run
-or check fails, and 2 on invalid input (one ``radiosync: error:`` line
-on stderr).
+or check fails, and 2 on invalid input or a file that cannot be read or
+written (one ``radiosync: error:`` line on stderr).
 """
 
 from __future__ import annotations
@@ -269,7 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"radiosync: error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,18 +5,16 @@ in the base model every awake radio hears every other awake radio at a
 meeting. In the interference model a radio decodes a message only when
 exactly one other radio transmits, so a meeting unit is expanded into
 consecutive back-off slots in which each radio independently transmits
-with probability 1/2. :func:`resolve_backoff_unit` defines this for one
-unit. The flood calls :func:`resolve_backoff` once per schedule copy,
-over all of the copy's meeting units: it draws their coins in meeting
-order, in chunks of ``BACKOFF_CHUNK`` units per ``rng.integers(0, 2,
-...)`` call so the buffer stays small, finds the sole-transmitter
-slots of all of a chunk's units of one size at once, and returns one
-bool per radio: did it transmit alone in some slot. Consecutive int64
-coin draws consume the generator exactly as one draw of their total
-size does, so this gives the same coins, the same winners and the same
-rng state afterwards as resolving the units one by one. The flood then
-relaxes the drawn copies' deliveries (each winner to every other radio
-of its unit) as arrays.
+with probability 1/2. :func:`resolve_backoff_unit` defines this coin by
+coin for one unit. The flood calls :func:`resolve_backoff` once per
+schedule copy, over all of the copy's meeting units, and gets one bool
+per radio: did it transmit alone in some slot. It draws slot counts,
+not coins: in a unit of k radios a slot has radio i as its sole
+transmitter with probability 2**-k, and the slots are independent, so
+the per-radio counts of lone slots are multinomial, one draw per unit
+and one ``rng.multinomial`` call per unit size. The flood then relaxes
+the drawn copies' deliveries (each winner to every other radio of its
+unit) as arrays.
 
 Clock drift is absorbed before any of this applies: when clock speeds
 differ by a bounded ratio, each node groups enough of its own ticks
@@ -159,16 +157,6 @@ def resolve_backoff_unit(
     return out
 
 
-#: contended units whose coins are drawn by one rng call. It caps the
-#: coin buffer at BACKOFF_CHUNK * slots * (largest unit) values, about
-#: 0.15 MB of int64 at d=4096 (36 slots, mostly pairs), converted to
-#: bool at once. Bigger buffers leave free but unreturned C heap behind
-#: across runs: with 512-unit int64 chunks the median peak RSS of the
-#: benchmark's interference workload was 73.6 MB against 67.5 MB for the
-#: per-unit draw; with 256-unit bool chunks it was 65.6 MB
-BACKOFF_CHUNK = 256
-
-
 def resolve_backoff(
     sizes: np.ndarray, slots: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -176,41 +164,22 @@ def resolve_backoff(
     their unit, for units of ``sizes[u]`` radios each, in order.
 
     Returns one bool per radio, units back to back: radio j of unit u
-    is entry ``sizes[:u].sum() + j``, set iff it is among the
-    transmitters :func:`resolve_backoff_unit` reports for that unit. The
-    coins of ``BACKOFF_CHUNK`` units at a time are drawn by one
-    ``rng.integers(0, 2, ...)`` call, unit after unit and each unit
-    slot-major: back-to-back int64 draws of that kind consume the stream
-    exactly as one draw of their total size does, so the coins and the
-    rng state afterwards equal those of the per-unit calls. Units of
-    fewer than two radios draw nothing and win nothing.
+    is entry ``sizes[:u].sum() + j``. The outcome has the distribution
+    of :func:`resolve_backoff_unit`'s coins, drawn from slot counts: in
+    a unit of k radios each of the ``slots`` slots has radio i as its
+    sole transmitter with probability 2**-k, and none with probability
+    1 - k * 2**-k, so one multinomial draw gives every radio's count of
+    lone slots, and a radio is heard iff its count is above 0. For each
+    unit size k >= 2, in ascending order, one ``rng.multinomial`` call
+    draws the units of that size, in order. Units of fewer than two
+    radios draw nothing and win nothing.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     won = np.zeros(int(sizes.sum()), dtype=bool)
     first = np.cumsum(sizes) - sizes
-    for lo in range(0, sizes.size, BACKOFF_CHUNK):
-        chunk = slice(lo, lo + BACKOFF_CHUNK)
-        _resolve_chunk(sizes[chunk], first[chunk], slots, rng, won)
-    return won
-
-
-def _resolve_chunk(
-    sizes: np.ndarray,
-    first: np.ndarray,
-    slots: int,
-    rng: np.random.Generator,
-    won: np.ndarray,
-) -> None:
-    sizes = np.where(sizes < 2, 0, sizes)
-    ends = np.cumsum(sizes * slots)
-    if not ends[-1]:
-        return
-    coins = rng.integers(0, 2, size=int(ends[-1])).astype(bool)
-    starts = ends - sizes * slots
-    for k in np.unique(sizes[sizes > 0]).tolist():
+    for k in np.unique(sizes[sizes >= 2]).tolist():
         which = np.flatnonzero(sizes == k)
-        # tx[j, u, t]: radio j of unit u transmits in slot t
-        at = starts[which, None] + np.arange(slots) * k
-        tx = coins[np.arange(k)[:, None, None] + at]
-        sole = tx.sum(axis=0) == 1
-        won[first[which, None] + np.arange(k)] = (tx & sole).any(axis=2).T
+        alone = 2.0**-k
+        counts = rng.multinomial(slots, [alone] * k + [1 - k * alone], size=which.size)
+        won[first[which, None] + np.arange(k)] = counts[:, :k] > 0
+    return won

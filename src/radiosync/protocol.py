@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# resolve_backoff_unit stays importable here: the benchmark tracer wraps
-# it by this name, though the flood resolves whole passes at once
+# resolve_backoff_unit, the coin-level definition the flood never calls,
+# stays importable here: the benchmark tracer wraps it by this name
 from .netsim import resolve_backoff, resolve_backoff_unit  # noqa: F401
 from .randsched import (
     CommGraph,
@@ -517,7 +517,7 @@ def _deliver_meetings(
     used follow from the last copy L in which any node adopted: L + 1
     when every node ends at ``global_max``, else one more pass that
     changes nothing, min(rounds, L + 2). In the interference model
-    each copy draws its back-off coins with
+    each copy draws its back-off winners with
     :func:`~radiosync.netsim.resolve_backoff`; its deliveries are every
     sole transmitter to the rest of its unit. Copies are drawn until
     ``global_max`` alone has reached every node (every node then holds
@@ -599,6 +599,10 @@ def run_sync(
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
+    if exclusive and backoff_rounds < 1:
+        raise ValueError(f"backoff_rounds must be positive, got {backoff_rounds}")
+    if transmit_delay < 0:
+        raise ValueError(f"transmit_delay must be non-negative, got {transmit_delay}")
     if len(states) != matrix.n:
         raise ValueError(f"{len(states)} node states for a schedule of {matrix.n} rows")
     meetings = detect_meetings(matrix, exclusive=False)
@@ -630,9 +634,7 @@ def run_sync(
 
     root_index = max(range(len(states)), key=lambda i: states[i].ident)
     root_ident = states[root_index].ident
-    end_time = int(matrix.offsets.max()) + matrix.columns * rounds if (
-        matrix.offsets is not None
-    ) else matrix.columns * rounds
+    end_time = int(matrix.offsets.max()) + matrix.columns * rounds
 
     unreached = []
     target_origin = states[root_index].start_offset
@@ -668,7 +670,7 @@ def run_pipeline(
 
     The rng (seeded from ``config.seed`` when not given) draws, in this
     order, the schedule stack, the start offsets, the node identifiers
-    and, in interference mode, the back-off coins.
+    and, in interference mode, the back-off winners.
     """
     if config.n is None:
         raise ValueError("processor count unknown; use estimate_n")

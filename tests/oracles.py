@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from radiosync.netsim import resolve_backoff_unit
+from radiosync.netsim import resolve_backoff
 from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
 
 
@@ -213,12 +213,14 @@ def flood_base(m: ScheduleMatrix, states, rounds, *, transmit_delay, trace=None)
 def deliver_meetings_per_unit(
     meetings, states, *, backoff_rounds, transmit_delay, rng, trace=None, time_base=0
 ):
-    """The interference flood resolving one unit at a time: one
-    ``resolve_backoff_unit`` draw per meeting."""
+    """The interference flood delivering one unit at a time. The copy's
+    winners are drawn as ``run_sync`` draws them, by one
+    ``resolve_backoff`` call over the units' sizes in meeting order."""
+    sizes = [len(participants) for _col, participants in meetings]
+    won = iter(resolve_backoff(sizes, backoff_rounds, rng).tolist())
     changed = False
     for col, participants in meetings:
-        winners = resolve_backoff_unit(participants, backoff_rounds, rng)
-        heard_from = {s for _slot, s in winners}
+        heard_from = {s for s in participants if next(won)}
         if trace is not None:
             delivered = {r: tuple(sorted(heard_from - {r})) for r in participants}
             trace.append(

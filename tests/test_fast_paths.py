@@ -1,8 +1,8 @@
-"""The vectorized meeting kernel, graph builder, schedule draw, batched
-back-off medium, array flood and bit-parallel graph statistics return
-exactly what the slow reference loops in ``oracles`` return."""
+"""The vectorized meeting kernel, graph builder, schedule draw, array
+flood and bit-parallel graph statistics return exactly what the slow
+reference loops in ``oracles`` return. The back-off draw's distribution
+is checked in ``test_netsim.py``."""
 
-from itertools import cycle, islice
 from unittest import mock
 
 import numpy as np
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import oracles
 from radiosync import netsim
-from radiosync.netsim import resolve_backoff_unit
 from radiosync.protocol import (
     NodeState,
     _by_receiver,
@@ -357,72 +356,12 @@ def test_graph_beyond_16_bit_node_indices_matches_oracles():
     assert np.array_equal(by[4], np.unique(receivers))
 
 
-def replay_backoff(units, slots, rng):
-    """Each unit resolved on its own: the set of its transmitters."""
-    return [{s for _slot, s in resolve_backoff_unit(u, slots, rng)} for u in units]
-
-
-def batched_backoff(units, slots, rng):
-    """``resolve_backoff`` over the units' sizes, read back as the set of
-    each unit's transmitters."""
-    won = netsim.resolve_backoff([len(u) for u in units], slots, rng).tolist()
-    out, at = [], 0
-    for u in units:
-        out.append({r for r, w in zip(u, won[at : at + len(u)]) if w})
-        at += len(u)
-    assert at == len(won)
-    return out
-
-
-contended_units = st.lists(
-    st.sets(st.integers(0, 30), min_size=2, max_size=5).map(sorted).map(tuple),
-    min_size=1,
-    max_size=25,
-)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    units=contended_units,
-    slots=st.integers(1, 40),
-    chunk=st.integers(1, 7),
-    seed=st.integers(0, 2**32),
-)
-def test_batched_backoff_matches_per_unit_replay(units, slots, chunk, seed):
-    # a tiny chunk puts many chunk boundaries, and mixed unit sizes
-    # inside a chunk, into every example
-    fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
-    with mock.patch.object(netsim, "BACKOFF_CHUNK", chunk):
-        fast = batched_backoff(units, slots, fast_rng)
-    assert fast == replay_backoff(units, slots, slow_rng)
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    units=contended_units,
-    tail=st.integers(1, 40),
-    slots=st.integers(1, 40),
-    seed=st.integers(0, 2**32),
-)
-def test_batched_backoff_crosses_a_real_chunk_boundary(units, tail, slots, seed):
-    sequence = list(islice(cycle(units), netsim.BACKOFF_CHUNK + tail))
-    fast_rng, slow_rng = spawn_rng(seed), spawn_rng(seed)
-    fast = batched_backoff(sequence, slots, fast_rng)
-    assert fast == replay_backoff(sequence, slots, slow_rng)
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
-
-
 def test_batched_backoff_lone_units_draw_nothing():
     rng = spawn_rng(4)
     before = rng.bit_generator.state
-    assert batched_backoff([(), (3,), (5,)], 9, rng) == [set(), set(), set()]
-    assert batched_backoff([], 9, rng) == []
+    assert netsim.resolve_backoff([0, 1, 1], 9, rng).tolist() == [False, False]
+    assert netsim.resolve_backoff([], 9, rng).size == 0
     assert rng.bit_generator.state == before
-    fast_rng, slow_rng = spawn_rng(4), spawn_rng(4)
-    units = [(1,), (0, 2), (), (1, 3, 4)]
-    assert batched_backoff(units, 6, fast_rng) == replay_backoff(units, 6, slow_rng)
-    assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
 
 def flood_both_ways(m, held, rounds, backoff_rounds, seed):

@@ -26,7 +26,7 @@ RUN_DIGESTS = {
     ),
     "exclusive": (
         "aaef3143e0a10a1de402bfae2b4edeb114c36ee575817b4e536fca4c10ed87e1",
-        "6a5899e049ebdb61f9f8295596bb8d9ed4a607831900ab57a3cd111cd593374b",
+        "6aa9264440e30e24eaaa5c2a2124c2d6f3bd39471de04594fc80535a00b77ef7",
         "60627394415b981b96b6ac889b2689585f3117c73349ee31cb04c593b02eeea1",
     ),
 }

@@ -181,6 +181,11 @@ def test_cli_sync_estimate(capsys):
         # refused before anything is allocated: far beyond any memory
         ["sync", "run", "--d", "4096", "--beta", "3"],
         ["sync", "estimate-n", "--d", "64", "--true-n", str(10**13)],
+        # a file that cannot be read, or written
+        ["sched", "verify", "--d", "4", "--file", "/nonexistent"],
+        ["pack", "--bound", "4", "/nonexistent"],
+        ["sweep", "--config", "/nonexistent.json"],
+        ["sync", "run", "--d", "64", "--out", "/nonexistent/dir/x.csv"],
     ],
     ids=[
         "d-1",
@@ -194,6 +199,10 @@ def test_cli_sync_estimate(capsys):
         "estimate-d-1",
         "beta-huge",
         "true-n-huge",
+        "verify-missing-file",
+        "pack-missing-file",
+        "sweep-missing-config",
+        "run-unwritable-out",
     ],
 )
 def test_cli_bad_input_is_one_line_error(argv, capsys):

@@ -1,5 +1,8 @@
 """Back-off contention and the bounded-drift lemma."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from radiosync.netsim import (
     check_unit_overlap,
     complete_steps,
     max_step_overlap,
+    resolve_backoff,
     resolve_backoff_unit,
 )
 from radiosync.seeding import spawn_rng
@@ -50,6 +54,99 @@ def test_backoff_winners_are_sole_transmitters():
         for slot, sender in wins:
             assert coins[slot].sum() == 1
             assert awake[int(np.flatnonzero(coins[slot])[0])] == sender
+
+
+class FixedCoins:
+    """Stands in for the rng of :func:`resolve_backoff_unit`: its one
+    coin draw returns the given matrix."""
+
+    def __init__(self, coins):
+        self.coins = coins
+
+    def integers(self, low, high, size):
+        assert (low, high, size) == (0, 2, self.coins.shape)
+        return self.coins
+
+
+def exact_heard_sets(k, slots):
+    """Probability of each heard set of a k-radio unit, as a bitmask
+    (bit j: radio j was heard), over all 2**(k*slots) equally likely
+    coin matrices of :func:`resolve_backoff_unit`."""
+    counts = np.zeros(2**k)
+    for bits in itertools.product((0, 1), repeat=k * slots):
+        coins = np.array(bits).reshape(slots, k)
+        winners = resolve_backoff_unit(range(k), slots, FixedCoins(coins))
+        counts[sum(1 << j for j in {s for _slot, s in winners})] += 1
+    return counts / 2 ** (k * slots)
+
+
+def chi2_sf(x, dof):
+    """P[X > x] for X chi-square with ``dof`` degrees of freedom, in
+    closed form: Q(1) = erfc(sqrt(x/2)), Q(2) = exp(-x/2), and
+    Q(v + 2) = Q(v) + exp(-x/2) (x/2)**(v/2) / Gamma(v/2 + 1)."""
+    h = x / 2
+    sf, a = (math.erfc(math.sqrt(h)), 0.5) if dof % 2 else (math.exp(-h), 1.0)
+    while a < dof / 2:
+        sf += math.exp(-h) * h**a / math.gamma(a + 1)
+        a += 1
+    return sf
+
+
+def heard_per_unit(sizes, slots, rng):
+    """``resolve_backoff`` over units of ``sizes``: for each size k, the
+    heard-set bitmask of every unit of that size, in order."""
+    won = resolve_backoff(sizes, slots, rng)
+    first = np.cumsum(sizes) - sizes
+    out = {}
+    for k in np.unique(sizes).tolist():
+        bits = won[first[sizes == k, None] + np.arange(k)]
+        out[k] = bits @ (1 << np.arange(k))
+    return out
+
+
+def test_chi2_sf_matches_known_quantiles():
+    # upper 5% and 0.1% points of the chi-square table
+    for dof, x05, x001 in [(1, 3.841, 10.828), (2, 5.991, 13.816), (7, 14.067, 24.322),
+                           (15, 24.996, 37.697)]:
+        assert chi2_sf(x05, dof) == pytest.approx(0.05, abs=1e-4)
+        assert chi2_sf(x001, dof) == pytest.approx(0.001, abs=1e-5)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+def test_backoff_heard_sets_match_coin_enumeration(slots):
+    # units of 2-4 radios mixed in one call, 10**5 of each size
+    units = 100_000
+    rng = spawn_rng(31, slots)
+    sizes = rng.permutation(np.repeat(np.arange(2, 5), units))
+    got = heard_per_unit(sizes, slots, rng)
+    for k in (2, 3, 4):
+        exact = exact_heard_sets(k, slots)
+        observed = np.bincount(got[k], minlength=2**k)
+        assert observed[exact == 0].sum() == 0
+        expect = units * exact[exact > 0]
+        chi2 = float((((observed[exact > 0] - expect) ** 2) / expect).sum())
+        assert chi2_sf(chi2, expect.size - 1) > 1e-4, (k, chi2)
+
+
+def test_backoff_rates_at_default_slot_count():
+    # 36 slots, the default at d=4096: P[radio heard] = 1 - (1 - 2**-k)**36
+    # and P[all heard] by inclusion-exclusion over the radios never alone
+    slots, units = 36, 200_000
+    rng = spawn_rng(32)
+    for k in (2, 3, 4, 5):
+        heard = heard_per_unit(np.full(units, k), slots, rng)[k]
+        bits = (heard[:, None] >> np.arange(k)) & 1
+        one = 1 - (1 - 2.0**-k) ** slots
+        every = sum(
+            (-1) ** j * math.comb(k, j) * (1 - j * 2.0**-k) ** slots for j in range(k + 1)
+        )
+        # radios of a unit are negatively correlated, so the binomial
+        # spread bounds that of the pooled rate
+        for rate, p, trials in [
+            (bits.mean(), one, k * units),
+            ((heard == 2**k - 1).mean(), every, units),
+        ]:
+            assert abs(rate - p) <= 5 * math.sqrt(p * (1 - p) / trials) + 1e-9, (k, rate, p)
 
 
 # --- drift -------------------------------------------------------------------

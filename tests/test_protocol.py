@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from radiosync.detsched import build_two_proc_schedule, radio_cost
-from radiosync.netsim import resolve_backoff_unit
+from radiosync.netsim import resolve_backoff
 from radiosync.protocol import (
     NodeState,
     SimConfig,
@@ -151,6 +151,30 @@ def test_run_sync_refuses_mismatched_states():
             run_sync(m, states, rounds=2)
 
 
+@pytest.mark.parametrize(
+    "field, value, exclusive",
+    [
+        # no back-off slot: zero cost and no delivery, reported as a run
+        ("backoff_rounds", 0, True),
+        ("transmit_delay", -3, False),
+        ("transmit_delay", -3, True),
+    ],
+)
+def test_run_sync_refuses_what_sim_config_refuses(field, value, exclusive):
+    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
+    with pytest.raises(ValueError, match=field):
+        SimConfig(d=64, beta=0.5, exclusive=exclusive, **{field: value})
+    with pytest.raises(ValueError, match=field):
+        run_sync(
+            m,
+            states_with_idents([100, 50, 10]),
+            2,
+            exclusive=exclusive,
+            rng=spawn_rng(0),
+            **{field: value},
+        )
+
+
 def test_make_node_states_unique_idents():
     for seed in range(5):
         states = make_node_states(64, [0] * 64, spawn_rng(3, seed))
@@ -257,18 +281,22 @@ def test_exclusive_transmitters_replay_backoff():
         rng=spawn_rng(21),
         trace=trace,
     )
+    # each copy's winners are one resolve_backoff draw over its units
     replay = spawn_rng(21)
     assert trace
-    for _t, awake, transmitters, delivered in trace:
-        heard = {s for _slot, s in resolve_backoff_unit(awake, 3, replay)}
-        assert transmitters == tuple(sorted(heard))
-        assert delivered == {r: tuple(sorted(heard - {r})) for r in awake}
+    for copy in range(3):
+        rows = [row for row in trace if row[0] // 16 == copy]
+        won = iter(resolve_backoff([len(row[1]) for row in rows], 3, replay).tolist())
+        for _t, awake, transmitters, delivered in rows:
+            heard = {s for s in awake if next(won)}
+            assert transmitters == tuple(sorted(heard))
+            assert delivered == {r: tuple(sorted(heard - {r})) for r in awake}
 
 
 def test_exclusive_unit_without_winner_delivers_nothing():
     # the first seed whose single back-off slot has no sole transmitter
     seed = next(
-        s for s in range(100) if not resolve_backoff_unit((0, 1, 2), 1, spawn_rng(s))
+        s for s in range(100) if not resolve_backoff([3], 1, spawn_rng(s)).any()
     )
     m = matrix_from_ones(8, [[3], [3], [3]], [0, 0, 0])
     states = states_with_idents([100, 50, 10])
