@@ -26,7 +26,6 @@ from .bitstrings import (
     find_non_overlap_shift,
     overlaps_at,
     pack_non_overlapping,
-    union,
 )
 from .detsched import (
     TwoProcParams,
@@ -70,7 +69,6 @@ __all__ = [
     "NotFound",
     "ShiftAssignment",
     "overlaps_at",
-    "union",
     "find_non_overlap_shift",
     "brute_force_min_overlap_shift",
     "pack_non_overlapping",

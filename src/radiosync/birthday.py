@@ -51,8 +51,8 @@ class BirthdayParams:
             raise ValueError("exponents must lie in (0, 1)")
         if abs(red_exp + blue_exp - 1.0) > 1e-12:
             raise ValueError(f"exponents must sum to 1, got {red_exp + blue_exp}")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"scale must be finite and positive, got {scale}")
         n_red = math.ceil(scale * bins**red_exp)
         n_blue = math.ceil(scale * bins**blue_exp)
         return cls(bins, red_exp, blue_exp, scale, n_red, n_blue)

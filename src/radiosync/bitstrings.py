@@ -8,6 +8,14 @@ of the low-density lower bounds is a difference-set argument: the
 shifts at which two strings collide are exactly the pairwise position
 differences, so any shift outside that set separates them.
 
+One routine, ``_difference_flags``, builds that set as a numpy
+membership table for the shift finder, the packer and the
+two-processor verifier in :mod:`radiosync.detsched`. The table stops at
+|a|*|b| + 1, one past the most differences there can be, so a gap
+always lies inside it, whatever the shift bound. ``overlaps_at`` and
+``brute_force_min_overlap_shift`` test shifts one at a time and stay
+as its independent oracles.
+
 All types are immutable and all operations are pure functions.
 """
 
@@ -16,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -33,6 +43,10 @@ class BitSchedule:
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError(f"length must be positive, got {self.length}")
+        if self.length > 2**63:
+            raise ValueError(
+                f"length {self.length} exceeds 2**63: positions must fit in int64"
+            )
         prev = -1
         for p in self.ones:
             if p <= prev:
@@ -102,79 +116,50 @@ def overlaps_at(a: BitSchedule, b: BitSchedule, shift: int) -> bool:
     return any(q + shift in a_set for q in b.ones)
 
 
-def union(
-    strings: Sequence[BitSchedule],
-    assignment: ShiftAssignment,
-    length: Optional[int] = None,
-) -> BitSchedule:
-    """Bitwise OR of the shifted strings.
-
-    If ``length`` is omitted it is the smallest window containing every
-    shifted string; an explicit ``length`` too small for some shifted
-    position is rejected.
-    """
-    if len(strings) != len(assignment.shifts):
-        raise ValueError(
-            f"{len(strings)} strings but {len(assignment.shifts)} shifts"
-        )
-    if not strings:
-        raise ValueError("union of zero strings is undefined")
-    needed = max(s.length + shift for s, shift in zip(strings, assignment.shifts))
-    if length is None:
-        length = needed
-    elif length < needed:
-        raise ValueError(f"length {length} overflows: shifted strings need {needed}")
-    positions: set[int] = set()
-    for s, shift in zip(strings, assignment.shifts):
-        positions.update(p + shift for p in s.ones)
-    return BitSchedule.from_positions(length, positions)
+#: the most position pairs :func:`_difference_flags` forms at once
+_PAIR_CHUNK = 8_000_000
 
 
 def _difference_flags(
     a_ones: Iterable[int], b_ones: Sequence[int], bound: int
-) -> list[bool]:
-    """Membership table over shifts 0..bound for the difference set of
-    the two position families."""
-    flags = [False] * (bound + 1)
-    for p in a_ones:
-        for q in b_ones:
-            d = p - q
-            if 0 <= d <= bound:
-                flags[d] = True
-    return flags
+) -> np.ndarray:
+    """Membership table of the difference set ``{p - q}`` of the two
+    position families over shifts 0..min(bound, |a|*|b| + 1).
 
-
-def find_non_overlap_shift(
-    a: BitSchedule, b: BitSchedule, bound: int, bidirectional: bool = False
-) -> Optional[int]:
-    """Smallest shift in [0, bound] at which ``b`` avoids every 1 of ``a``.
-
-    Materializes the difference set {p - q} as a membership table and
-    returns the first gap, or ``None`` when every candidate shift is a
-    difference. Whenever ``a.density * b.density <= bound`` a gap is
-    guaranteed by counting.
-
-    With ``bidirectional=True`` negative shifts are allowed too; the
-    candidates are tried in order of absolute value (positive first),
-    so the returned shift minimizes ``abs(shift)``.
+    At most |a|*|b| shifts are differences, so whenever the table stops
+    short of ``bound`` it holds a gap; the ``+ 1`` keeps shift 1 in it
+    for an empty family. The pairs are formed ``_PAIR_CHUNK`` at a time,
+    so memory stays bounded by the pair count and the chunk, never by
+    ``bound`` alone.
     """
     if bound < 0:
         raise ValueError(f"bound must be non-negative, got {bound}")
-    forward = _difference_flags(a.ones, b.ones, bound)
-    if not bidirectional:
-        for i, hit in enumerate(forward):
-            if not hit:
-                return i
-        return None
-    backward = _difference_flags(b.ones, a.ones, bound)
-    if not forward[0]:
-        return 0
-    for i in range(1, bound + 1):
-        if not forward[i]:
-            return i
-        if not backward[i]:
-            return -i
-    return None
+    a = np.fromiter(a_ones, dtype=np.int64)
+    b = np.asarray(b_ones, dtype=np.int64)
+    top = min(bound, a.size * b.size + 1)
+    flags = np.zeros(top + 1, dtype=bool)
+    rows = max(1, _PAIR_CHUNK // max(1, b.size))
+    for lo in range(0, a.size, rows):
+        diffs = (a[lo : lo + rows, None] - b[None, :]).ravel()
+        flags[diffs[(diffs >= 0) & (diffs <= top)]] = True
+    return flags
+
+
+def _first_gap(flags: np.ndarray, start: int = 0) -> Optional[int]:
+    """Smallest shift >= ``start`` that the table marks as no difference."""
+    gaps = np.flatnonzero(~flags[start:])
+    return int(gaps[0]) + start if gaps.size else None
+
+
+def find_non_overlap_shift(a: BitSchedule, b: BitSchedule, bound: int) -> Optional[int]:
+    """Smallest shift in [0, bound] at which ``b`` avoids every 1 of ``a``.
+
+    The first gap in the difference-set table
+    (:func:`_difference_flags`), or ``None`` when every candidate shift
+    is a difference. Whenever ``a.density * b.density <= bound`` a gap
+    is guaranteed by counting.
+    """
+    return _first_gap(_difference_flags(a.ones, b.ones, bound))
 
 
 def brute_force_min_overlap_shift(
@@ -205,8 +190,7 @@ def pack_non_overlapping(
     placed: set[int] = set()
     shifts: list[int] = []
     for idx, s in enumerate(strings):
-        flags = _difference_flags(placed, s.ones, bound)
-        shift = next((i for i, hit in enumerate(flags) if not hit), None)
+        shift = _first_gap(_difference_flags(placed, s.ones, bound))
         if shift is None:
             return NotFound(failing_index=idx)
         shifts.append(shift)

@@ -158,25 +158,25 @@ def _float_list(text: str) -> tuple[float, ...]:
 def cmd_sweep(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key, fallback):
+    def pick(flag_value, key, fallback, kind):
+        """The flag if given, else the file's value, which must be a ``kind``."""
         if flag_value is not None:
             return flag_value
-        return file_values.get(key, fallback)
+        value = file_values.get(key, fallback)
+        if key in file_values and not isinstance(value, kind):
+            names = " or ".join(t.__name__ for t in kind)
+            raise ValueError(f"{args.config}: {key} must be {names}, got {value!r}")
+        return value
 
-    d_grid = pick(args.d_grid, "d_grid", None)
-    if isinstance(d_grid, str):
-        d_grid = _int_list(d_grid)
+    d_grid = pick(args.d_grid, "d_grid", None, (str,))
     if d_grid is None:
         raise ValueError("sweep needs --d-grid (or d_grid in the config file)")
-    beta_grid = pick(args.beta_grid, "beta_grid", (0.5,))
-    if isinstance(beta_grid, str):
-        beta_grid = _float_list(beta_grid)
     spec = ExperimentSpec(
-        d_grid=tuple(d_grid),
-        beta_grid=tuple(beta_grid),
+        d_grid=_int_list(d_grid),
+        beta_grid=_float_list(pick(args.beta_grid, "beta_grid", "0.5", (str,))),
         exclusive_grid=(False, True) if args.both_modes else (args.exclusive,),
-        trials=int(pick(args.trials, "trials", 1)),
-        root_seed=int(pick(args.seed, "seed", 0)),
+        trials=int(pick(args.trials, "trials", 1, (int, str))),
+        root_seed=int(pick(args.seed, "seed", 0, (int, str))),
         out_path=args.out,
     )
     records = run_sweep(spec)

@@ -18,7 +18,10 @@ which fills the full window; otherwise the index ranges are trimmed
 included) to keep the window within its bound.
 
 ``verify_self_overlap`` is the arbiter for all of this: it checks
-every shift exhaustively and is what the test suite trusts.
+every shift 1..d against the difference-set table shared with the
+shift finder (``bitstrings._difference_flags``), which is bounded by
+the position-pair count rather than by d; the tests compare it with a
+literal per-shift loop.
 """
 
 from __future__ import annotations
@@ -27,9 +30,7 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
-import numpy as np
-
-from .bitstrings import BitSchedule
+from .bitstrings import BitSchedule, _difference_flags, _first_gap
 
 
 def ceil_sqrt(d: int) -> int:
@@ -83,22 +84,12 @@ def first_uncovered_shift(s: BitSchedule, d: int) -> Optional[int]:
     or ``None`` when every shift produces a collision.
 
     A shift collides iff it is a pairwise difference of one-positions,
-    so coverage is checked on the difference set directly; chunking
-    keeps the position-pair table memory-bounded for dense strings.
+    so this is the first gap past shift 0 in the shared difference-set
+    table.
     """
     if d < 1:
         raise ValueError(f"offset bound must be positive, got {d}")
-    if not s.ones:
-        return 1
-    ones = np.asarray(s.ones, dtype=np.int64)
-    covered = np.zeros(d + 1, dtype=bool)
-    chunk = max(1, 8_000_000 // max(1, len(ones)))
-    for start in range(0, len(ones), chunk):
-        diffs = ones[start : start + chunk, None] - ones[None, :]
-        diffs = diffs[(diffs >= 1) & (diffs <= d)]
-        covered[diffs] = True
-    missing = np.flatnonzero(~covered[1:])
-    return int(missing[0]) + 1 if missing.size else None
+    return _first_gap(_difference_flags(s.ones, s.ones, d), start=1)
 
 
 def verify_self_overlap(s: BitSchedule, d: int) -> bool:

@@ -2,9 +2,8 @@
 
 Every output is a pure function of the root seed: per-trial generators
 are derived from (root seed, cell index, trial index), cells and
-trials are emitted in deterministic order, and wall-clock timings are
-kept out of the CSV files so identical inputs give byte-identical
-outputs.
+trials are emitted in deterministic order, and no wall-clock time is
+recorded, so identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,12 +12,9 @@ import csv
 import io
 import json
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .protocol import SimConfig, run_pipeline
 from .randsched import graph_stats
@@ -88,7 +84,6 @@ class SummaryRecord:
     mean_max_radio_cost: float
     max_radio_cost: int
     mean_diameter: float
-    wall_clock_s: float = field(compare=False, default=0.0)
 
     def csv_row(self) -> list:
         return [
@@ -109,7 +104,6 @@ def run_one(
     beta: float,
     exclusive: bool,
     seed: int,
-    rng: Optional[np.random.Generator] = None,
     trace: Optional[list] = None,
 ) -> dict:
     """Single seeded pipeline run, reported as a flat record.
@@ -117,10 +111,8 @@ def run_one(
     ``trace``, when given, collects one radio event per meeting unit.
     The per-node awake counts ride along under a non-CSV key.
     """
-    if rng is None:
-        rng = spawn_rng(seed)
     config = SimConfig(d=d, beta=beta, exclusive=exclusive, seed=seed)
-    result = run_pipeline(config, rng, trace=trace)
+    result = run_pipeline(config, spawn_rng(seed), trace=trace)
     stats = graph_stats(result.comm_graph, root=result.root_index)
     return {
         "seed": seed,
@@ -147,7 +139,6 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
 
     records = []
     for cell_idx, (d, beta, excl) in enumerate(spec.cells()):
-        t0 = time.perf_counter()
         runs = []
         for trial_idx in range(spec.trials):
             seed = derive_seed(spec.root_seed, cell_idx, trial_idx)
@@ -167,7 +158,6 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
                 mean_diameter=(
                     sum(diameters) / len(diameters) if diameters else math.inf
                 ),
-                wall_clock_s=time.perf_counter() - t0,
             )
         )
     if spec.out_path is not None:

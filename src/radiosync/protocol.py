@@ -605,7 +605,7 @@ def run_sync(
         raise ValueError(f"transmit_delay must be non-negative, got {transmit_delay}")
     if len(states) != matrix.n:
         raise ValueError(f"{len(states)} node states for a schedule of {matrix.n} rows")
-    meetings = detect_meetings(matrix, exclusive=False)
+    meetings = detect_meetings(matrix)
     slots, dst, which = meetings.pairs()
     senders, receivers = meetings.owners[slots], meetings.owners[dst]
     cols = meetings.cols[which]

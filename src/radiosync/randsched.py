@@ -296,13 +296,13 @@ class Meetings:
         return src + base, dst + base, which
 
 
-def detect_meetings(m: ScheduleMatrix, exclusive: bool = False) -> Meetings:
+def detect_meetings(m: ScheduleMatrix) -> Meetings:
     """Columns at which rows can exchange messages.
 
     Row ``r`` is awake at global column ``t`` iff ``t - offsets[r]`` is
-    one of its positions. Base mode reports every column with >= 2
-    awake rows; exclusive mode keeps only columns with exactly two
-    (any third awake radio jams the channel).
+    one of its positions. Every column with >= 2 awake rows is reported,
+    with its size; the interference model keeps the meetings of size 2
+    when it builds its graph (see :func:`radiosync.protocol.run_sync`).
 
     One sort-and-group pass: every awake unit is keyed ``column * n +
     row``, the keys are sorted, and runs of equal columns form the
@@ -332,8 +332,6 @@ def detect_meetings(m: ScheduleMatrix, exclusive: bool = False) -> Meetings:
     first = np.flatnonzero(np.diff(shared, prepend=-2) != 1)
     starts = shared[first]
     counts = np.diff(first, append=shared.size) + 1
-    if exclusive:
-        starts, counts = starts[counts == 2], counts[counts == 2]
     packed = np.cumsum(counts) - counts
     units = keys[np.repeat(starts - packed, counts) + np.arange(counts.sum())]
     owners = units % n
@@ -447,9 +445,9 @@ def graph_from_meetings(n: int, meetings: Meetings) -> CommGraph:
     return graph_from_pairs(n, owners[src], owners[dst], meetings.cols[which])
 
 
-def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False) -> CommGraph:
+def build_comm_graph(m: ScheduleMatrix) -> CommGraph:
     """Graph whose edges are row pairs with at least one meeting."""
-    return graph_from_meetings(m.n, detect_meetings(m, exclusive=exclusive))
+    return graph_from_meetings(m.n, detect_meetings(m))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ def rows(m: ScheduleMatrix) -> list[np.ndarray]:
     return np.split(m.positions, m.starts[1:-1])
 
 
-def detect_meetings(m: ScheduleMatrix, exclusive: bool = False):
+def detect_meetings(m: ScheduleMatrix):
     """One Python step per awake global column."""
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
@@ -39,7 +39,7 @@ def detect_meetings(m: ScheduleMatrix, exclusive: bool = False):
     meetings = []
     for lo, hi in zip(starts, ends):
         count = hi - lo
-        if count < 2 or (exclusive and count != 2):
+        if count < 2:
             continue
         meetings.append((int(cols[lo]), tuple(int(x) for x in owner[lo:hi])))
     return meetings
@@ -59,8 +59,8 @@ def graph_from_meetings(meetings) -> dict[tuple[int, int], int]:
     return witness
 
 
-def build_comm_graph(m: ScheduleMatrix, exclusive: bool = False):
-    return graph_from_meetings(detect_meetings(m, exclusive=exclusive))
+def build_comm_graph(m: ScheduleMatrix):
+    return graph_from_meetings(detect_meetings(m))
 
 
 def graph(n: int, witness) -> CommGraph:

@@ -66,14 +66,16 @@ def test_bounds_and_overlap(d):
 
 def test_fast_verifier_matches_naive_loop():
     # the coverage-based verifier and the literal loop must agree on
-    # arbitrary strings, including the first failing shift
+    # arbitrary strings, including the first failing shift; empty
+    # strings included, and d far past |s|**2 and the string length
+    # (the loop stops at the first gap, which lies below L)
     rng = spawn_rng(31)
-    for _ in range(100):
-        L = int(rng.integers(8, 120))
-        m = int(rng.integers(1, min(L, 14)))
+    for _ in range(200):
+        L = int(rng.integers(1, 120))
+        m = int(rng.integers(0, min(L, 14) + 1))
         s = BitSchedule.from_positions(L, rng.choice(L, m, replace=False))
-        d = int(rng.integers(1, L))
-        assert first_uncovered_shift(s, d) == naive_verify(s, d)
+        for d in (int(rng.integers(1, L + 1)), int(rng.integers(L, 4 * L)), 10**12):
+            assert first_uncovered_shift(s, d) == naive_verify(s, d)
 
 
 def test_dense_string_always_overlaps():

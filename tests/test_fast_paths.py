@@ -88,22 +88,23 @@ def assert_csr_matches(g):
     assert g.degrees().tolist() == [len(nbrs) for nbrs in adj]
 
 
-@settings(max_examples=200, deadline=None)
-@given(m=matrices(), exclusive=st.booleans())
-def test_kernel_and_graph_match_oracle(m, exclusive):
-    assert list(detect_meetings(m, exclusive)) == oracles.detect_meetings(m, exclusive)
-    assert witness_items(build_comm_graph(m, exclusive).witness) == witness_items(
-        oracles.build_comm_graph(m, exclusive)
+def assert_kernel_and_graph_match_oracle(m):
+    assert list(detect_meetings(m)) == oracles.detect_meetings(m)
+    assert witness_items(build_comm_graph(m).witness) == witness_items(
+        oracles.build_comm_graph(m)
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=matrices())
+def test_kernel_and_graph_match_oracle(m):
+    assert_kernel_and_graph_match_oracle(m)
 
 
 @settings(max_examples=50, deadline=None)
-@given(m=matrices(zero_offsets=True), exclusive=st.booleans())
-def test_zero_offsets_match_oracle(m, exclusive):
-    assert list(detect_meetings(m, exclusive)) == oracles.detect_meetings(m, exclusive)
-    assert witness_items(build_comm_graph(m, exclusive).witness) == witness_items(
-        oracles.build_comm_graph(m, exclusive)
-    )
+@given(m=matrices(zero_offsets=True))
+def test_zero_offsets_match_oracle(m):
+    assert_kernel_and_graph_match_oracle(m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,15 +137,8 @@ def test_every_row_awake_in_one_column(n):
     m = ScheduleMatrix(
         n=n, columns=8, positions=[np.array([3])] * n, offsets=[0] * n
     )
-    for exclusive in (False, True):
-        got = list(detect_meetings(m, exclusive))
-        assert got == oracles.detect_meetings(m, exclusive)
-        assert witness_items(build_comm_graph(m, exclusive).witness) == witness_items(
-            oracles.build_comm_graph(m, exclusive)
-        )
-    expected = [(3, tuple(range(n)))] if n >= 2 else []
-    assert list(detect_meetings(m)) == expected
-    assert list(detect_meetings(m, exclusive=True)) == (expected if n == 2 else [])
+    assert_kernel_and_graph_match_oracle(m)
+    assert list(detect_meetings(m)) == ([(3, tuple(range(n)))] if n >= 2 else [])
 
 
 def test_empty_rows():

@@ -102,6 +102,16 @@ def test_cli_pack(tmp_path, capsys):
     assert lines[0].split("\t")[0] == "0"
 
 
+def test_cli_huge_bound_answers_from_the_pair_count(tmp_path, capsys):
+    # the difference-set table stops at |a|*|b| + 1 shifts, not at the bound
+    f = tmp_path / "three.txt"
+    f.write_text("L=8\n0 1 3\n")
+    assert main(["sched", "verify", "--d", str(10**12), "--file", str(f)]) == 1
+    assert capsys.readouterr().out == "FAIL: no overlap at shift 4\n"
+    assert main(["pack", "--bound", str(10**12), str(f), str(f)]) == 0
+    assert capsys.readouterr().out == f"0\t{f}\n4\t{f}\n"
+
+
 def test_cli_pack_not_found(tmp_path, capsys):
     f = tmp_path / "full.txt"
     f.write_text("L=4\n0 1 2 3\n")
@@ -166,6 +176,14 @@ def test_cli_sync_estimate(capsys):
     assert "accepted" in capsys.readouterr().out
 
 
+BAD_INPUT_FILES = {
+    "int-grid.json": json.dumps({"d_grid": 64}),
+    "null-trials.json": json.dumps({"d_grid": "64", "trials": None}),
+    "three.txt": "L=8\n0 1 3\n",
+    "huge.txt": f"L={10**20}\n0 {10**20 - 1}\n",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -186,6 +204,13 @@ def test_cli_sync_estimate(capsys):
         ["pack", "--bound", "4", "/nonexistent"],
         ["sweep", "--config", "/nonexistent.json"],
         ["sync", "run", "--d", "64", "--out", "/nonexistent/dir/x.csv"],
+        # config values of the wrong type, a non-finite scale, a negative
+        # bound, positions past int64
+        ["sweep", "--config", "{tmp}/int-grid.json"],
+        ["sweep", "--config", "{tmp}/null-trials.json"],
+        ["birthday", "--lemma", "1", "--L", "100", "--C", "inf"],
+        ["pack", "--bound", "-1", "{tmp}/three.txt"],
+        ["pack", "--bound", "4", "{tmp}/huge.txt"],
     ],
     ids=[
         "d-1",
@@ -203,10 +228,17 @@ def test_cli_sync_estimate(capsys):
         "pack-missing-file",
         "sweep-missing-config",
         "run-unwritable-out",
+        "sweep-int-grid",
+        "sweep-null-trials",
+        "birthday-scale-inf",
+        "pack-negative-bound",
+        "pack-length-past-int64",
     ],
 )
-def test_cli_bad_input_is_one_line_error(argv, capsys):
-    assert main(argv) == 2
+def test_cli_bad_input_is_one_line_error(argv, tmp_path, capsys):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()

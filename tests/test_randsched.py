@@ -7,6 +7,7 @@ import pytest
 
 import oracles
 from radiosync.bitstrings import BitSchedule, ShiftAssignment, pack_non_overlapping
+from radiosync.protocol import make_node_states, run_sync
 from radiosync.randsched import (
     CommGraph,
     ScheduleMatrix,
@@ -26,6 +27,14 @@ def matrix_from_ones(columns, rows, offsets=None):
         positions=[np.array(sorted(r), dtype=np.int64) for r in rows],
     )
     return m.with_offsets(offsets) if offsets is not None else m
+
+
+def interference_graph(m):
+    """The graph ``run_sync`` builds in interference mode: meetings of
+    exactly two rows only."""
+    rng = spawn_rng(0)
+    states = make_node_states(m.n, m.offsets, rng)
+    return run_sync(m, states, 1, exclusive=True, rng=rng).comm_graph
 
 
 # --- generation -------------------------------------------------------------
@@ -157,7 +166,6 @@ def test_detect_beyond_int32_columns():
     big = 2**40
     m = matrix_from_ones(big, [[5, big - 9], [big - 7], [0, big - 10]], [2, 0, 3])
     assert list(detect_meetings(m)) == [(big - 7, (0, 1, 2))]
-    assert list(detect_meetings(m, exclusive=True)) == []
     m = matrix_from_ones(64, [[5], [3]], offsets=[2**31, 2**31 + 2])
     assert list(detect_meetings(m)) == [(2**31 + 5, (0, 1))]
 
@@ -170,11 +178,10 @@ def test_single_meeting_hand_case():
 
 def test_exclusive_drops_crowded_columns():
     m = matrix_from_ones(8, [[4], [4], [4]], offsets=[0, 0, 0])
-    assert list(detect_meetings(m, exclusive=True)) == []
-    assert list(detect_meetings(m, exclusive=False)) == [(4, (0, 1, 2))]
-    g = build_comm_graph(m, exclusive=False)
+    assert list(detect_meetings(m)) == [(4, (0, 1, 2))]
+    g = build_comm_graph(m)
     assert g.edges == {(0, 1), (0, 2), (1, 2)}  # all pairs witnessed
-    assert build_comm_graph(m, exclusive=True).edges == frozenset()
+    assert interference_graph(m).edges == frozenset()
 
 
 def test_disjoint_schedules_empty_graph():
@@ -203,8 +210,7 @@ def test_packed_shifts_produce_no_meetings():
 def test_witness_soundness():
     rng = spawn_rng(30)
     m = gen_matrix(6, 128, 0.5, 1.82, rng).with_offsets(rng.integers(0, 33, 6))
-    for exclusive in (False, True):
-        g = build_comm_graph(m, exclusive=exclusive)
+    for exclusive, g in ((False, build_comm_graph(m)), (True, interference_graph(m))):
         for (i, j), col in g.witness.items():
             awake = [
                 r
@@ -219,7 +225,7 @@ def test_witness_soundness():
 def test_exclusive_edges_subset_of_base():
     rng = spawn_rng(31)
     m = gen_matrix(8, 64, 0.5, 2.0, rng).with_offsets(rng.integers(0, 17, 8))
-    assert build_comm_graph(m, exclusive=True).edges <= build_comm_graph(m).edges
+    assert interference_graph(m).edges <= build_comm_graph(m).edges
 
 
 def test_double_construction_identical():
