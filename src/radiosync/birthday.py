@@ -19,6 +19,7 @@ are reproducible and trivially parallelizable.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +43,10 @@ class BirthdayParams:
     def from_exponents(
         cls, bins: int, red_exp: float, scale: float, blue_exp: float | None = None
     ) -> "BirthdayParams":
-        """Derive ball counts; ``blue_exp`` defaults to 1 - red_exp."""
+        """Derive ball counts; ``blue_exp`` defaults to 1 - red_exp.
+
+        Counts whose draw, 8 bytes a ball, would exceed the machine's
+        physical memory are refused before anything is allocated."""
         if blue_exp is None:
             blue_exp = 1.0 - red_exp
         if bins < 1:
@@ -53,9 +57,18 @@ class BirthdayParams:
             raise ValueError(f"exponents must sum to 1, got {red_exp + blue_exp}")
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be finite and positive, got {scale}")
-        n_red = math.ceil(scale * bins**red_exp)
-        n_blue = math.ceil(scale * bins**blue_exp)
-        return cls(bins, red_exp, blue_exp, scale, n_red, n_blue)
+        try:
+            red, blue = scale * bins**red_exp, scale * bins**blue_exp
+        except OverflowError:  # a bin count beyond the float range
+            red = blue = math.inf
+        need = 8 * (red + blue)
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > have:
+            raise ValueError(
+                f"ball draw too large: scale {scale} gives {red:.4g} red and "
+                f"{blue:.4g} blue balls, {need:.4g} bytes; physical memory is {have}"
+            )
+        return cls(bins, red_exp, blue_exp, scale, math.ceil(red), math.ceil(blue))
 
 
 @dataclass(frozen=True)

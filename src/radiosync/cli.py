@@ -147,36 +147,47 @@ def cmd_sync_estimate_n(args) -> int:
     return 0 if res.accepted else 1
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(","))
+def _number(token, source: str, kind: type):
+    """``token`` as a ``kind``; one that does not parse is refused with
+    ``source``, the flag or config key it came from, and the token."""
+    try:
+        return kind(token)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{source}: {token!r} is not {noun}") from None
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(","))
+def _grid(text: str, source: str, kind: type) -> tuple:
+    """The comma-separated ``kind`` values of a grid (see :func:`_number`)."""
+    return tuple(_number(token, source, kind) for token in text.split(","))
 
 
 def cmd_sweep(args) -> int:
     file_values = load_config_file(args.config) if args.config else {}
 
-    def pick(flag_value, key, fallback, kind):
-        """The flag if given, else the file's value, which must be a ``kind``."""
+    def pick(flag_value, flag, key, fallback, kind):
+        """The flag if given, else the file's value, which must be a
+        ``kind``; with the flag or config key it came from."""
         if flag_value is not None:
-            return flag_value
+            return flag_value, flag
         value = file_values.get(key, fallback)
         if key in file_values and not isinstance(value, kind):
             names = " or ".join(t.__name__ for t in kind)
             raise ValueError(f"{args.config}: {key} must be {names}, got {value!r}")
-        return value
+        return value, f"{args.config}: {key}"
 
-    d_grid = pick(args.d_grid, "d_grid", None, (str,))
+    d_grid, d_source = pick(args.d_grid, "--d-grid", "d_grid", None, (str,))
     if d_grid is None:
         raise ValueError("sweep needs --d-grid (or d_grid in the config file)")
+    beta_grid, beta_source = pick(
+        args.beta_grid, "--beta-grid", "beta_grid", "0.5", (str,)
+    )
     spec = ExperimentSpec(
-        d_grid=_int_list(d_grid),
-        beta_grid=_float_list(pick(args.beta_grid, "beta_grid", "0.5", (str,))),
+        d_grid=_grid(d_grid, d_source, int),
+        beta_grid=_grid(beta_grid, beta_source, float),
         exclusive_grid=(False, True) if args.both_modes else (args.exclusive,),
-        trials=int(pick(args.trials, "trials", 1, (int, str))),
-        root_seed=int(pick(args.seed, "seed", 0, (int, str))),
+        trials=_number(*pick(args.trials, "--trials", "trials", 1, (int, str)), int),
+        root_seed=_number(*pick(args.seed, "--seed", "seed", 0, (int, str)), int),
         out_path=args.out,
     )
     records = run_sweep(spec)

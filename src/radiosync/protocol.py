@@ -221,8 +221,11 @@ def build_pipeline_matrix(
 
 
 def _check_draw_fits(n: int, params: PipelineParams) -> None:
-    """Refuse a schedule draw whose raw int64 buffer alone would exceed
-    the machine's physical memory, before anything is allocated."""
+    """Refuse a schedule draw that would exceed the machine's physical
+    memory, before anything is allocated. The price is 8 bytes a draw:
+    the raw int32 buffer of :func:`~radiosync.randsched.draw_rows` plus
+    its deduplicated copy, or the raw buffer alone where positions need
+    int64."""
     need = n * params.windows * params.draws * 8
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -274,14 +277,19 @@ class PipelineResult:
 
 
 def _arrivals(
-    label: np.ndarray, cols: np.ndarray, period: int, never: int
+    label: np.ndarray, senders: np.ndarray, cols: np.ndarray, period: int, never: int
 ) -> np.ndarray:
-    """Arrival labels of deliveries at ``cols`` from senders that
-    adopted at ``label``: the column in the sender's own copy if it
-    comes later, in the next copy otherwise (-1, a holder, means copy
-    0), and ``never`` once past the budget."""
+    """Arrival labels of deliveries at ``cols`` from ``senders``, where
+    node v adopted at ``label[v]``: the column in the sender's own copy
+    if it comes later, in the next copy otherwise (-1, a holder, means
+    copy 0), and ``never`` once past the budget. Each label is split
+    into its copy's start and its column once per node, not once per
+    delivery."""
     at = label % period
-    return np.minimum(label - at + cols + np.where(cols > at, 0, period), never)
+    arrive = (label - at)[senders]
+    arrive += cols
+    arrive += (cols <= at[senders]) * period
+    return np.minimum(arrive, never, out=arrive)
 
 
 def _by_receiver(
@@ -304,7 +312,7 @@ def _relax(
     labels and every delivery's arrival."""
     senders, _receivers, cols, heads, into = deliveries
     while True:
-        arrive = _arrivals(label[senders], cols, period, never)
+        arrive = _arrivals(label, senders, cols, period, never)
         nxt = label.copy()
         nxt[into] = np.minimum(label[into], np.minimum.reduceat(arrive, heads))
         if np.array_equal(nxt, label):
@@ -312,20 +320,32 @@ def _relax(
         label = nxt
 
 
+def _departures(
+    deadline: np.ndarray, receivers: np.ndarray, cols: np.ndarray, period: int
+) -> np.ndarray:
+    """Latest departure label of each delivery at ``cols`` (each in
+    ``[0, period)``) into ``receivers``, for the message to be held by
+    the receiver before its ``deadline``: the delivery's column in the
+    last copy that arrives before the deadline, -1 where none does.
+    ``deadline - 1`` is split into a copy and a column once per node."""
+    copy, at = np.divmod(deadline - 1, period)
+    copy = copy[receivers] - (cols > at[receivers])
+    return np.where(copy >= 0, copy * period + cols, -1)
+
+
 def _deadlines(
     open_: np.ndarray, backward: tuple[np.ndarray, ...], period: int, never: int
 ) -> np.ndarray:
     """For every node, the label before which it must hold a message
     for that message to reach an ``open_`` node by a time-respecting
-    path within the budget; -1 where none can. Latest departures,
-    relaxed backwards over the deliveries grouped by sender (the
-    :func:`_by_receiver` layout with the ends swapped) until nothing
-    moves."""
+    path within the budget; -1 where none can. Latest departures
+    (:func:`_departures`), relaxed backwards over the deliveries grouped
+    by sender (the :func:`_by_receiver` layout with the ends swapped)
+    until nothing moves."""
     receivers, _senders, cols, heads, into = backward
     deadline = np.where(open_, never, -1)
     while True:
-        copy = (deadline[receivers] - 1 - cols) // period
-        leave = np.where(copy >= 0, copy * period + cols, -1)
+        leave = _departures(deadline, receivers, cols, period)
         nxt = deadline.copy()
         nxt[into] = np.maximum(deadline[into], np.maximum.reduceat(leave, heads))
         if np.array_equal(nxt, deadline):
@@ -453,7 +473,9 @@ def _spread(
                 backward = _by_receiver(receivers, senders, cols, n)
             if active is deliveries:
                 deadline = _deadlines(open_, backward, period, never)
-                keep = (deadline[receivers] - 1 - cols) // period >= 0
+                # a delivery leaves in some copy iff its column comes
+                # before its receiver's deadline
+                keep = deadline[receivers] > cols
                 active = _by_receiver(senders[keep], receivers[keep], cols[keep], n)
             source &= deadline >= 0
             if not source.any():

@@ -17,7 +17,10 @@ Everything is held as flat arrays from the draw to the graph: a
 matrix's rows lie back to back in one position array, meetings are
 arrays of columns and owners, and the graph is an edge list plus a CSR
 adjacency. Grouping by node index uses stable 16-bit radix passes
-(:func:`_radix_order`) rather than comparison sorts.
+(:func:`_radix_order`) rather than comparison sorts. Schedule positions
+and meeting sort keys are int32 whenever every value they can take
+fits (:func:`_width`), which halves what the draw and the meeting
+sort move; meetings and graphs are int64.
 """
 
 from __future__ import annotations
@@ -42,6 +45,14 @@ _EMPTY.flags.writeable = False
 #: values per sort in :func:`draw_rows`: whole windows are sorted
 #: together in runs of about this many (64-256 measure alike)
 _SORT_RUN = 128
+
+_INT32_MAX = np.iinfo(np.int32).max
+
+
+def _width(bound: int) -> type:
+    """The integer type of values in ``[0, bound)``: int32 when
+    ``bound`` is at most 2**31 - 1, int64 otherwise."""
+    return np.int32 if bound <= _INT32_MAX else np.int64
 
 
 def clamped_log2(n: int) -> float:
@@ -98,16 +109,42 @@ def _as_offsets(n: int, offsets) -> np.ndarray:
     return _read_only(offsets)
 
 
+def _check_rows(flat: np.ndarray, ends: np.ndarray, columns: int) -> None:
+    """Every row of the flat positions (row ``r`` ends before
+    ``ends[r]``) must be strictly increasing inside ``[0, columns)``; a
+    repeated position would make a row meet itself. One pass over the
+    positions."""
+    if flat.size == 0:
+        return
+    if flat.min() < 0 or flat.max() >= columns:
+        at = int(np.argmax((flat < 0) | (flat >= columns)))
+        raise ValueError(
+            f"row {np.searchsorted(ends, at, side='right')}: position "
+            f"{flat[at]} outside [0, {columns})"
+        )
+    repeat = flat[1:] <= flat[:-1]
+    # pairs straddling two rows are not steps within a row
+    repeat[ends[(ends > 0) & (ends < flat.size)] - 1] = False
+    if repeat.any():
+        at = int(np.argmax(repeat)) + 1
+        raise ValueError(
+            f"row {np.searchsorted(ends, at, side='right')}: positions must be "
+            f"strictly increasing, {flat[at - 1]} then {flat[at]}"
+        )
+
+
 class ScheduleMatrix:
     """n rows of wake-up positions over a shared window, held flat.
 
     Row ``r`` is ``positions[starts[r]:starts[r + 1]]``, strictly
-    increasing integers inside ``[0, columns)``; both arrays are
-    read-only int64, and the rows are checked once, on construction.
-    ``positions`` may also be given as a sequence of ``n`` 1-D integer
-    rows, with ``starts`` left out. ``offsets`` are the per-row global
-    start times (None until assigned); :meth:`with_offsets` assigns them
-    to a copy that shares the checked rows.
+    increasing integers inside ``[0, columns)``; the rows are checked
+    once, on construction. Both arrays are read-only: ``starts`` is
+    int64, ``positions`` int32 when ``columns`` is at most 2**31 - 1 and
+    int64 otherwise (:func:`_width`), whatever integer type it is given
+    in. ``positions`` may also be given as a sequence of ``n`` 1-D
+    integer rows, with ``starts`` left out. ``offsets`` are the per-row
+    global start times (None until assigned); :meth:`with_offsets`
+    assigns them to a copy that shares the checked rows.
     """
 
     def __init__(
@@ -119,6 +156,7 @@ class ScheduleMatrix:
         *,
         starts: Optional[np.ndarray] = None,
     ) -> None:
+        width = _width(columns)
         if starts is None:
             if n != len(positions):
                 raise ValueError(f"{n} rows declared, {len(positions)} given")
@@ -126,7 +164,9 @@ class ScheduleMatrix:
             positions = np.concatenate([_EMPTY, *rows])
             starts = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
         else:
-            positions = _integers("positions", positions)
+            positions = np.asarray(positions)
+            if positions.dtype != width:
+                positions = _integers("positions", positions)
             starts = _integers("row starts", starts)
             if (
                 positions.ndim != 1
@@ -139,35 +179,13 @@ class ScheduleMatrix:
                     f"need {n + 1} ascending row starts from 0 to {positions.size} "
                     "over one flat position array"
                 )
+        # checked at the width given, so nothing wraps before the check
+        _check_rows(positions, starts[1:], columns)
         self.n = n
         self.columns = columns
-        self.positions = _read_only(positions)
+        self.positions = _read_only(positions.astype(width, copy=False))
         self.starts = _read_only(starts)
-        self._check_positions()
         self.offsets = None if offsets is None else _as_offsets(n, offsets)
-
-    def _check_positions(self) -> None:
-        """Every row must be strictly increasing inside ``[0, columns)``;
-        a repeated position would make a row meet itself. One pass over
-        the flat positions."""
-        flat, ends = self.positions, self.starts[1:]
-        if flat.size == 0:
-            return
-        if flat.min() < 0 or flat.max() >= self.columns:
-            at = int(np.argmax((flat < 0) | (flat >= self.columns)))
-            raise ValueError(
-                f"row {np.searchsorted(ends, at, side='right')}: position "
-                f"{flat[at]} outside [0, {self.columns})"
-            )
-        repeat = flat[1:] <= flat[:-1]
-        # pairs straddling two rows are not steps within a row
-        repeat[ends[(ends > 0) & (ends < flat.size)] - 1] = False
-        if repeat.any():
-            at = int(np.argmax(repeat)) + 1
-            raise ValueError(
-                f"row {np.searchsorted(ends, at, side='right')}: positions must be "
-                f"strictly increasing, {flat[at - 1]} then {flat[at]}"
-            )
 
     def densities(self) -> np.ndarray:
         return np.diff(self.starts)
@@ -190,13 +208,17 @@ def draw_rows(
     units, ``draws`` uniform wake-ups per window, duplicates within a
     window collapsed; each row comes out strictly increasing. Returns
     the rows flat, as ``(positions, starts)`` in the
-    :class:`ScheduleMatrix` layout.
+    :class:`ScheduleMatrix` layout: ``starts`` int64, ``positions``
+    int32 when ``windows * columns`` is at most 2**31 - 1, else int64
+    (:func:`_width`). The draw, the sorts and the dedupe all run at that
+    width.
 
     The rng is called once, with shape ``(n, windows, draws)``. That
-    consumes the stream exactly as ``n`` row-by-row calls of shape
-    ``(windows, draws)`` do: bounded draws below 2**32 take 32-bit
-    halves of 64-bit words, and the unused half is cached in the bit
-    generator's own state, not within one call.
+    consumes the stream exactly as ``n`` row-by-row int64 calls of
+    shape ``(windows, draws)`` do: bounded draws below 2**32 take 32-bit
+    halves of 64-bit words by the same Lemire rejection at either dtype,
+    and the unused half is cached in the bit generator's own state, not
+    within one call.
 
     Each window's start is added first, so windows occupy disjoint
     ranges and sorting a run of whole windows sorts each of them. Runs
@@ -205,11 +227,13 @@ def draw_rows(
     neighbour along a row are then dropped. O(n * windows * draws *
     log _SORT_RUN).
     """
-    raw = rng.integers(0, columns, size=(n, windows, draws))
+    # the draw's own bound must fit too, even with no windows to draw
+    width = _width(max(windows, 1) * columns)
+    raw = rng.integers(0, columns, size=(n, windows, draws), dtype=width)
     size = windows * draws
     if raw.size == 0:
         return raw.reshape(-1), np.zeros(n + 1, dtype=np.int64)
-    raw += np.arange(windows, dtype=np.int64)[:, None] * columns
+    raw += np.arange(windows, dtype=width)[:, None] * columns
     flat = raw.reshape(n, size)
     run = max(1, _SORT_RUN // draws) * draws
     whole = size - size % run
@@ -307,7 +331,9 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     One sort-and-group pass: every awake unit is keyed ``column * n +
     row``, the keys are sorted, and runs of equal columns form the
     groups, whose rows are gathered into one owner array. O(N log N) in
-    the N awake units.
+    the N awake units. The keys are int32 when ``(columns + max offset)
+    * n`` is at most 2**31 - 1 (:func:`_width`), else int64; the
+    returned arrays are int64 either way.
     """
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
@@ -315,13 +341,15 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     if m.positions.size == 0:
         return Meetings(cols=_EMPTY, starts=_EMPTY, sizes=_EMPTY, owners=_EMPTY)
     top = int(m.offsets.max())
-    if (m.columns + top) * n > np.iinfo(np.int64).max:
+    bound = (m.columns + top) * n
+    if bound > np.iinfo(np.int64).max:
         raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
     # the two transients beside the keys, each row's base and each
-    # unit's column, are int32 when they fit, which halves their memory
-    fits = max(m.columns + top, (top + 1) * n) <= np.iinfo(np.int32).max
-    narrow = np.int32 if fits else np.int64
-    keys = m.positions * n
+    # unit's column, are int32 when they fit, which halves their memory;
+    # int64 keys are widened in place, so no int64 product is made
+    narrow = _width(max(m.columns + top, (top + 1) * n))
+    keys = m.positions.astype(_width(bound))
+    keys *= n
     keys += np.repeat((m.offsets * n + np.arange(n)).astype(narrow), m.densities())
     keys.sort()
     cols = np.floor_divide(keys, n, out=np.empty(keys.size, narrow), casting="unsafe")
@@ -334,8 +362,9 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     counts = np.diff(first, append=shared.size) + 1
     packed = np.cumsum(counts) - counts
     units = keys[np.repeat(starts - packed, counts) + np.arange(counts.sum())]
-    owners = units % n
-    return Meetings(cols=keys[starts] // n, starts=packed, sizes=counts, owners=owners)
+    owners = (units % n).astype(np.int64, copy=False)
+    cols = (keys[starts] // n).astype(np.int64, copy=False)
+    return Meetings(cols=cols, starts=packed, sizes=counts, owners=owners)
 
 
 class CommGraph:

@@ -40,6 +40,17 @@ def test_param_validation():
         BirthdayParams.from_exponents(bins=10, red_exp=0.5, scale=-1.0)
 
 
+def test_ball_counts_beyond_memory_refused():
+    # the message names the scale and both counts; refused before any
+    # draw, also for a bin count beyond the float range
+    with pytest.raises(
+        ValueError, match=r"scale 1e\+300 gives 1e\+301 red and 1e\+301 blue"
+    ):
+        BirthdayParams.from_exponents(bins=100, red_exp=0.5, scale=1e300)
+    with pytest.raises(ValueError, match="gives inf red and inf blue"):
+        BirthdayParams.from_exponents(bins=10**400, red_exp=0.5, scale=1.0)
+
+
 def test_outcome_containment_enforced():
     with pytest.raises(ValueError):
         TrialOutcome(any_shared_bin=False, exclusive_pair_bin=True)

@@ -14,7 +14,9 @@ import oracles
 from radiosync import netsim
 from radiosync.protocol import (
     NodeState,
+    _arrivals,
     _by_receiver,
+    _departures,
     SimConfig,
     build_pipeline_matrix,
     draw_offsets,
@@ -153,14 +155,15 @@ def test_empty_rows():
 def assert_draw_matches_oracle(n, windows, columns, draws, fast_rng, slow_rng):
     positions, starts = draw_rows(n, windows, columns, draws, fast_rng)
     slow = oracles.draw_rows(n, windows, columns, draws, slow_rng)
-    assert positions.dtype == starts.dtype == np.int64
+    width = np.int32 if max(windows, 1) * columns <= 2**31 - 1 else np.int64
+    assert positions.dtype == width and starts.dtype == np.int64
     assert starts.shape == (n + 1,)
     assert starts[0] == 0 and starts[-1] == positions.size
     assert (np.diff(starts) >= 0).all()
     fast = [positions[lo:hi] for lo, hi in zip(starts[:-1], starts[1:])]
     assert len(fast) == len(slow)
     for a, b in zip(fast, slow):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.dtype == width and np.array_equal(a, b)
     # the stream is consumed identically, so later draws agree too
     assert fast_rng.bit_generator.state == slow_rng.bit_generator.state
 
@@ -197,6 +200,10 @@ def test_draw_rows_matches_oracle(n, windows, columns, draws, seed):
         (2, 7, 2**31 + 1, 129),
         (3, 9, 2**32 + 3, 11),
         (2, 4, 2**33 + 7, 131),
+        # windows * columns at 2**31 - 1 (int32) and at 2**31 (int64)
+        (1, 1, 2**31 - 1, 5),
+        (1, 2, 2**30, 5),
+        (1, 1, 2**31, 5),
         # nothing to draw
         (3, 5, 17, 0),
         (3, 0, 17, 5),
@@ -430,6 +437,71 @@ def flood_both_ways_base(m, held, rounds, transmit_delay):
             oracles.finish(m, states, rounds, transmit_delay=transmit_delay)
         out.append((trace, states, used))
     return out
+
+
+@st.composite
+def labelled_deliveries(draw):
+    """Node labels in [-1, never] over ``copies`` copies of ``period``
+    columns (holders at -1, labels on and beside copy boundaries, at and
+    near ``never``) and deliveries from random nodes, at random columns
+    or at the node's own column, that of ``label - 1`` or ``label + 1``."""
+    period = draw(st.integers(1, 9))
+    copies = draw(st.integers(1, 4))
+    never = copies * period
+    n = draw(st.integers(1, 8))
+    boundary = st.integers(0, copies).map(lambda k: k * period)
+    some_label = st.one_of(
+        st.just(-1),
+        st.integers(-1, never),
+        boundary,
+        boundary.map(lambda b: max(b - 1, -1)),
+        st.sampled_from([never - 1, never]),
+    )
+    label = np.array(draw(st.lists(some_label, min_size=n, max_size=n)), dtype=np.int64)
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=20))
+    cols = [
+        draw(
+            st.one_of(
+                st.integers(0, period - 1),
+                st.sampled_from([(int(label[v]) + d) % period for d in (-1, 0, 1)]),
+            )
+        )
+        for v in nodes
+    ]
+    nodes, cols = np.array(nodes, dtype=np.int64), np.array(cols, dtype=np.int64)
+    return label, nodes, cols, period, never
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=labelled_deliveries())
+def test_per_node_division_matches_per_delivery_oracle(case):
+    # the labels serve as adoption labels and as deadlines alike
+    label, nodes, cols, period, never = case
+    got = _arrivals(label, nodes, cols, period, never)
+    assert np.array_equal(got, oracles.arrivals(label, nodes, cols, period, never))
+    got = _departures(label, nodes, cols, period)
+    assert np.array_equal(got, oracles.departures(label, nodes, cols, period))
+
+
+def test_per_node_division_hand_cases():
+    period, never = 10, 30
+    label = np.array([-1, 9, 10, 29, 30])
+    nodes = np.array([0, 0, 1, 2, 3, 4])
+    cols = np.array([0, 9, 9, 0, 5, 5])
+    # a holder reaches column 0 and its own column 9 in copy 0; column 9
+    # from label 9 and column 0 from label 10 (own columns) wait a copy;
+    # past the budget every arrival reads never
+    expect = [0, 9, 19, 20, 30, 30]
+    assert _arrivals(label, nodes, cols, period, never).tolist() == expect
+    assert oracles.arrivals(label, nodes, cols, period, never).tolist() == expect
+    # deadlines of -1 and 0 admit no departure; a deadline of 10 admits
+    # columns 0 and 9 of copy 0, a deadline of 9 no column 9 at all
+    deadline = np.array([-1, 0, 10, 9, 30])
+    nodes = np.array([0, 1, 2, 2, 3, 4])
+    cols = np.array([3, 0, 9, 0, 9, 5])
+    expect = [-1, -1, 9, 0, -1, 25]
+    assert _departures(deadline, nodes, cols, period).tolist() == expect
+    assert oracles.departures(deadline, nodes, cols, period).tolist() == expect
 
 
 def test_tie_goes_to_fewest_hops_then_lowest_sender():

@@ -209,6 +209,7 @@ BAD_INPUT_FILES = {
         ["sweep", "--config", "{tmp}/int-grid.json"],
         ["sweep", "--config", "{tmp}/null-trials.json"],
         ["birthday", "--lemma", "1", "--L", "100", "--C", "inf"],
+        ["birthday", "--lemma", "1", "--L", "100", "--C", "1e300"],
         ["pack", "--bound", "-1", "{tmp}/three.txt"],
         ["pack", "--bound", "4", "{tmp}/huge.txt"],
     ],
@@ -231,6 +232,7 @@ BAD_INPUT_FILES = {
         "sweep-int-grid",
         "sweep-null-trials",
         "birthday-scale-inf",
+        "birthday-scale-huge",
         "pack-negative-bound",
         "pack-length-past-int64",
     ],
@@ -245,6 +247,25 @@ def test_cli_bad_input_is_one_line_error(argv, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("radiosync: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, config, message",
+    [
+        (["--d-grid", "64,abc"], None, "--d-grid: 'abc' is not an integer"),
+        (["--d-grid", "64", "--beta-grid", ".5,x"], None, "--beta-grid: 'x' is not a number"),
+        ([], {"d_grid": "64,2.5"}, "sweep.json: d_grid: '2.5' is not an integer"),
+        ([], {"d_grid": "64", "beta_grid": ""}, "beta_grid: '' is not a number"),
+        ([], {"d_grid": "64", "trials": "many"}, "trials: 'many' is not an integer"),
+    ],
+)
+def test_cli_bad_sweep_grid_names_flag_and_token(args, config, message, tmp_path, capsys):
+    if config is not None:
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "sweep.json"), *args]
+    assert main(["sweep", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("radiosync: error: ") and err.rstrip().endswith(message)
 
 
 def test_cli_sweep(tmp_path):

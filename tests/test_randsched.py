@@ -98,12 +98,32 @@ def test_malformed_rows_rejected(positions, message):
 
 def test_valid_rows_accepted_across_boundaries():
     # a later row may start below where the previous one ended; empty
-    # rows come out as int64
+    # rows come out as int32, the width of 10 columns
     m = ScheduleMatrix(n=3, columns=10, positions=[[5, 9], [], [0, 1]])
-    assert m.positions.dtype == np.int64
+    assert m.positions.dtype == np.int32
     assert m.positions.tolist() == [5, 9, 0, 1]
     assert m.starts.tolist() == [0, 2, 2, 4]
     assert m.with_offsets([0, 0, 0]).densities().tolist() == [2, 0, 2]
+
+
+@pytest.mark.parametrize("columns, width", [(2**31 - 1, np.int32), (2**31, np.int64)])
+def test_position_width_follows_columns(columns, width):
+    # int32 up to 2**31 - 1 columns, int64 beyond, whatever the input
+    # type; the largest position fits int32 on both sides
+    flat = [0, columns - 1, 5]
+    starts = np.array([0, 2, 2, 3])
+    given = [[0, columns - 1], [], [5]], *(
+        np.array(flat, dtype=dtype) for dtype in (np.int32, np.int64, np.uint64)
+    )
+    for positions in given:
+        kw = {} if isinstance(positions, list) else {"starts": starts}
+        m = ScheduleMatrix(3, columns, positions, **kw)
+        assert m.positions.dtype == width
+        assert m.positions.tolist() == flat
+        assert m.densities().tolist() == [2, 0, 1]
+    # positions are checked before they are narrowed, so none wraps
+    with pytest.raises(ValueError, match=r"position 4294967299 outside \[0, 10\)"):
+        ScheduleMatrix(1, 10, np.array([2**32 + 3]), starts=np.array([0, 1]))
 
 
 def test_with_offsets_keeps_rows_checked():
@@ -168,6 +188,25 @@ def test_detect_beyond_int32_columns():
     assert list(detect_meetings(m)) == [(big - 7, (0, 1, 2))]
     m = matrix_from_ones(64, [[5], [3]], offsets=[2**31, 2**31 + 2])
     assert list(detect_meetings(m)) == [(2**31 + 5, (0, 1))]
+
+
+@pytest.mark.parametrize(
+    "n, bound",
+    [(1, 2**31 - 1), (2, 2**31 - 2), (2, 2**31), (2, 2**31 + 2), (3, 2**31 + 1)],
+)
+def test_detect_at_the_int32_key_boundary(n, bound):
+    # (columns + top offset) * n = bound on either side of 2**31 - 1,
+    # where the sort keys widen from int32 to int64; the largest key,
+    # bound - 1, is a top-offset row awake at its last column
+    top, reach = 6, bound // n
+    assert reach * n == bound
+    columns = reach - top
+    rows, offsets = [[0, columns - 1]] * n, [top] * n
+    if n > 1:
+        rows[0], offsets[0] = [top, columns - 1], 0
+    m = matrix_from_ones(columns, rows, offsets)
+    expect = {1: [], 2: [(top, (0, 1))], 3: [(top, (0, 1, 2)), (reach - 1, (1, 2))]}
+    assert list(detect_meetings(m)) == oracles.detect_meetings(m) == expect[n]
 
 
 def test_single_meeting_hand_case():
