@@ -19,12 +19,11 @@ are reproducible and trivially parallelizable.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import spawn_rng
+from .seeding import refuse_beyond_memory, spawn_rng
 
 #: two-sided 99% normal quantile used for every half-width below
 Z99 = 2.5758293035489004
@@ -61,13 +60,11 @@ class BirthdayParams:
             red, blue = scale * bins**red_exp, scale * bins**blue_exp
         except OverflowError:  # a bin count beyond the float range
             red = blue = math.inf
-        need = 8 * (red + blue)
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > have:
-            raise ValueError(
-                f"ball draw too large: scale {scale} gives {red:.4g} red and "
-                f"{blue:.4g} blue balls, {need:.4g} bytes; physical memory is {have}"
-            )
+        refuse_beyond_memory(
+            8 * (red + blue),
+            f"ball draw too large: scale {scale} gives {red:.4g} red and "
+            f"{blue:.4g} blue balls, which",
+        )
         return cls(bins, red_exp, blue_exp, scale, math.ceil(red), math.ceil(blue))
 
 

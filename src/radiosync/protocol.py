@@ -21,7 +21,6 @@ radio spend is dominated by the last epoch.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -43,7 +42,7 @@ from .randsched import (
     repetition_constant,
     row_draws,
 )
-from .seeding import spawn_rng
+from .seeding import refuse_beyond_memory, spawn_rng
 
 
 #: identifiers are drawn uniformly below 2**63; far wider than any
@@ -226,13 +225,11 @@ def _check_draw_fits(n: int, params: PipelineParams) -> None:
     the raw int32 buffer of :func:`~radiosync.randsched.draw_rows` plus
     its deduplicated copy, or the raw buffer alone where positions need
     int64."""
-    need = n * params.windows * params.draws * 8
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(
-            f"schedule draw too large: n={n} rows x {params.windows} windows x "
-            f"{params.draws} draws needs {need} bytes, physical memory is {have}"
-        )
+    refuse_beyond_memory(
+        n * params.windows * params.draws * 8,
+        f"schedule draw too large: n={n} rows x {params.windows} windows x "
+        f"{params.draws} draws",
+    )
 
 
 def draw_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -320,32 +317,20 @@ def _relax(
         label = nxt
 
 
-def _departures(
-    deadline: np.ndarray, receivers: np.ndarray, cols: np.ndarray, period: int
-) -> np.ndarray:
-    """Latest departure label of each delivery at ``cols`` (each in
-    ``[0, period)``) into ``receivers``, for the message to be held by
-    the receiver before its ``deadline``: the delivery's column in the
-    last copy that arrives before the deadline, -1 where none does.
-    ``deadline - 1`` is split into a copy and a column once per node."""
-    copy, at = np.divmod(deadline - 1, period)
-    copy = copy[receivers] - (cols > at[receivers])
-    return np.where(copy >= 0, copy * period + cols, -1)
-
-
 def _deadlines(
     open_: np.ndarray, backward: tuple[np.ndarray, ...], period: int, never: int
 ) -> np.ndarray:
     """For every node, the label before which it must hold a message
     for that message to reach an ``open_`` node by a time-respecting
-    path within the budget; -1 where none can. Latest departures
-    (:func:`_departures`), relaxed backwards over the deliveries grouped
-    by sender (the :func:`_by_receiver` layout with the ends swapped)
-    until nothing moves."""
+    path within the budget; -1 where none can. Latest departures,
+    relaxed backwards over the deliveries grouped by sender (the
+    :func:`_by_receiver` layout with the ends swapped) until nothing
+    moves."""
     receivers, _senders, cols, heads, into = backward
     deadline = np.where(open_, never, -1)
     while True:
-        leave = _departures(deadline, receivers, cols, period)
+        copy = (deadline[receivers] - 1 - cols) // period
+        leave = np.where(copy >= 0, copy * period + cols, -1)
         nxt = deadline.copy()
         nxt[into] = np.maximum(deadline[into], np.maximum.reduceat(leave, heads))
         if np.array_equal(nxt, deadline):

@@ -1,13 +1,16 @@
-"""Deterministic RNG derivation.
+"""Deterministic RNG derivation, and the memory guard on large draws.
 
 All randomness in the package flows from one root seed. Sub-streams
 (per trial, per grid cell, per node) are derived by feeding the root
 seed plus integer indices into ``numpy.random.SeedSequence``, which
 mixes the key material platform-independently. There is no global RNG
-state anywhere.
+state anywhere. A draw whose buffers would exceed physical memory is
+refused by :func:`refuse_beyond_memory` before the rng is touched.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 
@@ -21,3 +24,11 @@ def derive_seed(*key: int) -> int:
     """Collapse a hierarchical key to a single 63-bit integer seed."""
     state = np.random.SeedSequence(key).generate_state(2, np.uint32)
     return (int(state[0]) << 31) ^ int(state[1])
+
+
+def refuse_beyond_memory(need: float, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` if ``need`` bytes exceed the
+    machine's physical memory."""
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{what} needs {need:.4g} bytes, physical memory is {have}")

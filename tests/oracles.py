@@ -159,13 +159,6 @@ def arrivals(label, senders, cols, period, never):
     return np.minimum(sent - at + cols + np.where(cols > at, 0, period), never)
 
 
-def departures(deadline, receivers, cols, period):
-    """``protocol._departures`` one delivery at a time: a floor division
-    per delivery."""
-    copy = (deadline[receivers] - 1 - cols) // period
-    return np.where(copy >= 0, copy * period + cols, -1)
-
-
 def deliver_unit(participants, heard_from, states, transmit_delay):
     """One meeting unit: each receiver adopts the largest identifier
     above its own among the senders it heard, from the one with the

@@ -16,7 +16,6 @@ from radiosync.protocol import (
     NodeState,
     _arrivals,
     _by_receiver,
-    _departures,
     SimConfig,
     build_pipeline_matrix,
     draw_offsets,
@@ -475,12 +474,9 @@ def labelled_deliveries(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=labelled_deliveries())
 def test_per_node_division_matches_per_delivery_oracle(case):
-    # the labels serve as adoption labels and as deadlines alike
     label, nodes, cols, period, never = case
     got = _arrivals(label, nodes, cols, period, never)
     assert np.array_equal(got, oracles.arrivals(label, nodes, cols, period, never))
-    got = _departures(label, nodes, cols, period)
-    assert np.array_equal(got, oracles.departures(label, nodes, cols, period))
 
 
 def test_per_node_division_hand_cases():
@@ -494,14 +490,6 @@ def test_per_node_division_hand_cases():
     expect = [0, 9, 19, 20, 30, 30]
     assert _arrivals(label, nodes, cols, period, never).tolist() == expect
     assert oracles.arrivals(label, nodes, cols, period, never).tolist() == expect
-    # deadlines of -1 and 0 admit no departure; a deadline of 10 admits
-    # columns 0 and 9 of copy 0, a deadline of 9 no column 9 at all
-    deadline = np.array([-1, 0, 10, 9, 30])
-    nodes = np.array([0, 1, 2, 2, 3, 4])
-    cols = np.array([3, 0, 9, 0, 9, 5])
-    expect = [-1, -1, 9, 0, -1, 25]
-    assert _departures(deadline, nodes, cols, period).tolist() == expect
-    assert oracles.departures(deadline, nodes, cols, period).tolist() == expect
 
 
 def test_tie_goes_to_fewest_hops_then_lowest_sender():
