@@ -167,11 +167,12 @@ def cmd_sweep(args) -> int:
 
     def pick(flag_value, flag, key, fallback, kind):
         """The flag if given, else the file's value, which must be a
-        ``kind``; with the flag or config key it came from."""
+        ``kind`` (a JSON ``true`` or ``false`` is not an int here); with
+        the flag or config key it came from."""
         if flag_value is not None:
             return flag_value, flag
         value = file_values.get(key, fallback)
-        if key in file_values and not isinstance(value, kind):
+        if key in file_values and (isinstance(value, bool) or not isinstance(value, kind)):
             names = " or ".join(t.__name__ for t in kind)
             raise ValueError(f"{args.config}: {key} must be {names}, got {value!r}")
         return value, f"{args.config}: {key}"

@@ -8,13 +8,14 @@ consecutive back-off slots in which each radio independently transmits
 with probability 1/2. :func:`resolve_backoff_unit` defines this coin by
 coin for one unit. The flood calls :func:`resolve_backoff` once per
 schedule copy, over all of the copy's meeting units, and gets one bool
-per radio: did it transmit alone in some slot. It draws slot counts,
-not coins: in a unit of k radios a slot has radio i as its sole
-transmitter with probability 2**-k, and the slots are independent, so
-the per-radio counts of lone slots are multinomial, one draw per unit
-and one ``rng.multinomial`` call per unit size. The flood then relaxes
-the drawn copies' deliveries (each winner to every other radio of its
-unit) as arrays.
+per radio: did it transmit alone in some slot. It draws heard counts,
+not coins: a slot has a given radio of a k-radio unit as its sole
+transmitter with probability 2**-k, so the number of radios heard so
+far steps from a to a + 1 with probability (k - a) * 2**-k per slot,
+which gives one table of P(heard count = a) per unit size and slot
+count. By symmetry the heard radios are a uniformly random subset of
+that size. The flood then relaxes the drawn copies' deliveries (each
+winner to every other radio of its unit) as arrays.
 
 Clock drift is absorbed before any of this applies: when clock speeds
 differ by a bounded ratio, each node groups enough of its own ticks
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -157,6 +159,31 @@ def resolve_backoff_unit(
     return out
 
 
+@lru_cache(maxsize=256)
+def _heard_counts(k: int, slots: int) -> np.ndarray:
+    """P(heard count = a) for a = 0 .. k, for a unit of ``k`` radios
+    over ``slots`` back-off slots of :func:`resolve_backoff_unit`.
+
+    Built from non-negative terms only: the count starts at 0, and in
+    each slot steps from a to a + 1 with probability (k - a) * 2**-k
+    (one of the k - a radios not yet heard is the sole transmitter).
+    That is up to ``slots`` steps of k + 1 entries each; stepping stops
+    early once nothing moves, as when 2**-k underflows to 0. Read-only,
+    since every caller shares it.
+    """
+    move = (k - np.arange(k + 1)) * math.ldexp(1.0, -k)
+    dist = np.zeros(k + 1)
+    dist[0] = 1.0
+    for _ in range(slots):
+        step = dist * move
+        if not step.any():
+            break
+        dist -= step
+        dist[1:] += step[:-1]
+    dist.setflags(write=False)
+    return dist
+
+
 def resolve_backoff(
     sizes: np.ndarray, slots: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -165,21 +192,29 @@ def resolve_backoff(
 
     Returns one bool per radio, units back to back: radio j of unit u
     is entry ``sizes[:u].sum() + j``. The outcome has the distribution
-    of :func:`resolve_backoff_unit`'s coins, drawn from slot counts: in
-    a unit of k radios each of the ``slots`` slots has radio i as its
-    sole transmitter with probability 2**-k, and none with probability
-    1 - k * 2**-k, so one multinomial draw gives every radio's count of
-    lone slots, and a radio is heard iff its count is above 0. For each
-    unit size k >= 2, in ascending order, one ``rng.multinomial`` call
-    draws the units of that size, in order. Units of fewer than two
-    radios draw nothing and win nothing.
+    of :func:`resolve_backoff_unit`'s coins, drawn from heard counts:
+    for each unit size k >= 2, in ascending order, one ``rng.random``
+    call picks every unit's heard count a from
+    :func:`_heard_counts`, units in order; then, for the units with
+    0 < a < k, one more call draws k uniforms per unit, and the radios
+    with the a smallest are heard. Units of fewer than two radios draw
+    nothing and win nothing.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    won = np.zeros(int(sizes.sum()), dtype=bool)
-    first = np.cumsum(sizes) - sizes
+    heard = np.zeros(sizes.size, dtype=np.int64)
+    partial = []
     for k in np.unique(sizes[sizes >= 2]).tolist():
         which = np.flatnonzero(sizes == k)
-        alone = 2.0**-k
-        counts = rng.multinomial(slots, [alone] * k + [1 - k * alone], size=which.size)
-        won[first[which, None] + np.arange(k)] = counts[:, :k] > 0
+        below = np.cumsum(_heard_counts(k, int(slots))[:-1])
+        count = np.searchsorted(below, rng.random(which.size), "right")
+        heard[which] = count
+        some = (count > 0) & (count < k)
+        if some.any():
+            keys = rng.random((int(some.sum()), k))
+            rank = keys.argsort(axis=1).argsort(axis=1)
+            partial.append((which[some], rank < count[some, None]))
+    won = np.repeat(heard == sizes, sizes)
+    first = np.cumsum(sizes) - sizes
+    for units, bits in partial:
+        won[first[units, None] + np.arange(bits.shape[1])] = bits
     return won

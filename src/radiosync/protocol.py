@@ -365,24 +365,27 @@ def _ranks(value: np.ndarray, comp: np.ndarray) -> np.ndarray:
     return rank
 
 
+def _tight(
+    deliveries: tuple[np.ndarray, ...], label: np.ndarray, arrive: np.ndarray, never: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The senders and receivers of the deliveries whose arrival is
+    their receiver's label, still grouped by receiver: those a receiver
+    may adopt from."""
+    senders, receivers = deliveries[:2]
+    tight = (arrive == label[receivers]) & (arrive < never)
+    return senders[tight], receivers[tight]
+
+
 def _chains(
-    active: tuple[np.ndarray, ...],
-    label: np.ndarray,
-    arrive: np.ndarray,
-    never: int,
-    source: np.ndarray,
-    hops: np.ndarray,
+    senders: np.ndarray, receivers: np.ndarray, source: np.ndarray, hops: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Hop count of every node reached in a round, and the holder its
-    chain of adoptions starts at. A receiver adopts from the senders
-    whose delivery is its arrival, the one with the fewest hops, then
-    the lowest index. Those deliveries form a DAG (labels grow along
-    it), over which (hops + 1, sender) keys are relaxed; the chosen
-    senders are then followed up by pointer jumping."""
-    n = label.size
-    senders, receivers = active[:2]
-    tight = (arrive == label[receivers]) & (arrive < never)
-    senders, receivers = senders[tight], receivers[tight]
+    chain of adoptions starts at, over the round's :func:`_tight`
+    deliveries. A receiver adopts from the sender with the fewest hops,
+    then the lowest index. Those deliveries form a DAG (labels grow
+    along it), over which (hops + 1, sender) keys are relaxed; the
+    chosen senders are then followed up by pointer jumping."""
+    n = source.size
     heads = np.flatnonzero(np.diff(receivers, prepend=-1))
     into = receivers[heads]
     # above any hop count a round reaches: no chain is longer than n
@@ -399,6 +402,25 @@ def _chains(
     while not np.array_equal(up := root[root], root):
         root = up
     return level, root
+
+
+def _adopt(
+    out: tuple[np.ndarray, ...],
+    held: tuple[np.ndarray, ...],
+    take: np.ndarray,
+    chains: tuple[np.ndarray, np.ndarray],
+    transmit_delay: int,
+) -> None:
+    """Give the ``take`` nodes, in ``out`` (which may be ``held``), the
+    ``held`` value at the start of their :func:`_chains` chain, its
+    origin minus the delay per hop (a running replica set to the
+    received value plus the delay keeps that origin from then on), and
+    their hop count."""
+    value, origin, hops = held
+    level, root = chains
+    results = value[root], origin[root] - transmit_delay * (level - hops[root]), level
+    for array, result in zip(out, results):
+        array[take] = result[take]
 
 
 def _spread(
@@ -434,9 +456,7 @@ def _spread(
     reach an unassigned node within the budget (:func:`_deadlines`) are
     left out, and a round with none left is skipped. A receiver
     adopts from one of the senders whose delivery is its arrival
-    (:func:`_chains`) and takes that sender's origin minus the delay (a
-    running replica set to the received value plus the delay keeps
-    that origin from then on).
+    (:func:`_chains`, :func:`_adopt`).
     """
     value, origin, hops = held
     n = value.size
@@ -467,10 +487,8 @@ def _spread(
                 continue
         label, arrive = _relax(np.where(source, -1, never), active, period, never)
         take = open_ & (label < never)
-        level, root = _chains(active, label, arrive, never, source, hops)
-        out[0][take] = value[root[take]]
-        out[1][take] = (origin[root] - transmit_delay * (level - hops[root]))[take]
-        out[2][take] = level[take]
+        chains = _chains(*_tight(active, label, arrive, never), source, hops)
+        _adopt(out, held, take, chains, transmit_delay)
         adopted[take] = label[take]
         open_ &= ~take
         if not open_.any():
@@ -518,20 +536,24 @@ def _deliver_meetings(
 
     ``pairs`` are the meetings' directed pairs (sender, receiver,
     column, sender's slot in ``meetings.owners``) and ``held`` the
-    per-node (max_seen, root_origin, hops), updated in place by
-    :func:`_spread`. In the base model every participant hears every
-    other, so the flood is one relaxation over all copies; the copies
-    used follow from the last copy L in which any node adopted: L + 1
-    when every node ends at ``global_max``, else one more pass that
-    changes nothing, min(rounds, L + 2). In the interference model
-    each copy draws its back-off winners with
-    :func:`~radiosync.netsim.resolve_backoff`; its deliveries are every
-    sole transmitter to the rest of its unit. Copies are drawn until
-    ``global_max`` alone has reached every node (every node then holds
-    it), then the copies drawn are laid end to end and flooded by one
-    relaxation, as one copy of a longer period. When ``trace`` is
-    given, one row per meeting unit and copy is appended (see
-    :func:`_trace_rows`), at time ``copy * columns + column``.
+    per-node (max_seen, root_origin, hops), updated in place. In the
+    base model every participant hears every other, so the flood is one
+    relaxation over all copies; the copies used follow from the last
+    copy L in which any node adopted: L + 1 when every node ends at
+    ``global_max``, else one more pass that changes nothing,
+    min(rounds, L + 2). In the interference model each copy draws its
+    back-off winners with :func:`~radiosync.netsim.resolve_backoff`;
+    its deliveries are every sole transmitter to the rest of its unit.
+    Each copy's deliveries are relaxed once, from the ``global_max``
+    holders, on the labels of the copies before it. Copies are drawn
+    until ``global_max`` has reached every node; if no node holds more,
+    those labels are :func:`_spread`'s first and only round, so the
+    copies' tight deliveries give the chains (:func:`_chains`,
+    :func:`_adopt`) and nothing is relaxed again. Otherwise the copies
+    drawn are laid end to end and flooded by :func:`_spread`, as one
+    copy of a longer period. When ``trace`` is given, one row per
+    meeting unit and copy is appended (see :func:`_trace_rows`), at
+    time ``copy * columns + column``.
     """
     senders, receivers, cols, slots = pairs
     period = int(meetings.cols[-1]) + 1 if len(meetings) else 1
@@ -551,27 +573,36 @@ def _deliver_meetings(
     if len(meetings) and rng is None:
         raise ValueError("interference mode needs an rng for back-off")
     # the copies' deliveries do not depend on what the radios carry, so
-    # only the stop needs the flood: every node holds ``global_max``
-    # once that alone has reached them all (unless a node holds more)
+    # the flood from the ``global_max`` holders alone decides the stop
     horizon = rounds * period
-    reach = np.where(held[0] == global_max, -1, horizon)
+    source = held[0] == global_max
+    reach = np.where(source, -1, horizon)
     can_stop = not (held[0] > global_max).any()
-    heard_per_copy = []
+    heard_per_copy, tight_per_copy = [], []
     for copy in range(rounds):
         won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
         heard = won[slots]
         part = senders[heard], receivers[heard], cols[heard] + copy * period
-        heard_per_copy.append(part)
+        part = _by_receiver(*part, reach.size)
+        heard_per_copy.append(part[:3])
         if trace is not None:
             trace.extend(_trace_rows(meetings, won, copy * columns))
-        reach, _ = _relax(reach, _by_receiver(*part, reach.size), horizon, horizon)
+        # a later copy arrives after every label set so far, so this
+        # copy's labels and tight deliveries are final
+        reach, arrive = _relax(reach, part, horizon, horizon)
+        tight_per_copy.append(_tight(part, reach, arrive, horizon))
         if can_stop and (reach < horizon).all():
-            break
-    used = copy + 1
-    # the copies used, laid end to end, are one copy of a longer period
+            # one component whose largest value is global_max: the labels
+            # are _spread's first and only round, and each receiver's
+            # tight deliveries lie in one copy, so they stay grouped
+            tight = (np.concatenate(arrays) for arrays in zip(*tight_per_copy))
+            chains = _chains(*tight, source, held[2])
+            _adopt(held, held, slice(None), chains, transmit_delay)
+            return copy + 1
+    # the copies, laid end to end, are one copy of a longer period
     deliveries = (np.concatenate(arrays) for arrays in zip(*heard_per_copy))
-    _spread(*deliveries, used * period, 1, held, transmit_delay)
-    return used
+    _spread(*deliveries, horizon, 1, held, transmit_delay)
+    return rounds
 
 
 def run_sync(

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from radiosync import netsim
+from radiosync import netsim, protocol
 from radiosync.protocol import (
     NodeState,
     _arrivals,
@@ -540,17 +540,24 @@ def test_base_flood_matches_per_meeting_oracle(m, rounds, transmit_delay, seed, 
     assert fast == slow
 
 
+def seeded_pipeline(d, beta, seed, **shape):
+    """A seeded pipeline schedule with offsets and fresh identifiers
+    held as (ident, 0, 0), with its shape and config."""
+    config = SimConfig(d=d, beta=beta, **shape)
+    params = pipeline_params(d, config.n, **shape)
+    rng = spawn_rng(seed, d)
+    m = build_pipeline_matrix(config.n, params, rng)
+    m = m.with_offsets(draw_offsets(config.n, d, rng))
+    held = [(s.ident, 0, 0) for s in make_node_states(config.n, m.offsets, rng)]
+    return m, held, params, config
+
+
 @pytest.mark.parametrize("d, scale, seed", [(1024, 0.3, 0), (1024, 0.3, 1), (4096, 0.5, 0)])
 def test_budget_cut_pipeline_floods_match_oracles(d, scale, seed):
     # one paid copy of a sparse schedule: most nodes end below the
     # global maximum, on many distinct identifiers, so the flood runs
     # many rounds after its first and prunes holders by deadline
-    config = SimConfig(d=d, beta=0.75, scale=scale, repetition_k=1)
-    params = pipeline_params(d, config.n, scale=scale, repetition_k=1)
-    rng = spawn_rng(seed, d)
-    m = build_pipeline_matrix(config.n, params, rng)
-    m = m.with_offsets(draw_offsets(config.n, d, rng))
-    held = [(s.ident, 0, 0) for s in make_node_states(config.n, m.offsets, rng)]
+    m, held, _params, config = seeded_pipeline(d, 0.75, seed, scale=scale, repetition_k=1)
     fast, slow = flood_both_ways_base(m, held, 1, 1)
     assert fast == slow
     assert len({s.max_seen for s in fast[1]}) > 4
@@ -560,12 +567,66 @@ def test_budget_cut_pipeline_floods_match_oracles(d, scale, seed):
 
 @pytest.mark.parametrize("d, beta, seed", [(256, 0.5, 1), (256, 0.75, 2), (1024, 0.5, 3)])
 def test_seeded_exclusive_flood_matches_per_unit_oracle(d, beta, seed):
-    config = SimConfig(d=d, beta=beta, exclusive=True)
-    params = pipeline_params(d, config.n)
-    rng = spawn_rng(seed, d)
-    m = build_pipeline_matrix(config.n, params, rng)
-    m = m.with_offsets(draw_offsets(config.n, d, rng))
-    held = [(s.ident, 0, 0) for s in make_node_states(config.n, m.offsets, rng)]
+    m, held, params, config = seeded_pipeline(d, beta, seed)
     fast, slow = flood_both_ways(m, held, params.rounds, config.backoff_rounds, seed)
     assert fast == slow
     assert fast[0]
+
+
+def counting(monkeypatch, name):
+    """Wrap ``protocol.<name>`` so that its calls are counted."""
+    calls = []
+    fn = getattr(protocol, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("scale, repetition_k, seed, copies", [(1.82, None, 3, 1), (0.5, 1, 0, 2)])
+def test_exclusive_stop_check_is_the_only_relaxation(
+    scale, repetition_k, seed, copies, monkeypatch
+):
+    # a run that ends with every node at the global maximum relaxes each
+    # copy it draws once, and never builds the concatenated flood
+    calls = {
+        name: counting(monkeypatch, name)
+        for name in ("resolve_backoff", "_relax", "_components", "_spread")
+    }
+    config = SimConfig(
+        d=256, beta=0.75, scale=scale, repetition_k=repetition_k, exclusive=True, seed=seed
+    )
+    result = run_pipeline(config)
+    assert result.success and result.rounds_used == copies
+    assert len(calls["resolve_backoff"]) == len(calls["_relax"]) == copies
+    assert calls["_components"] == calls["_spread"] == []
+
+
+@pytest.mark.parametrize("ending", ["all-reached", "unreached", "above-max"])
+@pytest.mark.parametrize("d, seed", [(256, 0), (1024, 1)])
+def test_exclusive_flood_endings_match_per_unit_oracle(ending, d, seed, monkeypatch):
+    # a sparse schedule that the flood needs two or more copies of
+    m, held, params, config = seeded_pipeline(d, 0.75, seed, scale=0.5, repetition_k=1)
+    rounds, backoff_rounds = params.rounds, config.backoff_rounds
+    top = max(ident for ident, _seen, _hops in held)
+    # two holders of the maximum, at different hop counts
+    held = [(ident, 0, 3 if ident == top else 0) for ident, _seen, _hops in held]
+    held[5] = (held[5][0], top, 1)
+    if ending == "unreached":
+        rounds = backoff_rounds = 1
+    if ending == "above-max":
+        # one node already holds more than any identifier
+        held[7] = (held[7][0], top + 1, 2)
+    components = counting(monkeypatch, "_components")
+    fast, slow = flood_both_ways(m, held, rounds, backoff_rounds, seed)
+    assert fast == slow
+    seen = [max_seen for max_seen, _origin, _hops in fast[1]]
+    if ending == "all-reached":
+        assert seen == [top] * m.n and fast[2] >= 2 and not components
+    elif ending == "unreached":
+        assert top in seen and min(seen) < top and components
+    else:
+        assert top + 1 in seen and fast[2] == rounds and components

@@ -268,6 +268,20 @@ def test_cli_bad_sweep_grid_names_flag_and_token(args, config, message, tmp_path
     assert err.startswith("radiosync: error: ") and err.rstrip().endswith(message)
 
 
+@pytest.mark.parametrize("key", ["trials", "seed"])
+@pytest.mark.parametrize("value", [True, False])
+def test_cli_sweep_config_refuses_booleans(key, value, tmp_path, capsys):
+    # bool is an int to isinstance, but no flag can pass one
+    (tmp_path / "sweep.json").write_text(json.dumps({"d_grid": "64", key: value}))
+    assert main(["sweep", "--config", str(tmp_path / "sweep.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"radiosync: error: {tmp_path / 'sweep.json'}: {key} must be int or str, "
+        f"got {value!r}"
+    ]
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
 
 from radiosync.netsim import (
     DriftParams,
+    _heard_counts,
     check_unit_overlap,
     complete_steps,
     max_step_overlap,
@@ -126,6 +129,36 @@ def test_backoff_heard_sets_match_coin_enumeration(slots):
         expect = units * exact[exact > 0]
         chi2 = float((((observed[exact > 0] - expect) ** 2) / expect).sum())
         assert chi2_sf(chi2, expect.size - 1) > 1e-4, (k, chi2)
+
+
+@pytest.mark.parametrize("slots", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_heard_count_table_matches_coin_enumeration(k, slots):
+    exact = exact_heard_sets(k, slots)
+    by_count = np.bincount([m.bit_count() for m in range(2**k)], weights=exact)
+    assert np.abs(_heard_counts(k, slots) - by_count).max() <= 1e-12
+
+
+@pytest.mark.parametrize("slots", [1, 36, 10**4])
+@pytest.mark.parametrize("k", [2, 3, 5, 8, 16, 31, 32, 33, 53, 64])
+def test_heard_count_table_is_a_distribution(k, slots):
+    _heard_counts.cache_clear()
+    start = time.perf_counter()
+    table = _heard_counts(k, slots)
+    assert time.perf_counter() - start < 1.0
+    assert table.shape == (k + 1,) and (table >= 0).all()
+    assert table.sum() == pytest.approx(1.0, abs=1e-11)
+    assert not table.flags.writeable
+
+
+def test_nobody_heard_once_the_lone_slot_rate_underflows():
+    # 2**-1100 is 0 in float64: no slot has a sole transmitter
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        table = _heard_counts(1100, 10**4)
+        won = resolve_backoff([1100, 2, 1100], 36, spawn_rng(6))
+    assert table[0] == 1.0 and not table[1:].any()
+    assert not won[:1100].any() and not won[1102:].any()
 
 
 def test_backoff_rates_at_default_slot_count():
