@@ -14,8 +14,10 @@ Library layout:
 * :mod:`radiosync.protocol`    -- run configuration, the radio medium
   (delivery at meetings), max-identifier synchronization and the
   unknown-count estimation loop
-* :mod:`radiosync.harness`     -- seeded sweeps, CSV emission
-* :mod:`radiosync.acceptance`  -- release-gating checks
+* :mod:`radiosync.harness`     -- seeded runs and sweeps, and the CSV
+  text of their results
+* :mod:`radiosync.acceptance`  -- release-gating checks, one line each
+  (``radiosync accept`` runs them all)
 """
 
 from .bitstrings import (
@@ -48,7 +50,6 @@ from .randsched import (
     ScheduleMatrix,
     build_comm_graph,
     detect_meetings,
-    gen_matrix,
     graph_stats,
 )
 from .netsim import DriftParams, check_unit_overlap
@@ -62,7 +63,7 @@ from .protocol import (
     run_pipeline,
     run_sync,
 )
-from .harness import ExperimentSpec, SummaryRecord, run_acceptance, run_sweep
+from .harness import ExperimentSpec, SummaryRecord, run_sweep
 
 __all__ = [
     "BitSchedule",
@@ -86,7 +87,6 @@ __all__ = [
     "CommGraph",
     "GraphStats",
     "Meetings",
-    "gen_matrix",
     "detect_meetings",
     "build_comm_graph",
     "graph_stats",
@@ -103,5 +103,4 @@ __all__ = [
     "ExperimentSpec",
     "SummaryRecord",
     "run_sweep",
-    "run_acceptance",
 ]

@@ -53,6 +53,14 @@ class CriterionResult:
     measured: str
     seconds: float
 
+    def line(self) -> str:
+        """The report line: name, PASS or FAIL, the required and the
+        measured values, and the seconds taken."""
+        return (
+            f"{self.name:<4} {'PASS' if self.passed else 'FAIL'}  required: "
+            f"{self.required}; measured: {self.measured}  [{self.seconds:.1f}s]"
+        )
+
 
 def _result(name: str, passed: bool, required: str, measured: str, t0: float):
     return CriterionResult(
@@ -422,16 +430,6 @@ def run_all(stream=None) -> list[CriterionResult]:
     if stream is None:
         stream = sys.stdout
     results = []
-
-    def emit(res: CriterionResult) -> None:
-        results.append(res)
-        status = "PASS" if res.passed else "FAIL"
-        print(
-            f"{res.name:<4} {status}  required: {res.required}; "
-            f"measured: {res.measured}  [{res.seconds:.1f}s]",
-            file=stream,
-        )
-
     for fn in (
         criterion_a1,
         criterion_a2,
@@ -446,5 +444,6 @@ def run_all(stream=None) -> list[CriterionResult]:
         criterion_a11,
         criterion_a12,
     ):
-        emit(fn())
+        results.append(fn())
+        print(results[-1].line(), file=stream)
     return results

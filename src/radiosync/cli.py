@@ -17,10 +17,10 @@ written (one ``radiosync: error:`` line on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
+from .acceptance import run_all
 from .birthday import BirthdayParams, estimate_prob_H, estimate_prob_T
 from .bitstrings import BitSchedule, ShiftAssignment, pack_non_overlapping
 from .detsched import build_two_proc_schedule, first_uncovered_shift
@@ -28,11 +28,11 @@ from .harness import (
     ExperimentSpec,
     load_config_file,
     per_node_costs_to_csv,
-    run_acceptance,
     run_one,
     runs_to_csv,
     summaries_to_csv,
     run_sweep,
+    to_csv,
     trace_to_csv,
 )
 from .protocol import SimConfig, estimate_n
@@ -78,22 +78,18 @@ def cmd_birthday(args) -> int:
     )
     estimator = estimate_prob_H if args.lemma == 1 else estimate_prob_T
     est = estimator(params, args.trials, args.seed)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        ["lemma", "L", "C", "s", "trials", "seed", "estimate", "half_width"]
+    header = ("lemma", "L", "C", "s", "trials", "seed", "estimate", "half_width")
+    row = (
+        args.lemma,
+        args.L,
+        args.C,
+        args.s,
+        args.trials,
+        args.seed,
+        f"{est.estimate:.6f}",
+        f"{est.half_width:.6f}",
     )
-    writer.writerow(
-        [
-            args.lemma,
-            args.L,
-            args.C,
-            args.s,
-            args.trials,
-            args.seed,
-            f"{est.estimate:.6f}",
-            f"{est.half_width:.6f}",
-        ]
-    )
+    sys.stdout.write(to_csv(header, [row]))
     return 0
 
 
@@ -119,31 +115,27 @@ def cmd_sync_run(args) -> int:
 def cmd_sync_estimate_n(args) -> int:
     config = SimConfig(d=args.d, seed=args.seed)
     res = estimate_n(config, args.true_n)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(
-        [
-            "d",
-            "true_n",
-            "seed",
-            "accepted",
-            "estimate",
-            "epochs",
-            "synchronized_fraction",
-            "max_cost",
-        ]
+    header = (
+        "d",
+        "true_n",
+        "seed",
+        "accepted",
+        "estimate",
+        "epochs",
+        "synchronized_fraction",
+        "max_cost",
     )
-    writer.writerow(
-        [
-            args.d,
-            args.true_n,
-            args.seed,
-            int(res.accepted),
-            res.estimate if res.estimate is not None else "",
-            res.epochs_run,
-            f"{res.synchronized_fraction:.4f}",
-            int(res.per_node_cost.max()) if res.per_node_cost.size else 0,
-        ]
+    row = (
+        args.d,
+        args.true_n,
+        args.seed,
+        int(res.accepted),
+        res.estimate if res.estimate is not None else "",
+        res.epochs_run,
+        f"{res.synchronized_fraction:.4f}",
+        int(res.per_node_cost.max()) if res.per_node_cost.size else 0,
     )
+    sys.stdout.write(to_csv(header, [row]))
     return 0 if res.accepted else 1
 
 
@@ -189,17 +181,13 @@ def cmd_sweep(args) -> int:
         exclusive_grid=(False, True) if args.both_modes else (args.exclusive,),
         trials=_number(*pick(args.trials, "--trials", "trials", 1, (int, str)), int),
         root_seed=_number(*pick(args.seed, "--seed", "seed", 0, (int, str)), int),
-        out_path=args.out,
     )
-    records = run_sweep(spec)
-    if args.out is None:
-        sys.stdout.write(summaries_to_csv(records))
+    _write_out(summaries_to_csv(run_sweep(spec)), args.out)
     return 0
 
 
 def cmd_accept(args) -> int:
-    ok = run_acceptance()
-    return 0 if ok else 1
+    return 0 if all(c.passed for c in run_all()) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

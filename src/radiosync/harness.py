@@ -1,4 +1,4 @@
-"""Seeded experiment sweeps, CSV emission, and the acceptance driver.
+"""Seeded experiment sweeps and CSV emission.
 
 Every output is a pure function of the root seed: per-trial generators
 are derived from (root seed, cell index, trial index), cells and
@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .protocol import SimConfig, run_pipeline
 from .randsched import graph_stats
@@ -56,7 +56,6 @@ class ExperimentSpec:
     exclusive_grid: tuple[bool, ...] = (False,)
     trials: int = 1
     root_seed: int = 0
-    out_path: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.trials < 1:
@@ -133,7 +132,6 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
 
     Per-trial seeds derive from (root seed, cell index, trial index);
     output order is (cell, trial) regardless of any execution order.
-    Writes the summary CSV when the spec names an output path.
     """
     from .seeding import derive_seed
 
@@ -160,60 +158,52 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
                 ),
             )
         )
-    if spec.out_path is not None:
-        Path(spec.out_path).write_text(summaries_to_csv(records))
     return records
 
 
-def summaries_to_csv(records: Sequence[SummaryRecord]) -> str:
+def to_csv(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The CSV text of a header and its rows, with ``\\n`` line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SUMMARY_COLUMNS)
-    for rec in records:
-        writer.writerow(rec.csv_row())
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def summaries_to_csv(records: Sequence[SummaryRecord]) -> str:
+    return to_csv(SUMMARY_COLUMNS, (rec.csv_row() for rec in records))
 
 
 def runs_to_csv(runs: Sequence[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RUN_COLUMNS)
-    for r in runs:
-        writer.writerow([r[c] for c in RUN_COLUMNS])
-    return buf.getvalue()
+    return to_csv(RUN_COLUMNS, ([r[c] for c in RUN_COLUMNS] for r in runs))
 
 
 def per_node_costs_to_csv(costs: Sequence[int]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("node", "radio_cost"))
-    for node, cost in enumerate(costs):
-        writer.writerow((node, cost))
-    return buf.getvalue()
+    return to_csv(("node", "radio_cost"), enumerate(costs))
 
 
 def trace_to_csv(trace: Sequence[tuple]) -> str:
-    """Event-trace rows: time unit, awake set, transmitters, and who
-    heard whom. Node lists are |-separated; deliveries are
-    ``receiver<-senders`` entries separated by ';' (an empty sender
-    list means the receiver heard only noise)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("t", "awake", "transmitters", "deliveries"))
-    for t, awake, transmitters, delivered in trace:
-        deliveries = ";".join(
-            f"{r}<-" + "|".join(str(s) for s in senders)
-            for r, senders in sorted(delivered.items())
-        )
-        writer.writerow(
+    """Event-trace rows ``(t, awake, transmitters)``: time unit, awake
+    set, transmitters, and who heard whom. Node lists are |-separated.
+    Every awake radio hears every transmitter but itself; deliveries
+    are those ``receiver<-senders`` entries, ascending by receiver and
+    separated by ';' (an empty sender list means the receiver heard
+    only noise)."""
+    return to_csv(
+        ("t", "awake", "transmitters", "deliveries"),
+        (
             (
                 t,
-                "|".join(str(x) for x in awake),
-                "|".join(str(x) for x in transmitters),
-                deliveries,
+                "|".join(map(str, awake)),
+                "|".join(map(str, transmitters)),
+                ";".join(
+                    f"{r}<-" + "|".join(str(s) for s in transmitters if s != r)
+                    for r in awake
+                ),
             )
-        )
-    return buf.getvalue()
+            for t, awake, transmitters in trace
+        ),
+    )
 
 
 def load_config_file(path: str) -> dict:
@@ -225,14 +215,3 @@ def load_config_file(path: str) -> dict:
         if isinstance(value, (dict, list)):
             raise ValueError(f"{path}: key {key!r} is not flat")
     return data
-
-
-def run_acceptance(stream=None) -> bool:
-    """Run the full acceptance suite, one line per criterion.
-
-    Returns True iff every criterion passed.
-    """
-    from .acceptance import run_all
-
-    report = run_all(stream=stream)
-    return all(c.passed for c in report)

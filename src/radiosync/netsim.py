@@ -79,18 +79,6 @@ class DriftParams:
         return 5.0 * self.max_step
 
 
-def complete_steps(p: DriftParams, node: int, phase: float) -> int:
-    """Whole steps node fits into one unit when it starts at ``phase``.
-
-    Always at least 3: the unit is 5 max-steps long and the start phase
-    is below one step.
-    """
-    s = p.step_length(node)
-    if not 0.0 <= phase < s:
-        raise ValueError(f"phase must lie in [0, {s}), got {phase}")
-    return int(math.floor((p.unit_length - phase) / s))
-
-
 def max_step_overlap(
     step_i: float, step_j: float, phase_i: float, phase_j: float, unit: float
 ) -> float:

@@ -116,8 +116,9 @@ class NodeState:
     ``ident`` is the node's random identifier, ``max_seen`` the largest
     identifier heard so far. The believed root clock is carried as its
     *origin* (the global time at which that clock read zero), so the
-    replica keeps running while it propagates; ``root_time`` and
-    ``own_time`` are filled in with concrete readings when a run
+    replica keeps running while it propagates; it starts at the node's
+    own ``start_offset`` and is not a constructor argument. ``root_time``
+    and ``own_time`` are filled in with concrete readings when a run
     finishes. ``hops`` counts adoptions between the root and this node,
     for transmission-delay accounting. :func:`run_sync` reads
     ``max_seen``, ``root_origin`` and ``hops`` once, floods them as
@@ -128,7 +129,7 @@ class NodeState:
     ident: int
     start_offset: int
     max_seen: int = 0
-    root_origin: int = 0
+    root_origin: int = field(init=False)
     hops: int = 0
     synchronized: bool = False
     own_time: int = 0
@@ -500,20 +501,18 @@ def _spread(
 
 
 def _trace_rows(meetings: Meetings, won: Optional[np.ndarray], time_base: int) -> list:
-    """One (t, awake, transmitters, deliveries) row per meeting unit.
-    Every participant transmits unless ``won`` (one bool per owner
-    slot) names the sole transmitters; receivers that hear only
-    collisions get an empty sender tuple."""
+    """One (t, awake, transmitters) row per meeting unit, both node
+    tuples ascending. Every participant transmits unless ``won`` (one
+    bool per owner slot) names the sole transmitters; each awake radio
+    hears every transmitter but itself."""
     owners = meetings.owners.tolist()
     sent = owners if won is None else np.where(won, meetings.owners, -1).tolist()
     rows = []
     for col, lo, k in zip(
         meetings.cols.tolist(), meetings.starts.tolist(), meetings.sizes.tolist()
     ):
-        awake = tuple(owners[lo : lo + k])
         heard = tuple(s for s in sent[lo : lo + k] if s >= 0)
-        delivered = {r: tuple(s for s in heard if s != r) for r in awake}
-        rows.append((time_base + col, awake, heard, delivered))
+        rows.append((time_base + col, tuple(owners[lo : lo + k]), heard))
     return rows
 
 

@@ -248,28 +248,6 @@ def draw_rows(
     return flat[keep], starts
 
 
-def gen_matrix(
-    n: int,
-    columns: int,
-    density_exponent: float,
-    scale: float,
-    rng: np.random.Generator,
-) -> ScheduleMatrix:
-    """n independent rows, each with ceil(scale * columns**exponent) draws.
-
-    Offsets are left unset; the caller assigns them.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one row, got {n}")
-    if not 0.0 <= density_exponent <= 1.0:
-        raise ValueError(f"density exponent must lie in [0, 1], got {density_exponent}")
-    draws = row_draws(columns, density_exponent, scale)
-    if draws > columns:
-        raise ValueError(f"{draws} draws exceed window of {columns} columns")
-    positions, starts = draw_rows(n, 1, columns, draws, rng)
-    return ScheduleMatrix(n, columns, positions, starts=starts)
-
-
 def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
     """The stable sorting permutation of non-negative integer ``keys``
     below ``bound``: LSD radix over 16-bit digits, one stable argsort
@@ -425,10 +403,6 @@ class CommGraph:
         return f"CommGraph(n={self.n}, edges={self.i.size})"
 
     @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return frozenset(zip(self.i.tolist(), self.j.tolist()))
-
-    @property
     def witness(self) -> Mapping[tuple[int, int], int]:
         """Read-only map of each edge (i, j) to its first column, in
         (column, i, j) order; built from the arrays on every access."""
@@ -466,17 +440,13 @@ def graph_from_pairs(
     return CommGraph(n, i, j, cols[first])
 
 
-def graph_from_meetings(n: int, meetings: Meetings) -> CommGraph:
-    """Graph over ``n`` rows with an edge for every pair of rows that
-    share a meeting (see :func:`graph_from_pairs`)."""
+def build_comm_graph(m: ScheduleMatrix) -> CommGraph:
+    """Graph whose edges are row pairs with at least one meeting (see
+    :func:`graph_from_pairs`)."""
+    meetings = detect_meetings(m)
     src, dst, which = meetings.pairs()
     owners = meetings.owners
-    return graph_from_pairs(n, owners[src], owners[dst], meetings.cols[which])
-
-
-def build_comm_graph(m: ScheduleMatrix) -> CommGraph:
-    """Graph whose edges are row pairs with at least one meeting."""
-    return graph_from_meetings(m.n, detect_meetings(m))
+    return graph_from_pairs(m.n, owners[src], owners[dst], meetings.cols[which])
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,23 @@ import os
 import numpy as np
 
 
+def _sequence(key: tuple) -> np.random.SeedSequence:
+    """The seed sequence of ``key``; a negative seed or index is
+    refused by value."""
+    for part in key:
+        if part < 0:
+            raise ValueError(f"seeds must be non-negative, got {part}")
+    return np.random.SeedSequence(key)
+
+
 def spawn_rng(*key: int) -> np.random.Generator:
     """Generator for a hierarchical key (root seed followed by indices)."""
-    return np.random.default_rng(np.random.SeedSequence(key))
+    return np.random.default_rng(_sequence(key))
 
 
 def derive_seed(*key: int) -> int:
     """Collapse a hierarchical key to a single 63-bit integer seed."""
-    state = np.random.SeedSequence(key).generate_state(2, np.uint32)
+    state = _sequence(key).generate_state(2, np.uint32)
     return (int(state[0]) << 31) ^ int(state[1])
 
 

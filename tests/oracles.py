@@ -70,9 +70,9 @@ def graph(n: int, witness) -> CommGraph:
 
 
 def adjacency(g: CommGraph) -> list[list[int]]:
-    """Sorted neighbour lists, from the edge set."""
+    """Sorted neighbour lists, from the edge arrays."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in g.edges:
+    for i, j in zip(g.i.tolist(), g.j.tolist()):
         adj[i].append(j)
         adj[j].append(i)
     return [sorted(nbrs) for nbrs in adj]
@@ -191,10 +191,7 @@ def deliver_meetings(meetings, states, *, transmit_delay, trace=None, time_base=
     changed = False
     for col, participants in meetings:
         if trace is not None:
-            delivered = {
-                r: tuple(s for s in participants if s != r) for r in participants
-            }
-            trace.append((time_base + col, participants, participants, delivered))
+            trace.append((time_base + col, participants, participants))
         changed |= deliver_unit(participants, participants, states, transmit_delay)
     return changed
 
@@ -230,10 +227,7 @@ def deliver_meetings_per_unit(
     for col, participants in meetings:
         heard_from = {s for s in participants if next(won)}
         if trace is not None:
-            delivered = {r: tuple(sorted(heard_from - {r})) for r in participants}
-            trace.append(
-                (time_base + col, participants, tuple(sorted(heard_from)), delivered)
-            )
+            trace.append((time_base + col, participants, tuple(sorted(heard_from))))
         changed |= deliver_unit(participants, heard_from, states, transmit_delay)
     return changed
 

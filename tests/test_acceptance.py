@@ -22,12 +22,8 @@ from radiosync.acceptance import (
 
 
 def check(res):
-    line = (
-        f"{res.name} {'PASS' if res.passed else 'FAIL'}  "
-        f"required: {res.required}; measured: {res.measured}  [{res.seconds:.1f}s]"
-    )
-    print(line)
-    assert res.passed, line
+    print(res.line())
+    assert res.passed, res.line()
 
 
 def test_a1_two_proc_schedule_exact():

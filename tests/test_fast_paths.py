@@ -30,9 +30,9 @@ from radiosync.randsched import (
     build_comm_graph,
     detect_meetings,
     draw_rows,
-    gen_matrix,
-    graph_from_meetings,
+    graph_from_pairs,
     graph_stats,
+    row_draws,
 )
 from radiosync.seeding import spawn_rng
 
@@ -80,6 +80,15 @@ def witness_items(witness):
     return list(witness.items())
 
 
+def graph_of(n, meetings):
+    """The graph of a :class:`Meetings` record, built as
+    ``build_comm_graph`` builds it: its pairs through
+    ``graph_from_pairs``."""
+    src, dst, which = meetings.pairs()
+    owners = meetings.owners
+    return graph_from_pairs(n, owners[src], owners[dst], meetings.cols[which])
+
+
 def assert_csr_matches(g):
     """The CSR rows are the sorted neighbour lists of the edge set, and
     the degrees their lengths."""
@@ -112,7 +121,7 @@ def test_zero_offsets_match_oracle(m):
 @given(case=meeting_lists())
 def test_graph_builder_matches_oracle(case):
     n, meetings = case
-    got = graph_from_meetings(n, oracles.as_meetings(meetings))
+    got = graph_of(n, oracles.as_meetings(meetings))
     assert witness_items(got.witness) == witness_items(
         oracles.graph_from_meetings(meetings)
     )
@@ -237,8 +246,10 @@ def test_seeded_pipeline_matrix_matches_oracle(d, beta):
 
 
 def test_gen_matrix_matches_per_row_unique():
-    rng = spawn_rng(12)
-    got = gen_matrix(6, 300, 0.5, 1.82, rng)
+    draws = row_draws(300, 0.5, 1.82)
+    assert draws == 32
+    positions, starts = draw_rows(6, 1, 300, draws, spawn_rng(12))
+    got = ScheduleMatrix(6, 300, positions, starts=starts)
     ref_rng = spawn_rng(12)
     ref = [np.unique(ref_rng.integers(0, 300, size=32)) for _ in range(6)]
     assert all(np.array_equal(a, b) for a, b in zip(oracles.rows(got), ref))
@@ -339,7 +350,7 @@ def test_graph_beyond_16_bit_node_indices_matches_oracles():
         size = int(rng.integers(2, 5))
         groups.append((col, tuple(sorted(rng.choice(hubs, size, replace=False).tolist()))))
     meetings = oracles.as_meetings(groups)
-    g = graph_from_meetings(n, meetings)
+    g = graph_of(n, meetings)
     assert witness_items(g.witness) == witness_items(oracles.graph_from_meetings(groups))
     assert_csr_matches(g)
     root = int(np.argmax(g.degrees()))
@@ -505,8 +516,9 @@ def test_tie_goes_to_fewest_hops_then_lowest_sender():
     for seed in range(40):
         fast, slow = flood_both_ways(m, held, 1, 8, seed)
         assert fast == slow
-        ((_t, _awake, _sent, delivered),) = fast[0]
-        if delivered[0] == (1, 9):
+        ((_t, _awake, sent),) = fast[0]
+        # radio 0 hears every transmitter but itself
+        if {1, 9} <= set(sent):
             heard_both += 1
             assert fast[1][0][2] == 2
     assert heard_both > 0

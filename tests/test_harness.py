@@ -13,6 +13,7 @@ from radiosync.harness import (
     run_one,
     run_sweep,
     summaries_to_csv,
+    trace_to_csv,
 )
 
 
@@ -170,6 +171,16 @@ def test_cli_sync_run_trace_and_costs(tmp_path, capsys):
     assert len(cost_lines) == 1 + 8
 
 
+def test_trace_deliveries_are_every_transmitter_but_the_receiver():
+    # a unit in which only radio 1 was heard, then a pair both heard
+    rows = [(3, (0, 1, 2), (1,)), (5, (0, 4), (0, 4))]
+    assert trace_to_csv(rows).splitlines() == [
+        "t,awake,transmitters,deliveries",
+        "3,0|1|2,1,0<-1;1<-;2<-1",
+        "5,0|4,0|4,0<-4;4<-0",
+    ]
+
+
 def test_cli_sync_estimate(capsys):
     code = main(["sync", "estimate-n", "--d", "64", "--true-n", "64", "--seed", "2"])
     assert code == 0
@@ -268,6 +279,25 @@ def test_cli_bad_sweep_grid_names_flag_and_token(args, config, message, tmp_path
     assert err.startswith("radiosync: error: ") and err.rstrip().endswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sync", "run", "--d", "64"],
+        ["sync", "estimate-n", "--d", "64", "--true-n", "8"],
+        ["sweep", "--d-grid", "64"],
+        ["birthday", "--lemma", "1", "--L", "100", "--trials", "10"],
+    ],
+    ids=["sync-run", "estimate-n", "sweep", "birthday"],
+)
+def test_cli_negative_seed_is_named(argv, capsys):
+    assert main([*argv, "--seed", "-7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "radiosync: error: seeds must be non-negative, got -7"
+    ]
+
+
 @pytest.mark.parametrize("key", ["trials", "seed"])
 @pytest.mark.parametrize("value", [True, False])
 def test_cli_sweep_config_refuses_booleans(key, value, tmp_path, capsys):
@@ -282,25 +312,15 @@ def test_cli_sweep_config_refuses_booleans(key, value, tmp_path, capsys):
     ]
 
 
-def test_cli_sweep(tmp_path):
+def test_cli_sweep(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code = main(
-        [
-            "sweep",
-            "--d-grid",
-            "64",
-            "--beta-grid",
-            "0.5",
-            "--trials",
-            "2",
-            "--seed",
-            "3",
-            "--out",
-            str(out),
-        ]
-    )
-    assert code == 0
+    argv = ["sweep", "--d-grid", "64", "--beta-grid", "0.5", "--trials", "2", "--seed", "3"]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
     assert out.read_text().splitlines()[0] == ",".join(SUMMARY_COLUMNS)
+    # the file holds exactly what the sweep prints without --out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out.read_text()
 
 
 def test_cli_sweep_config_file(tmp_path, capsys):

@@ -12,7 +12,6 @@ from radiosync.netsim import (
     DriftParams,
     _heard_counts,
     check_unit_overlap,
-    complete_steps,
     max_step_overlap,
     resolve_backoff,
     resolve_backoff_unit,
@@ -210,7 +209,8 @@ def test_unit_fits_three_steps():
         for i in range(2):
             s = p.step_length(i)
             phase = float(rng.random()) * s
-            assert complete_steps(p, i, phase) >= 3
+            # the whole steps max_step_overlap fits into the unit
+            assert math.floor((p.unit_length - phase) / s) >= 3
 
 
 def test_overlap_identical_phases():

@@ -175,6 +175,14 @@ def test_run_sync_refuses_what_sim_config_refuses(field, value, exclusive):
         )
 
 
+def test_node_state_origin_is_not_an_argument():
+    # the origin starts at the node's own offset; passing one is an
+    # error, not silently dropped
+    assert NodeState(index=0, ident=5, start_offset=3).root_origin == 3
+    with pytest.raises(TypeError, match="root_origin"):
+        NodeState(index=0, ident=5, start_offset=3, root_origin=9)
+
+
 def test_make_node_states_unique_idents():
     for seed in range(5):
         states = make_node_states(64, [0] * 64, spawn_rng(3, seed))
@@ -253,17 +261,14 @@ def test_base_mode_delivers_pair_and_triple():
     m = matrix_from_ones(8, [[1, 3], [1, 3], [3, 5]], [0, 0, 0])
     trace = []
     run_sync(m, states_with_idents([100, 50, 10]), 1, trace=trace)
-    assert trace == [
-        (1, (0, 1), (0, 1), {0: (1,), 1: (0,)}),
-        (3, (0, 1, 2), (0, 1, 2), {0: (1, 2), 1: (0, 2), 2: (0, 1)}),
-    ]
+    assert trace == [(1, (0, 1), (0, 1)), (3, (0, 1, 2), (0, 1, 2))]
 
 
 def test_offset_row_meets_at_position_plus_offset():
     m = matrix_from_ones(8, [[5], [3]], [0, 2])
     trace = []
     run_sync(m, states_with_idents([100, 50]), 1, trace=trace)
-    assert trace == [(5, (0, 1), (0, 1), {0: (1,), 1: (0,)})]
+    assert trace == [(5, (0, 1), (0, 1))]
 
 
 def test_exclusive_transmitters_replay_backoff():
@@ -287,10 +292,9 @@ def test_exclusive_transmitters_replay_backoff():
     for copy in range(3):
         rows = [row for row in trace if row[0] // 16 == copy]
         won = iter(resolve_backoff([len(row[1]) for row in rows], 3, replay).tolist())
-        for _t, awake, transmitters, delivered in rows:
+        for _t, awake, transmitters in rows:
             heard = {s for s in awake if next(won)}
             assert transmitters == tuple(sorted(heard))
-            assert delivered == {r: tuple(sorted(heard - {r})) for r in awake}
 
 
 def test_exclusive_unit_without_winner_delivers_nothing():
@@ -304,7 +308,7 @@ def test_exclusive_unit_without_winner_delivers_nothing():
     run_sync(
         m, states, 1, exclusive=True, backoff_rounds=1, rng=spawn_rng(seed), trace=trace
     )
-    assert trace == [(3, (0, 1, 2), (), {0: (), 1: (), 2: ()})]
+    assert trace == [(3, (0, 1, 2), ())]
     assert [st.max_seen for st in states] == [100, 50, 10]
 
 

@@ -13,9 +13,10 @@ from radiosync.randsched import (
     ScheduleMatrix,
     build_comm_graph,
     detect_meetings,
-    gen_matrix,
+    draw_rows,
     graph_stats,
     repetition_constant,
+    row_draws,
 )
 from radiosync.seeding import spawn_rng
 
@@ -27,6 +28,18 @@ def matrix_from_ones(columns, rows, offsets=None):
         positions=[np.array(sorted(r), dtype=np.int64) for r in rows],
     )
     return m.with_offsets(offsets) if offsets is not None else m
+
+
+def random_matrix(n, columns, exponent, scale, rng):
+    """n rows of one random window of ``columns`` units with
+    ``row_draws(columns, exponent, scale)`` draws each (offsets unset)."""
+    draws = row_draws(columns, exponent, scale)
+    positions, starts = draw_rows(n, 1, columns, draws, rng)
+    return ScheduleMatrix(n, columns, positions, starts=starts)
+
+
+def edge_set(g):
+    return set(zip(g.i.tolist(), g.j.tolist()))
 
 
 def interference_graph(m):
@@ -43,34 +56,33 @@ def test_gen_row_full_draws_classic_occupancy():
     # k = L draws with replacement: expected distinct ~ L(1 - 1/e);
     # exponent 1 at scale 1 draws exactly L per row
     L = 2_000
-    densities = [
-        gen_matrix(1, L, 1.0, 1.0, spawn_rng(1, i)).densities()[0]
-        for i in range(30)
-    ]
+    assert row_draws(L, 1.0, 1.0) == L
+    densities = [draw_rows(1, 1, L, L, spawn_rng(1, i))[1][1] for i in range(30)]
     expected = L * (1 - math.exp(-1))
     assert abs(np.mean(densities) - expected) < 0.02 * L
     assert all(d <= L for d in densities)
 
 
 def test_gen_matrix_zero_exponent_density():
-    m = gen_matrix(4, 64, density_exponent=0.0, scale=1.82, rng=spawn_rng(2))
-    assert all(m.densities() <= 2)  # ceil(1.82) draws
-    assert m.offsets is None
-    assert m.densities().size == 4
+    assert row_draws(64, 0.0, 1.82) == 2  # ceil(1.82) draws
+    _positions, starts = draw_rows(4, 1, 64, 2, spawn_rng(2))
+    assert starts.size == 5
+    assert all(np.diff(starts) <= 2)
 
 
 def test_gen_matrix_density_formula():
     # at window 4d with exponent 1/4: ceil(C * (4d)**(1/4)) draws
     d = 4096
-    m = gen_matrix(3, 4 * d, density_exponent=0.25, scale=1.82, rng=spawn_rng(3))
-    k = math.ceil(1.82 * (4 * d) ** 0.25)
-    assert all(m.densities() <= k)
-    assert m.densities().max() > k - 3  # few duplicates
+    k = row_draws(4 * d, 0.25, 1.82)
+    assert k == math.ceil(1.82 * (4 * d) ** 0.25)
+    densities = np.diff(draw_rows(3, 1, 4 * d, k, spawn_rng(3))[1])
+    assert all(densities <= k)
+    assert densities.max() > k - 3  # few duplicates
 
 
 def test_gen_matrix_seeds_differ():
-    a = gen_matrix(4, 256, 0.5, 1.82, spawn_rng(10))
-    b = gen_matrix(4, 256, 0.5, 1.82, spawn_rng(11))
+    a = random_matrix(4, 256, 0.5, 1.82, spawn_rng(10))
+    b = random_matrix(4, 256, 0.5, 1.82, spawn_rng(11))
     assert any(
         not np.array_equal(ra, rb) for ra, rb in zip(oracles.rows(a), oracles.rows(b))
     )
@@ -219,13 +231,13 @@ def test_exclusive_drops_crowded_columns():
     m = matrix_from_ones(8, [[4], [4], [4]], offsets=[0, 0, 0])
     assert list(detect_meetings(m)) == [(4, (0, 1, 2))]
     g = build_comm_graph(m)
-    assert g.edges == {(0, 1), (0, 2), (1, 2)}  # all pairs witnessed
-    assert interference_graph(m).edges == frozenset()
+    assert (g.i.tolist(), g.j.tolist()) == ([0, 0, 1], [1, 2, 2])  # all pairs witnessed
+    assert interference_graph(m).i.size == 0
 
 
 def test_disjoint_schedules_empty_graph():
     m = matrix_from_ones(8, [[0, 2], [1, 3]], offsets=[0, 0])
-    assert build_comm_graph(m).edges == frozenset()
+    assert build_comm_graph(m).i.size == 0
 
 
 def test_packed_shifts_produce_no_meetings():
@@ -243,12 +255,12 @@ def test_packed_shifts_produce_no_meetings():
         L, [s.ones for s in strings], offsets=list(got.shifts)
     )
     assert list(detect_meetings(m)) == []
-    assert build_comm_graph(m).edges == frozenset()
+    assert build_comm_graph(m).i.size == 0
 
 
 def test_witness_soundness():
     rng = spawn_rng(30)
-    m = gen_matrix(6, 128, 0.5, 1.82, rng).with_offsets(rng.integers(0, 33, 6))
+    m = random_matrix(6, 128, 0.5, 1.82, rng).with_offsets(rng.integers(0, 33, 6))
     for exclusive, g in ((False, build_comm_graph(m)), (True, interference_graph(m))):
         for (i, j), col in g.witness.items():
             awake = [
@@ -263,13 +275,13 @@ def test_witness_soundness():
 
 def test_exclusive_edges_subset_of_base():
     rng = spawn_rng(31)
-    m = gen_matrix(8, 64, 0.5, 2.0, rng).with_offsets(rng.integers(0, 17, 8))
-    assert interference_graph(m).edges <= build_comm_graph(m).edges
+    m = random_matrix(8, 64, 0.5, 2.0, rng).with_offsets(rng.integers(0, 17, 8))
+    assert edge_set(interference_graph(m)) <= edge_set(build_comm_graph(m))
 
 
 def test_double_construction_identical():
     rng = spawn_rng(32)
-    m = gen_matrix(5, 128, 0.5, 1.82, rng).with_offsets([3, 0, 7, 2, 5])
+    m = random_matrix(5, 128, 0.5, 1.82, rng).with_offsets([3, 0, 7, 2, 5])
     assert build_comm_graph(m) == build_comm_graph(m)
     assert list(detect_meetings(m)) == list(detect_meetings(m))
 
@@ -360,7 +372,7 @@ def test_single_block_meeting_rate():
     trials = 200
     for seed in range(trials):
         rng = spawn_rng(60, seed)
-        m = gen_matrix(n, L, k_exp, 1.82, rng).with_offsets(
+        m = random_matrix(n, L, k_exp, 1.82, rng).with_offsets(
             rng.integers(0, d + 1, n)
         )
         if build_comm_graph(m).degrees()[0] >= 1:
