@@ -12,7 +12,7 @@ reached node sets its clock to the root's, so all agree exactly.
 When the processor count is unknown, guesses n_i = d / 2**i are tried
 in time-isolated epochs. A too-large guess yields a schedule too
 sparse to connect that many nodes, which the root detects by counting
-its spanning tree; the first guess whose tree covers it is accepted.
+the nodes its BFS reaches; the first guess that count covers is accepted.
 Densities grow geometrically with the epoch index while the
 repetition counts stay fixed (they depend only on d), so the total
 radio spend is dominated by the last epoch.
@@ -318,54 +318,6 @@ def _relax(
         label = nxt
 
 
-def _deadlines(
-    open_: np.ndarray, backward: tuple[np.ndarray, ...], period: int, never: int
-) -> np.ndarray:
-    """For every node, the label before which it must hold a message
-    for that message to reach an ``open_`` node by a time-respecting
-    path within the budget; -1 where none can. Latest departures,
-    relaxed backwards over the deliveries grouped by sender (the
-    :func:`_by_receiver` layout with the ends swapped) until nothing
-    moves."""
-    receivers, _senders, cols, heads, into = backward
-    deadline = np.where(open_, never, -1)
-    while True:
-        copy = (deadline[receivers] - 1 - cols) // period
-        leave = np.where(copy >= 0, copy * period + cols, -1)
-        nxt = deadline.copy()
-        nxt[into] = np.maximum(deadline[into], np.maximum.reduceat(leave, heads))
-        if np.array_equal(nxt, deadline):
-            return deadline
-        deadline = nxt
-
-
-def _components(senders: np.ndarray, receivers: np.ndarray, n: int) -> np.ndarray:
-    """Each node's smallest fellow member of its connected component,
-    ignoring direction and time: min-label propagation along the pairs
-    with pointer jumping."""
-    comp = np.arange(n)
-    while True:
-        low = comp.copy()
-        np.minimum.at(low, receivers, comp[senders])
-        np.minimum.at(low, senders, comp[receivers])
-        low = low[low]
-        if np.array_equal(low, comp):
-            return comp
-        comp = low
-
-
-def _ranks(value: np.ndarray, comp: np.ndarray) -> np.ndarray:
-    """How many distinct values above its own are held in a node's
-    component."""
-    by = np.lexsort((-value, comp))
-    c, v = comp[by], value[by]
-    first = np.r_[True, c[1:] != c[:-1]]
-    step = np.cumsum(first | np.r_[True, v[1:] != v[:-1]])
-    rank = np.empty_like(step)
-    rank[by] = step - step[first][np.cumsum(first) - 1]
-    return rank
-
-
 def _tight(
     deliveries: tuple[np.ndarray, ...], label: np.ndarray, arrive: np.ndarray, never: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -444,48 +396,37 @@ def _spread(
     A node ends with the largest identifier that reaches it by a
     time-respecting path: label -1 at the holders, and over a delivery
     the column in the sender's arrival copy if it is later, else in the
-    next one. The distinct held identifiers are taken in descending
-    order; each gets one multi-source earliest-arrival relaxation
-    (``np.minimum.reduceat`` over the deliveries grouped by receiver,
-    :func:`_by_receiver`, until nothing moves) and is assigned to the
-    nodes it reaches that no larger identifier reached. That is exact under the budget: a
-    larger identifier held by any node on a path would reach the end
-    of that path too, so an unassigned node's paths, and the senders
-    it adopts from, are never overtaken. Connected components do not
-    interact, so round k relaxes the k-th largest value of every
-    component at once. From the second round on, holders that cannot
-    reach an unassigned node within the budget (:func:`_deadlines`) are
-    left out, and a round with none left is skipped. A receiver
-    adopts from one of the senders whose delivery is its arrival
-    (:func:`_chains`, :func:`_adopt`).
+    next one. Each round floods one held identifier, from the largest
+    down: one multi-source earliest-arrival relaxation (:func:`_relax`
+    over the deliveries grouped by receiver, :func:`_by_receiver`) from
+    its holders, assigned to the nodes it reaches that no larger
+    identifier reached. That is exact under the budget: a larger
+    identifier held by any node on a path would reach the end of that
+    path too, so an unassigned node's paths, and the senders it adopts
+    from, are never overtaken. A receiver adopts from one of the senders
+    whose delivery is its arrival (:func:`_chains`, :func:`_adopt`).
+
+    After a round, :func:`_relax` in reversed time (ends swapped,
+    column ``period - 1 - c``) from the unassigned nodes gives each
+    node's latest departure mirrored: a message it holds before label
+    ``never - 1 - back`` still reaches an unassigned node in time. The
+    next round floods the largest identifier below this one that a node
+    with ``back < never`` holds, over the deliveries that leave before
+    their receiver's deadline. So every round assigns a node, and the
+    identifier strictly descends.
     """
     value, origin, hops = held
     n = value.size
     never = copies * period
     deliveries = _by_receiver(senders, receivers, cols, n)
     senders, receivers, cols = deliveries[:3]
-    comp = _components(senders, receivers, n)
-    rank = _ranks(value, comp)
     open_ = np.ones(n, dtype=bool)
     adopted = np.full(n, -1, dtype=np.int64)
     out = value.copy(), origin.copy(), hops.copy()
     active, backward = deliveries, None
-    for k in range(int(rank.max()) + 1):
-        source = rank == k
-        if k:
-            # paths that cannot reach an unassigned node in time end at
-            # assigned nodes, whose results stand: leave them out
-            if backward is None:
-                backward = _by_receiver(receivers, senders, cols, n)
-            if active is deliveries:
-                deadline = _deadlines(open_, backward, period, never)
-                # a delivery leaves in some copy iff its column comes
-                # before its receiver's deadline
-                keep = deadline[receivers] > cols
-                active = _by_receiver(senders[keep], receivers[keep], cols[keep], n)
-            source &= deadline >= 0
-            if not source.any():
-                continue
+    bar = value.max()
+    while True:
+        source = value == bar
         label, arrive = _relax(np.where(source, -1, never), active, period, never)
         take = open_ & (label < never)
         chains = _chains(*_tight(active, label, arrive, never), source, hops)
@@ -494,7 +435,14 @@ def _spread(
         open_ &= ~take
         if not open_.any():
             break
-        active = deliveries
+        if backward is None:
+            backward = _by_receiver(receivers, senders, period - 1 - cols, n)
+        back = _relax(np.where(open_, -1, never), backward, period, never)[0]
+        # paths that cannot reach an unassigned node in time end at
+        # assigned nodes, whose results stand: leave them out
+        keep = back[receivers] + cols < never - 1
+        active = _by_receiver(senders[keep], receivers[keep], cols[keep], n)
+        bar = value[(back < never) & (value < bar)].max()
     for array, result in zip(held, out):
         array[:] = result
     return adopted
@@ -591,7 +539,7 @@ def _deliver_meetings(
         reach, arrive = _relax(reach, part, horizon, horizon)
         tight_per_copy.append(_tight(part, reach, arrive, horizon))
         if can_stop and (reach < horizon).all():
-            # one component whose largest value is global_max: the labels
+            # global_max, the largest value, reached every node: the labels
             # are _spread's first and only round, and each receiver's
             # tight deliveries lie in one copy, so they stay grouped
             tight = (np.concatenate(arrays) for arrays in zip(*tight_per_copy))
@@ -766,10 +714,12 @@ def estimate_n(
     ceil(d / 2**i); the repetition counts and round budget are derived
     from d once and held fixed across epochs, which keeps per-epoch
     cost proportional to the density and hence geometrically
-    increasing. The root counts its spanning tree after each epoch and
-    the first epoch whose tree reaches n_i nodes is accepted; epochs
-    are separated by more than d idle units so no message can leak
-    between them. Gives up once the guess would drop below 2.
+    increasing. The root counts the nodes its BFS reaches after each
+    epoch and the first epoch whose count reaches n_i is accepted;
+    epochs are separated by more than d idle units so no message can
+    leak between them. Gives up once the guess would drop below 2. The
+    count, stage shape and round budget come from d alone, so a config
+    that sets ``beta``, ``n``, ``rounds`` or ``repetition_k`` is refused.
     """
     if config.d < 2:
         raise ValueError(
@@ -777,6 +727,12 @@ def estimate_n(
         )
     if true_n < 2:
         raise ValueError(f"need at least two processors, got {true_n}")
+    for name in ("beta", "n", "rounds", "repetition_k"):
+        value = getattr(config, name)
+        if value is not None:
+            raise ValueError(
+                f"estimate_n derives {name} from d; leave it unset, got {value}"
+            )
     if rng is None:
         rng = spawn_rng(config.seed)
     d = config.d
@@ -813,9 +769,7 @@ def estimate_n(
         total_cost += result.per_node_radio_cost
         per_epoch_max.append(int(result.per_node_radio_cost.max()))
 
-        stats = graph_stats(result.comm_graph, root=result.root_index)
-        tree_size = len(stats.spanning_tree)
-        if tree_size >= guess:
+        if graph_stats(result.comm_graph, root=result.root_index).reached >= guess:
             synced = sum(1 for st in states if st.synchronized)
             return EstimateResult(
                 estimate=guess,

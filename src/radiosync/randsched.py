@@ -451,11 +451,9 @@ def build_comm_graph(m: ScheduleMatrix) -> CommGraph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    min_degree: int
     connected: bool
     diameter: float  # math.inf when disconnected
-    spanning_tree: dict[int, Optional[int]]  # node -> BFS parent (root -> None)
-    root: int
+    reached: int  # nodes a BFS from the root reaches, the root included
 
 
 #: the most bytes of neighbour reach words :func:`_diameter` gathers at once
@@ -493,12 +491,9 @@ def _diameter(g: CommGraph) -> int:
 
 
 def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
-    """Exact BFS statistics plus the BFS spanning tree from ``root``.
-
-    The tree is built one BFS level at a time from the CSR rows: the
-    frontier's neighbour lists are gathered in frontier order, and each
-    new node's parent is the first frontier node listing it, which is
-    the insertion order of a queue-based BFS over ascending neighbours.
+    """Exact BFS statistics: how many nodes a BFS from ``root`` reaches,
+    one level at a time from the CSR rows (the frontier's neighbour
+    lists gathered at once), and so whether the graph is connected.
 
     The diameter is :func:`_diameter` on connected graphs of two or
     more nodes.
@@ -509,7 +504,6 @@ def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
     indptr, indices = g.indptr, g.indices
     degree = g.degrees()
 
-    tree: dict[int, Optional[int]] = {root: None}
     seen = np.zeros(g.n, dtype=bool)
     seen[root] = True
     frontier = np.array([root])
@@ -517,25 +511,15 @@ def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
         lens = degree[frontier]
         at = np.repeat(indptr[frontier] - (np.cumsum(lens) - lens), lens)
         found = indices[at + np.arange(at.size)]
-        fresh = ~seen[found]
-        found, parent = found[fresh], np.repeat(frontier, lens)[fresh]
-        _, first = np.unique(found, return_index=True)
-        first.sort()
-        frontier = found[first]
+        frontier = np.unique(found[~seen[found]])
         seen[frontier] = True
-        tree.update(zip(frontier.tolist(), parent[first].tolist()))
 
-    connected = len(tree) == g.n
+    reached = int(seen.sum())
+    connected = reached == g.n
     # the run CSV prints it as is: 0.0 for one node, an int otherwise
     diameter: float = 0.0
     if not connected:
         diameter = math.inf
     elif g.n > 1:
         diameter = _diameter(g)
-    return GraphStats(
-        min_degree=int(degree.min()),
-        connected=connected,
-        diameter=diameter,
-        spanning_tree=tree,
-        root=root,
-    )
+    return GraphStats(connected=connected, diameter=diameter, reached=reached)

@@ -8,7 +8,6 @@ order.
 """
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -94,23 +93,11 @@ def _bfs_depths(adj: list[list[int]], source: int) -> list[int]:
 
 
 def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
-    """The BFS tree from ``root``, and the diameter as the largest
-    depth of one BFS from every source."""
+    """The nodes one BFS from ``root`` reaches, and the diameter as the
+    largest depth of one BFS from every source."""
     adj = adjacency(g)
-    min_degree = min((len(nbrs) for nbrs in adj), default=0)
-
-    tree: dict[int, Optional[int]] = {root: None}
-    frontier = [root]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in tree:
-                    tree[v] = u
-                    nxt.append(v)
-        frontier = nxt
-
-    connected = len(tree) == g.n
+    reached = sum(depth >= 0 for depth in _bfs_depths(adj, root))
+    connected = reached == g.n
     diameter: float = 0.0
     if not connected:
         diameter = math.inf
@@ -118,13 +105,7 @@ def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
         for src in range(g.n):
             depths = _bfs_depths(adj, src)
             diameter = max(diameter, max(depths))
-    return GraphStats(
-        min_degree=min_degree,
-        connected=connected,
-        diameter=diameter,
-        spanning_tree=tree,
-        root=root,
-    )
+    return GraphStats(connected=connected, diameter=diameter, reached=reached)
 
 
 def draw_rows(
@@ -157,6 +138,23 @@ def arrivals(label, senders, cols, period, never):
     sent = label[senders]
     at = sent % period
     return np.minimum(sent - at + cols + np.where(cols > at, 0, period), never)
+
+
+def deadlines(open_, senders, receivers, cols, period, never):
+    """For every node, the label before which it must hold a message
+    for that message to reach an ``open_`` node by a time-respecting
+    path within the budget; -1 where none can. Latest departures,
+    relaxed backwards one delivery at a time (the latest copy whose
+    column ``cols`` still comes before the receiver's deadline) until
+    nothing moves."""
+    deadline = np.where(open_, never, -1)
+    while True:
+        copy = (deadline[receivers] - 1 - cols) // period
+        nxt = deadline.copy()
+        np.maximum.at(nxt, senders, np.where(copy >= 0, copy * period + cols, -1))
+        if np.array_equal(nxt, deadline):
+            return deadline
+        deadline = nxt
 
 
 def deliver_unit(participants, heard_from, states, transmit_delay):

@@ -443,6 +443,17 @@ def test_estimate_cost_dominated_by_final_epoch():
     )
 
 
+@pytest.mark.parametrize(
+    "field, value", [("n", 500), ("beta", 0.5), ("rounds", 1), ("repetition_k", 1)]
+)
+def test_estimate_refuses_fields_it_derives(field, value):
+    # the count is unknown and the stage shape comes from d alone, so a
+    # set field would be silently ignored
+    config = SimConfig(d=1024, seed=5, **{field: value})
+    with pytest.raises(ValueError, match=f"estimate_n derives {field} from d"):
+        estimate_n(config, 32)
+
+
 def test_estimate_requires_known_offset_bound():
     # the guess sequence is derived from d alone; true_n stays hidden
     config = SimConfig(d=128, seed=14)

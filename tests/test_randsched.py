@@ -293,19 +293,21 @@ def complete_graph(n):
 
 
 def test_stats_complete_graph():
-    stats = graph_stats(complete_graph(5))
-    assert stats.min_degree == 4
+    g = complete_graph(5)
+    stats = graph_stats(g)
+    assert g.degrees().min() == 4
     assert stats.connected
     assert stats.diameter == 1
-    assert len(stats.spanning_tree) == 5
+    assert stats.reached == 5
 
 
 def test_stats_empty_graph():
-    stats = graph_stats(oracles.graph(3, {}))
+    g = oracles.graph(3, {})
+    stats = graph_stats(g)
     assert not stats.connected
     assert stats.diameter == math.inf
-    assert stats.min_degree == 0
-    assert len(stats.spanning_tree) == 1
+    assert g.degrees().min() == 0
+    assert stats.reached == 1
 
 
 def test_stats_path_graph():
@@ -313,9 +315,10 @@ def test_stats_path_graph():
     stats = graph_stats(g, root=1)
     assert stats.diameter == 3
     assert stats.connected
-    assert stats.spanning_tree[0] == 1
-    assert stats.spanning_tree[3] == 2
-    assert stats.spanning_tree[1] is None
+    assert stats.reached == 4
+    # a path of three and a separate edge: the root's side only
+    g = oracles.graph(5, {(0, 1): 0, (1, 2): 1, (3, 4): 2})
+    assert [graph_stats(g, root=r).reached for r in range(5)] == [3, 3, 3, 2, 2]
 
 
 def test_single_node_graph():
