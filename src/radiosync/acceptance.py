@@ -251,7 +251,7 @@ def _pipeline_trials(seeds: int = 200) -> tuple[_PipelineTrial, ...]:
             starts=np.cumsum(np.r_[0, early])[matrix.starts],
         )
         stage_deg = int(build_comm_graph(stage).degrees().min())
-        result = run_sync(matrix, make_node_states(n, offsets, rng), params.rounds)
+        result = run_sync(matrix, make_node_states(n, rng), params.rounds)
         full_deg = int(result.comm_graph.degrees().min())
         stats = graph_stats(result.comm_graph)
         sync_exact = result.success if stats.connected else None

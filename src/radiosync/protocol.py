@@ -21,8 +21,10 @@ radio spend is dominated by the last epoch.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .randsched import (
     CommGraph,
     Meetings,
     ScheduleMatrix,
+    _integers,
     _radix_order,
     clamped_log2,
     detect_meetings,
@@ -109,36 +112,22 @@ class SimConfig:
             self.backoff_rounds = math.ceil(clamped_log2(known)) ** 2
 
 
-@dataclass
+@dataclass(frozen=True)
 class NodeState:
-    """State of one node before and after a run.
+    """The nodes' state at the start of a run, one array entry per
+    schedule row: each node's random ``ident``, the largest identifier
+    it has heard (``max_seen``, ``ident`` by default) and the adoptions
+    between that identifier's owner and the node (``hops``, 0 by
+    default). The believed root clock, carried as its *origin* (the
+    time at which it read zero), starts at the row's schedule offset."""
 
-    ``ident`` is the node's random identifier, ``max_seen`` the largest
-    identifier heard so far. The believed root clock is carried as its
-    *origin* (the global time at which that clock read zero), so the
-    replica keeps running while it propagates; it starts at the node's
-    own ``start_offset`` and is not a constructor argument. ``root_time``
-    and ``own_time`` are filled in with concrete readings when a run
-    finishes. ``hops`` counts adoptions between the root and this node,
-    for transmission-delay accounting. :func:`run_sync` reads
-    ``max_seen``, ``root_origin`` and ``hops`` once, floods them as
-    arrays, and writes every field back once at the end.
-    """
+    ident: np.ndarray
+    max_seen: Optional[np.ndarray] = None
+    hops: Optional[np.ndarray] = None
 
-    index: int
-    ident: int
-    start_offset: int
-    max_seen: int = 0
-    root_origin: int = field(init=False)
-    hops: int = 0
-    synchronized: bool = False
-    own_time: int = 0
-    root_time: int = 0
 
-    def __post_init__(self) -> None:
-        if self.max_seen == 0:
-            self.max_seen = self.ident
-        self.root_origin = self.start_offset
+NodeReading = namedtuple("NodeReading", "max_seen root_origin hops synchronized root_time")
+NodeReading.__doc__ = "One node's entries of a :class:`PipelineResult`'s arrays."
 
 
 @dataclass(frozen=True)
@@ -238,31 +227,26 @@ def draw_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, d + 1, size=n, dtype=np.int64)
 
 
-def make_node_states(
-    n: int, offsets: Sequence[int], rng: np.random.Generator
-) -> list[NodeState]:
-    """Fresh per-node states with unique random identifiers.
+def make_node_states(n: int, rng: np.random.Generator) -> NodeState:
+    """Fresh states of ``n`` nodes with unique random identifiers.
 
     Identifier collisions are astronomically unlikely at 63 bits; if
     one is ever detected the batch is redrawn, so uniqueness is an
     enforced invariant rather than a probabilistic one.
     """
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets.shape != (n,):
-        raise ValueError(f"need {n} start offsets, got shape {offsets.shape}")
     while True:
         idents = rng.integers(1, 1 << ID_BITS, size=n, dtype=np.int64)
         if np.unique(idents).size == n:
-            break
-    return [
-        NodeState(index=i, ident=ident, start_offset=offset)
-        for i, (ident, offset) in enumerate(zip(idents.tolist(), offsets.tolist()))
-    ]
+            return NodeState(idents)
 
 
 @dataclass
 class PipelineResult:
-    """Outcome of one synchronization run."""
+    """Outcome of one synchronization run. The per-node results are
+    arrays, one entry per schedule row: the final ``max_seen``,
+    ``root_origin`` and ``hops`` of :class:`NodeState`, whether the node
+    is ``synchronized``, and ``root_time``, its root clock read at the
+    end of the last paid copy."""
 
     comm_graph: CommGraph
     rounds_used: int
@@ -271,7 +255,17 @@ class PipelineResult:
     root_index: int
     root_ident: int
     unreached: frozenset[int]
-    states: list[NodeState] = field(repr=False, default_factory=list)
+    max_seen: np.ndarray = field(repr=False)
+    root_origin: np.ndarray = field(repr=False)
+    hops: np.ndarray = field(repr=False)
+    synchronized: np.ndarray = field(repr=False)
+    root_time: np.ndarray = field(repr=False)
+
+    @cached_property
+    def states(self) -> tuple[NodeReading, ...]:
+        """One :class:`NodeReading` per node, built when first read."""
+        arrays = (getattr(self, name).tolist() for name in NodeReading._fields)
+        return tuple(map(NodeReading, *arrays))
 
 
 def _arrivals(
@@ -552,9 +546,17 @@ def _deliver_meetings(
     return rounds
 
 
+def _node_array(name: str, values, n: int) -> np.ndarray:
+    """``values`` as a 1-D int64 array of one entry per node."""
+    array = _integers(name, values)
+    if array.shape != (n,):
+        raise ValueError(f"{name} must be a 1-D array of {n} entries, got {array.shape}")
+    return array
+
+
 def run_sync(
     matrix: ScheduleMatrix,
-    states: list[NodeState],
+    states: NodeState,
     rounds: int,
     *,
     exclusive: bool = False,
@@ -564,7 +566,7 @@ def run_sync(
     trace: Optional[list] = None,
 ) -> PipelineResult:
     """Flood the maximal identifier and its clock for ``rounds`` copies
-    of the schedule.
+    of the schedule, from the nodes' ``states``.
 
     Every node broadcasts its current (max ident, root clock) at each
     of its meetings; a node hearing a larger identifier adopts it and
@@ -580,7 +582,8 @@ def run_sync(
     where a full pass changes nothing count as unused, but are still
     paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
-    the unreached nodes are reported.
+    the unreached nodes are reported. The flood updates copies of the
+    ``states`` arrays; every per-node result is an array.
     """
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
@@ -588,25 +591,30 @@ def run_sync(
         raise ValueError(f"backoff_rounds must be positive, got {backoff_rounds}")
     if transmit_delay < 0:
         raise ValueError(f"transmit_delay must be non-negative, got {transmit_delay}")
-    if len(states) != matrix.n:
-        raise ValueError(f"{len(states)} node states for a schedule of {matrix.n} rows")
+    n = matrix.n
+    ident = _node_array("ident", states.ident, n)
+    max_seen = ident if states.max_seen is None else states.max_seen
+    max_seen = _node_array("max_seen", max_seen, n)
+    hops = np.zeros(n, dtype=np.int64) if states.hops is None else states.hops
+    hops = _node_array("hops", hops, n)
+    if hops.min(initial=0) < 0:
+        raise ValueError(f"hops must be non-negative, got {hops.min()}")
     meetings = detect_meetings(matrix)
     slots, dst, which = meetings.pairs()
     senders, receivers = meetings.owners[slots], meetings.owners[dst]
     cols = meetings.cols[which]
     edges = meetings.sizes[which] == 2 if exclusive else slice(None)
-    graph = graph_from_pairs(matrix.n, senders[edges], receivers[edges], cols[edges])
+    graph = graph_from_pairs(n, senders[edges], receivers[edges], cols[edges])
 
-    held = tuple(
-        np.array([getattr(st, name) for st in states], dtype=np.int64)
-        for name in ("max_seen", "root_origin", "hops")
-    )
+    held = max_seen.copy(), matrix.offsets.copy(), hops.copy()
+    root_index = int(ident.argmax())
+    root_ident = int(ident[root_index])
     rounds_used = _deliver_meetings(
         meetings,
         (senders, receivers, cols, slots),
         held,
         rounds,
-        global_max=max(st.ident for st in states),
+        global_max=root_ident,
         exclusive=exclusive,
         backoff_rounds=backoff_rounds,
         transmit_delay=transmit_delay,
@@ -614,23 +622,11 @@ def run_sync(
         columns=matrix.columns,
         trace=trace,
     )
-    for st, *row in zip(states, *(array.tolist() for array in held)):
-        st.max_seen, st.root_origin, st.hops = row
-
-    root_index = max(range(len(states)), key=lambda i: states[i].ident)
-    root_ident = states[root_index].ident
+    max_seen, root_origin, hops = held
     end_time = int(matrix.offsets.max()) + matrix.columns * rounds
-
-    unreached = []
-    target_origin = states[root_index].start_offset
-    for st in states:
-        st.root_time = end_time - st.root_origin
-        st.own_time = st.root_time  # set own clock to the root's
-        adjusted = st.root_origin + transmit_delay * st.hops
-        reached = st.max_seen == root_ident and adjusted == target_origin
-        st.synchronized = reached
-        if not reached:
-            unreached.append(st.index)
+    adjusted = root_origin + transmit_delay * hops
+    synchronized = (max_seen == root_ident) & (adjusted == matrix.offsets[root_index])
+    unreached = frozenset(np.flatnonzero(~synchronized).tolist())
 
     expansion = backoff_rounds if exclusive else 1
     cost = matrix.densities() * rounds * expansion
@@ -641,8 +637,12 @@ def run_sync(
         success=not unreached,
         root_index=root_index,
         root_ident=root_ident,
-        unreached=frozenset(unreached),
-        states=states,
+        unreached=unreached,
+        max_seen=max_seen,
+        root_origin=root_origin,
+        hops=hops,
+        synchronized=synchronized,
+        root_time=end_time - root_origin,
     )
 
 
@@ -672,10 +672,9 @@ def run_pipeline(
     )
     matrix = build_pipeline_matrix(config.n, params, rng)
     matrix = matrix.with_offsets(draw_offsets(config.n, config.d, rng))
-    states = make_node_states(config.n, matrix.offsets, rng)
     return run_sync(
         matrix,
-        states,
+        make_node_states(config.n, rng),
         params.rounds,
         exclusive=config.exclusive,
         backoff_rounds=config.backoff_rounds,
@@ -756,10 +755,9 @@ def estimate_n(
     for epoch, (guess, params) in enumerate(zip(guesses, epochs)):
         matrix = build_pipeline_matrix(true_n, params, rng)
         matrix = matrix.with_offsets(offsets)
-        states = make_node_states(true_n, offsets, rng)
         result = run_sync(
             matrix,
-            states,
+            make_node_states(true_n, rng),
             params.rounds,
             exclusive=config.exclusive,
             backoff_rounds=config.backoff_rounds,
@@ -770,7 +768,7 @@ def estimate_n(
         per_epoch_max.append(int(result.per_node_radio_cost.max()))
 
         if graph_stats(result.comm_graph, root=result.root_index).reached >= guess:
-            synced = sum(1 for st in states if st.synchronized)
+            synced = int(result.synchronized.sum())
             return EstimateResult(
                 estimate=guess,
                 accepted=True,

@@ -8,10 +8,12 @@ order.
 """
 
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from radiosync.netsim import resolve_backoff
+from radiosync.protocol import NodeReading
 from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
 
 
@@ -157,6 +159,36 @@ def deadlines(open_, senders, receivers, cols, period, never):
         deadline = nxt
 
 
+@dataclass
+class Node:
+    """One radio of the oracle floods, updated in place; its root
+    clock's origin starts at its start offset."""
+
+    ident: int
+    start_offset: int
+    max_seen: int
+    hops: int
+    root_origin: int = field(init=False)
+    synchronized: bool = False
+    root_time: int = 0
+
+    def __post_init__(self) -> None:
+        self.root_origin = self.start_offset
+
+    def reading(self) -> NodeReading:
+        """What ``run_sync`` reports for this radio."""
+        return NodeReading(*(getattr(self, name) for name in NodeReading._fields))
+
+
+def nodes(m: ScheduleMatrix, held) -> list[Node]:
+    """One :class:`Node` per row of ``m``, at that row's offset, from
+    each radio's ``(ident, max_seen, hops)``."""
+    return [
+        Node(ident, int(offset), seen, hops)
+        for (ident, seen, hops), offset in zip(held, m.offsets.tolist())
+    ]
+
+
 def deliver_unit(participants, heard_from, states, transmit_delay):
     """One meeting unit: each receiver adopts the largest identifier
     above its own among the senders it heard, from the one with the
@@ -261,6 +293,6 @@ def finish(m: ScheduleMatrix, states, rounds, *, transmit_delay):
     root = max(states, key=lambda st: st.ident)
     end_time = int(m.offsets.max()) + m.columns * rounds
     for st in states:
-        st.root_time = st.own_time = end_time - st.root_origin
+        st.root_time = end_time - st.root_origin
         adjusted = st.root_origin + transmit_delay * st.hops
         st.synchronized = st.max_seen == root.ident and adjusted == root.start_offset

@@ -137,8 +137,7 @@ def test_run_sync_graph_and_neighbors_match_oracle(m, exclusive):
         meetings = [mt for mt in meetings if len(mt[1]) == 2]
     expected = oracles.graph_from_meetings(meetings)
     rng = spawn_rng(5)
-    states = make_node_states(m.n, m.offsets, rng)
-    result = run_sync(m, states, 1, exclusive=exclusive, rng=rng)
+    result = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng)
     assert witness_items(result.comm_graph.witness) == witness_items(expected)
     assert_csr_matches(result.comm_graph)
 
@@ -369,22 +368,28 @@ def test_batched_backoff_lone_units_draw_nothing():
     assert rng.bit_generator.state == before
 
 
+def node_record(held):
+    """The record of nodes that start with ``held`` (ident, max_seen,
+    hops) triples."""
+    ident, seen, hops = (np.array(column, dtype=np.int64) for column in zip(*held))
+    return NodeState(ident, max_seen=seen, hops=hops)
+
+
 def flood_both_ways(m, held, rounds, backoff_rounds, seed):
     """(trace, states, rounds used, rng state) of ``run_sync`` and of the
     per-unit oracle flood, from equal inputs. ``held`` gives each node's
     (ident, max_seen, hops) at the start; a max_seen of 0 means its own
     identifier."""
+    held = [(ident, seen or ident, hops) for ident, seen, hops in held]
     out = []
     for fast in (True, False):
-        states = [
-            NodeState(i, ident, int(m.offsets[i]), max_seen=seen, hops=hops)
-            for i, (ident, seen, hops) in enumerate(held)
-        ]
         rng, trace = spawn_rng(seed), []
         kwargs = dict(backoff_rounds=backoff_rounds, transmit_delay=1, rng=rng, trace=trace)
         if fast:
-            used = run_sync(m, states, rounds, exclusive=True, **kwargs).rounds_used
+            result = run_sync(m, node_record(held), rounds, exclusive=True, **kwargs)
+            used, states = result.rounds_used, result.states
         else:
+            states = oracles.nodes(m, held)
             used = oracles.flood_exclusive(m, states, rounds, **kwargs)
         out.append(
             (
@@ -423,22 +428,22 @@ def flood_both_ways_base(m, held, rounds, transmit_delay):
     """(trace, states, rounds used) of ``run_sync`` in the base model
     and of the per-meeting oracle flood, from equal inputs; ``held`` as
     in :func:`flood_both_ways`."""
+    held = [(ident, seen or ident, hops) for ident, seen, hops in held]
     out = []
     for fast in (True, False):
-        states = [
-            NodeState(i, ident, int(m.offsets[i]), max_seen=seen, hops=hops)
-            for i, (ident, seen, hops) in enumerate(held)
-        ]
         trace = []
         if fast:
-            used = run_sync(
-                m, states, rounds, transmit_delay=transmit_delay, trace=trace
-            ).rounds_used
-        else:
-            used = oracles.flood_base(
-                m, states, rounds, transmit_delay=transmit_delay, trace=trace
+            result = run_sync(
+                m, node_record(held), rounds, transmit_delay=transmit_delay, trace=trace
             )
-            oracles.finish(m, states, rounds, transmit_delay=transmit_delay)
+            used, states = result.rounds_used, result.states
+        else:
+            nodes = oracles.nodes(m, held)
+            used = oracles.flood_base(
+                m, nodes, rounds, transmit_delay=transmit_delay, trace=trace
+            )
+            oracles.finish(m, nodes, rounds, transmit_delay=transmit_delay)
+            states = tuple(node.reading() for node in nodes)
         out.append((trace, states, used))
     return out
 
@@ -584,6 +589,49 @@ def test_base_flood_matches_per_meeting_oracle(m, rounds, transmit_delay, seed, 
     assert fast == slow
 
 
+@st.composite
+def late_relays(draw):
+    """Schedules of 2 to 5 columns in which a radio pre-assigned 1000
+    must reach the end of a chain of pair meetings at consecutive
+    columns, through relays that the holder of 2000 meets at one later
+    column, often after they have passed 1000 on. Every radio may also
+    wake at one random column. Returns the matrix, each radio's held
+    (ident, max_seen, hops) and one or two rounds."""
+    columns = draw(st.integers(2, 5))
+    links = draw(st.integers(1, columns - 1))
+    start = draw(st.integers(0, columns - 1 - links))
+    n = links + 2 + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n)))
+    chain, top = order[: links + 1], order[links + 1]
+    rows = [set() for _ in range(n)]
+    for step, pair in enumerate(zip(chain, chain[1:])):
+        for v in pair:
+            rows[v].add(start + step)
+    late = draw(st.integers(start + 1, columns - 1))
+    for v in [top, *draw(st.sets(st.sampled_from(chain[:-1]), min_size=1))]:
+        rows[v].add(late)
+    for row in rows:
+        row.update(draw(st.sets(st.integers(0, columns - 1), max_size=1)))
+    positions = [sorted(row) for row in rows]
+    m = ScheduleMatrix(n=n, columns=columns, positions=positions, offsets=[0] * n)
+    held = [(v + 1, 0, 0) for v in range(n)]
+    for v, seen in ((chain[0], 1000), (top, 2000)):
+        held[v] = (v + 1, seen, draw(st.integers(0, 2)))
+    return m, held, draw(st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=late_relays(), transmit_delay=st.integers(0, 2), seed=st.integers(0, 2**32))
+def test_late_relay_floods_match_oracles(case, transmit_delay, seed):
+    # a later flood round relays through radios already assigned a
+    # larger identifier, one column before their deadline
+    m, held, rounds = case
+    fast, slow = flood_both_ways_base(m, held, rounds, transmit_delay)
+    assert fast == slow
+    fast, slow = flood_both_ways(m, held, rounds, 3, seed)
+    assert fast == slow
+
+
 def seeded_pipeline(d, beta, seed, **shape):
     """A seeded pipeline schedule with offsets and fresh identifiers
     held as (ident, 0, 0), with its shape and config."""
@@ -592,7 +640,7 @@ def seeded_pipeline(d, beta, seed, **shape):
     rng = spawn_rng(seed, d)
     m = build_pipeline_matrix(config.n, params, rng)
     m = m.with_offsets(draw_offsets(config.n, d, rng))
-    held = [(s.ident, 0, 0) for s in make_node_states(config.n, m.offsets, rng)]
+    held = [(ident, 0, 0) for ident in make_node_states(config.n, rng).ident.tolist()]
     return m, held, params, config
 
 

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from radiosync import protocol
 from radiosync.detsched import build_two_proc_schedule, radio_cost
 from radiosync.netsim import resolve_backoff
 from radiosync.protocol import (
+    NodeReading,
     NodeState,
     SimConfig,
     build_pipeline_matrix,
@@ -33,12 +35,8 @@ def matrix_from_ones(columns, rows, offsets):
     )
 
 
-def states_with_idents(idents, offsets=None):
-    offsets = offsets or [0] * len(idents)
-    return [
-        NodeState(index=i, ident=ident, start_offset=off)
-        for i, (ident, off) in enumerate(zip(idents, offsets))
-    ]
+def states_with_idents(idents):
+    return NodeState(np.array(idents, dtype=np.int64))
 
 
 # --- config ------------------------------------------------------------------
@@ -137,18 +135,37 @@ def test_schedule_draw_beyond_memory_is_refused():
     assert rng.bit_generator.state == before
 
 
-def test_make_node_states_needs_one_offset_per_node():
-    for offsets in ([0, 0], [0, 0, 0, 0], [[0, 0, 0]]):
-        with pytest.raises(ValueError, match="need 3 start offsets"):
-            make_node_states(3, offsets, spawn_rng(0))
-
-
 def test_run_sync_refuses_mismatched_states():
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
     for idents in ([100, 50], [100, 50, 10, 5]):
         states = states_with_idents(idents)
-        with pytest.raises(ValueError, match=f"{len(idents)} node states .* 3 rows"):
+        shape = rf"3 entries, got \({len(idents)},\)"
+        with pytest.raises(ValueError, match=f"^ident must be a 1-D array of {shape}$"):
             run_sync(m, states, rounds=2)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("ident", [[100, 50, 10]], "must be a 1-D array of 3 entries"),
+        ("ident", [100.0, 50.0, 10.0], "must be integers"),
+        ("max_seen", [100, 50], "must be a 1-D array of 3 entries"),
+        ("max_seen", [[100], [50], [10]], "must be a 1-D array of 3 entries"),
+        ("max_seen", [100.5, 50, 10], "must be integers"),
+        ("max_seen", [True, False, True], "must be integers"),
+        ("hops", [0, 0, 0, 0], "must be a 1-D array of 3 entries"),
+        ("hops", np.zeros(3), "must be integers"),
+        ("hops", [0, -1, 0], "must be non-negative"),
+    ],
+)
+def test_run_sync_refuses_bad_node_records(field, value, message):
+    # a bad record fails with one line naming the field, before any
+    # meeting is detected
+    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
+    fields = {"ident": [100, 50, 10], "max_seen": None, "hops": None, field: value}
+    with pytest.raises(ValueError, match=f"^{field} {message}") as err:
+        run_sync(m, NodeState(**fields), 2)
+    assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -176,35 +193,37 @@ def test_run_sync_refuses_what_sim_config_refuses(field, value, exclusive):
 
 
 def test_node_state_origin_is_not_an_argument():
-    # the origin starts at the node's own offset; passing one is an
-    # error, not silently dropped
-    assert NodeState(index=0, ident=5, start_offset=3).root_origin == 3
+    # the origin starts at the schedule's offsets, the one copy of
+    # them; passing one is an error, not silently dropped
+    m = matrix_from_ones(8, [[1], [6]], [3, 0])
+    assert run_sync(m, states_with_idents([5, 4]), 1).root_origin.tolist() == [3, 0]
     with pytest.raises(TypeError, match="root_origin"):
-        NodeState(index=0, ident=5, start_offset=3, root_origin=9)
+        NodeState(np.array([5, 4]), root_origin=np.array([9, 9]))
 
 
 def test_make_node_states_unique_idents():
     for seed in range(5):
-        states = make_node_states(64, [0] * 64, spawn_rng(3, seed))
-        idents = [st.ident for st in states]
-        assert len(set(idents)) == 64
-        assert all(st.max_seen == st.ident for st in states)
+        states = make_node_states(64, spawn_rng(3, seed))
+        assert states.ident.dtype == np.int64 and states.ident.shape == (64,)
+        assert np.unique(states.ident).size == 64
+        assert states.ident.min() >= 1
+        # every node starts holding its own identifier, zero hops out
+        assert states.max_seen is None and states.hops is None
 
 
 # --- hand-simulated gossip ---------------------------------------------------
 
 def test_path_graph_adopts_max_clock():
-    # meetings 0-1 then 1-2 inside one window; max ident at node 0
-    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
-    states = states_with_idents([100, 50, 10], offsets=[3, 1, 0])
-    result = run_sync(m, states, 2)
+    # meetings 0-1 at column 3 then 1-2 at column 6 inside one window;
+    # max ident at node 0, and the nodes start at offsets 3, 1 and 0
+    m = matrix_from_ones(8, [[0], [2, 5], [6]], [3, 1, 0])
+    result = run_sync(m, states_with_idents([100, 50, 10]), 2)
     assert result.success
     assert result.root_index == 0
-    assert all(st.max_seen == 100 for st in states)
+    assert result.max_seen.tolist() == [100, 100, 100]
     # everyone ends on the root's running clock
-    assert len({st.root_origin for st in states}) == 1
-    assert states[0].root_origin == 3
-    assert all(st.own_time == st.root_time for st in states)
+    assert result.root_origin.tolist() == [3, 3, 3]
+    assert len(set(result.root_time.tolist())) == 1
 
 
 def test_adversarial_order_needs_extra_round():
@@ -216,7 +235,6 @@ def test_adversarial_order_needs_extra_round():
     assert not result.success
     assert result.unreached == frozenset({2})
 
-    states = states_with_idents([100, 50, 10])
     result = run_sync(m, states, 2)
     assert result.success
     assert result.rounds_used == 2
@@ -224,33 +242,30 @@ def test_adversarial_order_needs_extra_round():
 
 def test_transmission_delay_accounting():
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
-    states = states_with_idents([100, 50, 10])
-    result = run_sync(m, states, 2, transmit_delay=3)
+    result = run_sync(m, states_with_idents([100, 50, 10]), 2, transmit_delay=3)
     assert result.success
-    assert states[1].hops == 1 and states[2].hops == 2
+    assert result.hops.tolist() == [0, 1, 2]
     # believed clocks run ahead by the accumulated delay
-    assert states[1].root_time == states[0].root_time + 3
-    assert states[2].root_time == states[0].root_time + 6
+    assert (result.root_time - result.root_time[0]).tolist() == [0, 3, 6]
 
 
 def test_disconnected_reports_unreached():
     m = matrix_from_ones(64, [[0], [0], [0], [50]], [0, 0, 0, 0])
-    states = states_with_idents([100, 50, 10, 5])
-    result = run_sync(m, states, 3)
+    result = run_sync(m, states_with_idents([100, 50, 10, 5]), 3)
     assert not result.success
     assert result.unreached == frozenset({3})
-    assert not states[3].synchronized
-    assert states[0].synchronized
+    assert result.synchronized.tolist() == [True, True, True, False]
 
 
 def test_idempotent_on_synchronized_states():
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
     states = states_with_idents([100, 50, 10])
-    run_sync(m, states, 2)
-    before = [(st.max_seen, st.root_origin, st.hops) for st in states]
-    rerun = run_sync(m, states, 2)
-    after = [(st.max_seen, st.root_origin, st.hops) for st in states]
-    assert before == after
+    first = run_sync(m, states, 2)
+    # a run reads its record and leaves it as it was
+    assert states.ident.tolist() == [100, 50, 10] and states.max_seen is None
+    rerun = run_sync(m, NodeState(states.ident, first.max_seen, first.hops), 2)
+    for name in ("max_seen", "root_origin", "hops", "synchronized", "root_time"):
+        assert np.array_equal(getattr(rerun, name), getattr(first, name))
     assert rerun.success
 
 
@@ -305,11 +320,11 @@ def test_exclusive_unit_without_winner_delivers_nothing():
     m = matrix_from_ones(8, [[3], [3], [3]], [0, 0, 0])
     states = states_with_idents([100, 50, 10])
     trace = []
-    run_sync(
+    result = run_sync(
         m, states, 1, exclusive=True, backoff_rounds=1, rng=spawn_rng(seed), trace=trace
     )
     assert trace == [(3, (0, 1, 2), ())]
-    assert [st.max_seen for st in states] == [100, 50, 10]
+    assert result.max_seen.tolist() == [100, 50, 10]
 
 
 @pytest.mark.parametrize(
@@ -344,8 +359,7 @@ def test_pipeline_convergence_and_agreement():
         stats = graph_stats(result.comm_graph, root=result.root_index)
         if stats.connected:
             assert result.success
-            root = states[result.root_index]
-            assert all(st.max_seen == root.ident for st in states)
+            assert all(st.max_seen == result.root_ident for st in states)
             assert len({st.root_origin for st in states}) == 1
 
 
@@ -386,8 +400,7 @@ def test_measure_radio_cost_matches_schedule():
     params = pipeline_params(64, 4)
     matrix = build_pipeline_matrix(4, params, rng)
     matrix = matrix.with_offsets(draw_offsets(4, 64, rng))
-    states = make_node_states(4, matrix.offsets, rng)
-    result = run_sync(matrix, states, params.rounds)
+    result = run_sync(matrix, make_node_states(4, rng), params.rounds)
     expected = matrix.densities() * params.rounds
     assert result.per_node_radio_cost.tolist() == expected.tolist()
 
@@ -409,6 +422,29 @@ def test_equal_count_cost_is_polylog():
     lg3 = math.log2(d) ** 3
     print(f"n=d={d}: max cost {top} = {top / lg3:.1f} * log2(d)^3")
     assert top <= 64 * lg3  # loose sanity envelope, not a fitted bound
+
+
+def test_runs_build_no_per_node_objects(monkeypatch):
+    # the node state stays arrays through a run; the per-node view is
+    # built only when read, and then from the result's arrays
+    built = []
+
+    class Counted(NodeReading):
+        def __new__(cls, *args):
+            built.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(protocol, "NodeReading", Counted)
+    for exclusive in (False, True):
+        result = run_pipeline(SimConfig(d=256, beta=0.75, exclusive=exclusive, seed=4))
+        assert built == []
+        states = result.states
+        assert len(built) == len(states) == 64 and result.states is states
+        for name in ("max_seen", "root_origin", "hops", "synchronized", "root_time"):
+            assert [getattr(st, name) for st in states] == getattr(result, name).tolist()
+        built.clear()
+    assert estimate_n(SimConfig(d=64, seed=12), true_n=8).accepted
+    assert built == []
 
 
 # --- unknown count -----------------------------------------------------------

@@ -46,8 +46,7 @@ def interference_graph(m):
     """The graph ``run_sync`` builds in interference mode: meetings of
     exactly two rows only."""
     rng = spawn_rng(0)
-    states = make_node_states(m.n, m.offsets, rng)
-    return run_sync(m, states, 1, exclusive=True, rng=rng).comm_graph
+    return run_sync(m, make_node_states(m.n, rng), 1, exclusive=True, rng=rng).comm_graph
 
 
 # --- generation -------------------------------------------------------------
