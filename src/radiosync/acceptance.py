@@ -38,7 +38,7 @@ from .protocol import (
     run_pipeline,
     run_sync,
 )
-from .randsched import ScheduleMatrix, build_comm_graph, graph_stats
+from .randsched import ScheduleMatrix, build_comm_graph, reached_from
 from .seeding import derive_seed, spawn_rng
 
 #: root seed for the whole suite; criteria derive their own streams
@@ -253,13 +253,13 @@ def _pipeline_trials(seeds: int = 200) -> tuple[_PipelineTrial, ...]:
         stage_deg = int(build_comm_graph(stage).degrees().min())
         result = run_sync(matrix, make_node_states(n, rng), params.rounds)
         full_deg = int(result.comm_graph.degrees().min())
-        stats = graph_stats(result.comm_graph)
-        sync_exact = result.success if stats.connected else None
+        connected = reached_from(result.comm_graph) == n
+        sync_exact = result.success if connected else None
         trials.append(
             _PipelineTrial(
                 stage_min_degree=stage_deg,
                 full_min_degree=full_deg,
-                connected=stats.connected,
+                connected=connected,
                 sync_exact=sync_exact,
             )
         )

@@ -456,7 +456,9 @@ class GraphStats:
     reached: int  # nodes a BFS from the root reaches, the root included
 
 
-#: the most bytes of neighbour reach words :func:`_diameter` gathers at once
+#: the one memory budget of :func:`_diameter`: the most bytes of reach
+#: words it holds at once (the sets, their copy and one neighbour column
+#: gathered from them)
 _REACH_BYTES = 1 << 24
 
 
@@ -465,15 +467,31 @@ def _diameter(g: CommGraph) -> int:
     bit-parallel BFS from every source at once (Akiba, Iwata & Yoshida,
     SIGMOD 2013). Node v's reach set has bit u set once u lies within
     the current radius of v; each round ORs every set with its
-    neighbours' sets of the round before (``np.bitwise_or.reduceat``
-    over the CSR rows), and the rounds until every set is full are the
-    diameter. The sets are uint64 words, 64 sources each, taken in
-    blocks of words whose gathered neighbour sets fit in
-    ``_REACH_BYTES``. O(diameter * m * n / 64) word ORs over the m
-    edges."""
-    n, indices, heads = g.n, g.indices, g.indptr[:-1]
+    neighbours' sets of the round before, and the rounds until every set
+    is full are the diameter.
+
+    The nodes are relabelled by degree, descending (a stable sort), so
+    the nodes with more than j neighbours are the first ``counts[j]``,
+    and column j of the neighbour table holds their j-th neighbours:
+    one entry per CSR entry, at :func:`_width`. A round copies the sets
+    and ORs the first ``counts[j]`` of the copy with the sets gathered
+    through column j, for every j: one gather per column, as many as
+    the largest degree, in place of one OR per CSR row. The sets are
+    uint64 words, 64 sources each, taken in blocks of words so that the
+    sets, their copy and one gathered column fit in ``_REACH_BYTES``.
+    O(diameter * m * n / 64) word ORs over the m edges.
+    """
+    n = g.n
+    degree = g.degrees()
+    order = np.argsort(-degree, kind="stable")
+    label = np.empty(n, dtype=_width(n))
+    label[order] = np.arange(n, dtype=label.dtype)
+    counts = n - np.cumsum(np.bincount(degree))[:-1]
+    heads = g.indptr[order]
+    columns = [label[g.indices[heads[:c] + j]] for j, c in enumerate(counts.tolist())]
+
     words = -(-n // 64)
-    block = max(1, _REACH_BYTES // (8 * indices.size))
+    block = max(1, _REACH_BYTES // (3 * 8 * n))
     diameter = 0
     for first in range(0, words, block):
         source = np.arange(64 * first, min(n, 64 * (first + block)))
@@ -484,20 +502,19 @@ def _diameter(g: CommGraph) -> int:
         full = np.bitwise_or.reduce(reach, axis=0)
         rounds = 0
         while not (reach == full).all():
-            reach |= np.bitwise_or.reduceat(reach[indices], heads, axis=0)
+            nxt = reach.copy()
+            for column in columns:
+                nxt[: column.size] |= np.take(reach, column, axis=0)
+            reach = nxt
             rounds += 1
         diameter = max(diameter, rounds)
     return diameter
 
 
-def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
-    """Exact BFS statistics: how many nodes a BFS from ``root`` reaches,
+def reached_from(g: CommGraph, root: int = 0) -> int:
+    """How many nodes a BFS from ``root`` reaches, the root included,
     one level at a time from the CSR rows (the frontier's neighbour
-    lists gathered at once), and so whether the graph is connected.
-
-    The diameter is :func:`_diameter` on connected graphs of two or
-    more nodes.
-    """
+    lists gathered at once). A root outside the graph is refused."""
     root = operator.index(root)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} is not a node of a graph of n = {g.n} nodes")
@@ -513,8 +530,17 @@ def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
         found = indices[at + np.arange(at.size)]
         frontier = np.unique(found[~seen[found]])
         seen[frontier] = True
+    return int(seen.sum())
 
-    reached = int(seen.sum())
+
+def graph_stats(g: CommGraph, root: int = 0) -> GraphStats:
+    """Exact BFS statistics: how many nodes a BFS from ``root`` reaches
+    (:func:`reached_from`), and so whether the graph is connected.
+
+    The diameter is :func:`_diameter` on connected graphs of two or
+    more nodes.
+    """
+    reached = reached_from(g, root)
     connected = reached == g.n
     # the run CSV prints it as is: 0.0 for one node, an int otherwise
     diameter: float = 0.0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from radiosync import netsim, protocol
+from radiosync import acceptance, netsim, protocol
 from radiosync.protocol import (
     NodeState,
     _arrivals,
@@ -310,6 +310,100 @@ def test_diameter_in_blocks_of_sources_matches_oracle(n, seed):
     with mock.patch("radiosync.randsched._REACH_BYTES", 1):
         assert stats_fields(graph_stats(g, root=n // 2)) == stats_fields(want)
     assert want.diameter > 5
+
+
+def skewed_graph(kind: str, seed: int):
+    """A connected graph of 65 to 200 nodes whose degrees are far apart,
+    so the degree-ordered neighbour columns shrink both one node at a
+    time and by dozens at once; node ids are shuffled, so the hubs are
+    not the first."""
+    rng = spawn_rng(45, seed)
+    edges = set()
+
+    def path(nodes):
+        edges.update(zip(nodes[:-1], nodes[1:]))
+
+    if kind == "star":
+        # one hub of 119 leaves, a tail of 80 hanging off one leaf
+        n = 200
+        edges.update((0, v) for v in range(1, 120))
+        path(list(range(119, n)))
+    elif kind == "cliques-on-a-path":
+        # cliques of 40, 3, 25 and 12 nodes, joined end to end by paths
+        # of 6 nodes, with a path of 10 off the last
+        at, prev = 0, None
+        for size in (40, 3, 25, 12):
+            clique = list(range(at, at + size))
+            edges.update((a, b) for a in clique for b in clique if a < b)
+            if prev is not None:
+                path([prev, *range(at + size, at + size + 6), clique[0]])
+                at += 6
+            prev, at = clique[-1], at + size
+        path([prev, *range(at, at + 10)])
+        n = at + 10
+    else:
+        # a path of 150 nodes, four hubs each joined to 20 to 50 nodes
+        # of a stretch of it and to 5 leaves of their own
+        n, at = 150, 150
+        path(list(range(n)))
+        for hub in rng.choice(n, size=4, replace=False).tolist():
+            lo = int(rng.integers(0, n - 50))
+            size = int(rng.integers(20, 51))
+            joined = rng.choice(np.arange(lo, lo + 50), size=size, replace=False)
+            edges.update((hub, int(v)) for v in joined if v != hub)
+            edges.update((hub, leaf) for leaf in range(at, at + 5))
+            at += 5
+        n = at
+    shuffle = rng.permutation(n)
+    witness = {}
+    for a, b in edges:
+        a, b = sorted((int(shuffle[a]), int(shuffle[b])))
+        witness[a, b] = 0
+    return oracles.graph(n, witness)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["star", "cliques-on-a-path", "hubs-on-a-path"])
+def test_diameter_on_skewed_degrees_matches_oracle(kind, seed):
+    # at the default budget (every source word in one block) and at
+    # budgets of two words and of one word per block
+    g = skewed_graph(kind, seed)
+    assert 65 <= g.n <= 200
+    want = oracles.graph_stats(g, root=seed)
+    assert want.connected and want.diameter > 5
+    assert stats_fields(graph_stats(g, root=seed)) == stats_fields(want)
+    for budget in (3 * 8 * g.n * 2, 1):
+        with mock.patch("radiosync.randsched._REACH_BYTES", budget):
+            assert stats_fields(graph_stats(g, root=seed)) == stats_fields(want)
+
+
+@pytest.mark.parametrize("ends", [(63, 127), (64, 128), (127, 129)])
+def test_diameter_counts_every_source_of_every_block(ends):
+    # a path of 60 nodes whose middle node holds 68 leaves, plus one leaf
+    # at each end of the path: the only pair at the diameter. By degree,
+    # the middle node takes label 0, the rest of the path labels 1-59
+    # and leaf v label v, so ``ends`` puts that pair at the first or
+    # last source of one-word blocks
+    n, spine = 130, 60
+    edges = {(v, v + 1): 0 for v in range(spine - 1)}
+    for leaf in range(spine, n):
+        edges[{ends[0]: 0, ends[1]: spine - 1}.get(leaf, spine // 2), leaf] = 0
+    g = oracles.graph(n, edges)
+    want = oracles.graph_stats(g)
+    assert want.diameter == spine + 1
+    assert stats_fields(graph_stats(g)) == stats_fields(want)
+    with mock.patch("radiosync.randsched._REACH_BYTES", 1):
+        assert stats_fields(graph_stats(g)) == stats_fields(want)
+
+
+def test_callers_that_discard_the_diameter_skip_it():
+    # estimate_n reads only how far the root's BFS reaches, and A7 only
+    # whether the graph is connected
+    with mock.patch("radiosync.randsched._diameter", side_effect=AssertionError):
+        result = protocol.estimate_n(SimConfig(d=256, seed=5), true_n=16)
+        trials = acceptance._pipeline_trials(seeds=2)
+    assert result.accepted
+    assert any(t.connected for t in trials)
 
 
 @pytest.mark.parametrize(
