@@ -152,22 +152,26 @@ def _heard_counts(k: int, slots: int) -> np.ndarray:
     """P(heard count = a) for a = 0 .. k, for a unit of ``k`` radios
     over ``slots`` back-off slots of :func:`resolve_backoff_unit`.
 
-    Built from non-negative terms only: the count starts at 0, and in
-    each slot steps from a to a + 1 with probability (k - a) * 2**-k
-    (one of the k - a radios not yet heard is the sole transmitter).
-    That is up to ``slots`` steps of k + 1 entries each; stepping stops
-    early once nothing moves, as when 2**-k underflows to 0. Read-only,
-    since every caller shares it.
+    The count starts at 0, and in each slot steps from a to a + 1 with
+    probability (k - a) * 2**-k (one of the k - a radios not yet heard
+    is the sole transmitter). So the table is the first row of the
+    ``slots``-th power of the (k + 1)-state step matrix, 1 - that
+    probability on the diagonal and it just above, raised by repeated
+    squaring: O(k**3 log slots). Every product is of non-negative terms,
+    so nothing cancels. When 2**-k underflows to 0 nothing moves, and
+    the count stays 0. Read-only, since every caller shares it.
     """
     move = (k - np.arange(k + 1)) * math.ldexp(1.0, -k)
     dist = np.zeros(k + 1)
     dist[0] = 1.0
-    for _ in range(slots):
-        step = dist * move
-        if not step.any():
-            break
-        dist -= step
-        dist[1:] += step[:-1]
+    if move.any():
+        power = np.diag(1.0 - move) + np.diag(move[:-1], 1)
+        while slots:
+            if slots & 1:
+                dist = dist @ power
+            slots >>= 1
+            if slots:
+                power = power @ power
     dist.setflags(write=False)
     return dist
 

@@ -18,9 +18,10 @@ matrix's rows lie back to back in one position array, meetings are
 arrays of columns and owners, and the graph is an edge list plus a CSR
 adjacency. Grouping by node index uses stable 16-bit radix passes
 (:func:`_radix_order`) rather than comparison sorts. Schedule positions
-and meeting sort keys are int32 whenever every value they can take
-fits (:func:`_width`), which halves what the draw and the meeting
-sort move; meetings and graphs are int64.
+are int32 whenever every value they can take fits (:func:`_width`),
+which halves what the draw moves. Meeting detection sorts uint32 keys
+one band of ``2**32 // n`` global columns at a time, so its sort moves
+32-bit keys whatever the window; meetings and graphs are int64.
 """
 
 from __future__ import annotations
@@ -298,39 +299,40 @@ class Meetings:
         return src + base, dst + base, which
 
 
-def detect_meetings(m: ScheduleMatrix) -> Meetings:
-    """Columns at which rows can exchange messages.
+def _bisect(
+    flat: np.ndarray, below: np.ndarray, above: np.ndarray, targets: np.ndarray
+) -> np.ndarray:
+    """Per row, the first index in ``(below, above]`` whose value is at
+    least the row's target, given ``flat[below] < target <=
+    flat[above]`` and ascending values between the two: one bisection
+    over every row at once, in as many halvings as the widest row needs
+    (a row narrowed to one step stays put)."""
+    for _ in range(int((above - below).max() - 1).bit_length()):
+        mid = (below + above) >> 1
+        low = flat[mid] < targets
+        below = np.where(low, mid, below)
+        above = np.where(low, above, mid)
+    return above
 
-    Row ``r`` is awake at global column ``t`` iff ``t - offsets[r]`` is
-    one of its positions. Every column with >= 2 awake rows is reported,
-    with its size; the interference model keeps the meetings of size 2
-    when it builds its graph (see :func:`radiosync.protocol.run_sync`).
 
-    One sort-and-group pass: every awake unit is keyed ``column * n +
-    row``, the keys are sorted, and runs of equal columns form the
-    groups, whose rows are gathered into one owner array. O(N log N) in
-    the N awake units. The keys are int32 when ``(columns + max offset)
-    * n`` is at most 2**31 - 1 (:func:`_width`), else int64; the
-    returned arrays are int64 either way.
-    """
-    if m.offsets is None:
-        raise ValueError("offsets must be set before detecting meetings")
-    n = m.n
-    if m.positions.size == 0:
-        return Meetings(cols=_EMPTY, starts=_EMPTY, sizes=_EMPTY, owners=_EMPTY)
-    top = int(m.offsets.max())
-    bound = (m.columns + top) * n
-    if bound > np.iinfo(np.int64).max:
-        raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
-    # the two transients beside the keys, each row's base and each
-    # unit's column, are int32 when they fit, which halves their memory;
-    # int64 keys are widened in place, so no int64 product is made
-    narrow = _width(max(m.columns + top, (top + 1) * n))
-    keys = m.positions.astype(_width(bound))
+def _band_meetings(
+    flat: np.ndarray, begin: np.ndarray, end: np.ndarray, bases: np.ndarray, n: int, lo: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The meetings of one band of :func:`detect_meetings`, as ``(cols,
+    sizes, starts, owners)``: live row k's units are ``flat[begin[k]:
+    end[k]]`` and its key base ``(offset - lo) * n + row``."""
+    # slices that follow on from each other in ``flat`` are copied as one
+    gaps = np.flatnonzero(begin[1:] != end[:-1])
+    lefts = np.concatenate((begin[:1], begin[gaps + 1])).tolist()
+    rights = np.concatenate((end[gaps], end[-1:])).tolist()
+    keys = np.concatenate(
+        [flat[i:j] for i, j in zip(lefts, rights)], dtype=np.uint32, casting="unsafe"
+    )
+    # exact: every key of the band is below 2**32, so nothing is lost mod 2**32
     keys *= n
-    keys += np.repeat((m.offsets * n + np.arange(n)).astype(narrow), m.densities())
+    keys += np.repeat(bases.astype(np.uint32), end - begin)
     keys.sort()
-    cols = np.floor_divide(keys, n, out=np.empty(keys.size, narrow), casting="unsafe")
+    cols = keys // n
     # unit u shares its column with unit u + 1; each run of consecutive
     # such u is one group of (run length + 1) awake rows
     shared = np.flatnonzero(cols[1:] == cols[:-1])
@@ -340,9 +342,76 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     counts = np.diff(first, append=shared.size) + 1
     packed = np.cumsum(counts) - counts
     units = keys[np.repeat(starts - packed, counts) + np.arange(counts.sum())]
-    owners = (units % n).astype(np.int64, copy=False)
-    cols = (keys[starts] // n).astype(np.int64, copy=False)
-    return Meetings(cols=cols, starts=packed, sizes=counts, owners=owners)
+    owners = (units % n).astype(np.int64)
+    cols = (keys[starts] // n).astype(np.int64)
+    cols += lo
+    return cols, counts, packed, owners
+
+
+def detect_meetings(m: ScheduleMatrix) -> Meetings:
+    """Columns at which rows can exchange messages.
+
+    Row ``r`` is awake at global column ``t`` iff ``t - offsets[r]`` is
+    one of its positions. Every column with >= 2 awake rows is reported,
+    with its size; the interference model keeps the meetings of size 2
+    when it builds its graph (see :func:`radiosync.protocol.run_sync`).
+
+    Sort-and-group on uint32 keys, one band of global columns at a
+    time. A band is ``2**32 // n`` columns wide and starts at the first
+    awake unit not yet placed, so only occupied bands are visited, and
+    never more of them than there are units. In band ``[lo, lo +
+    width)`` a unit is keyed ``(column - lo) * n + row``, which is below
+    2**32; it is built mod 2**32 as ``position * n + ((offset - lo) * n
+    + row)``. Each row with a unit in the band (a live row) adds one
+    slice of its positions, cut by one vectorized bisection
+    (:func:`_bisect`) at ``lo + width - offset`` over the live rows that
+    do not end inside the band. The slices are copied back to back and
+    sorted, and runs of equal columns form the groups, whose rows are
+    gathered into one owner array. A band with one live row holds no
+    meeting and is only stepped over. Bands come in column order, so
+    their meetings concatenate in it. Keys that fit in 32 bits make one
+    band and one sort. O(N log N) in the N awake units; the returned
+    arrays are int64.
+    """
+    if m.offsets is None:
+        raise ValueError("offsets must be set before detecting meetings")
+    n = m.n
+    if m.positions.size == 0:
+        return Meetings(cols=_EMPTY, starts=_EMPTY, sizes=_EMPTY, owners=_EMPTY)
+    top = int(m.offsets.max())
+    if (m.columns + top) * n > np.iinfo(np.int64).max:
+        raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
+    width = (1 << 32) // n
+    flat = m.positions
+    # the rows with units left to place, from the first of them (cut)
+    rows = np.flatnonzero(m.densities())
+    cut, stop, off = m.starts[rows], m.starts[rows + 1], m.offsets[rows]
+    last = flat[stop - 1] + off
+    bands = []
+    while rows.size:
+        head = flat[cut] + off
+        lo = int(head.min())
+        # every column is below columns + top, which fits int64
+        hi = min(lo + width, m.columns + top)
+        live = np.flatnonzero(head < hi)
+        begin, end = cut[live], stop[live]
+        split = np.flatnonzero(last[live] >= hi)
+        if split.size:
+            end[split] = _bisect(flat, begin[split], end[split] - 1, hi - off[live[split]])
+        if live.size > 1:
+            bases = (off[live] - lo) * n + rows[live]
+            bands.append(_band_meetings(flat, begin, end, bases, n, lo))
+        cut[live] = end
+        more = cut < stop
+        if not more.all():
+            rows, cut, stop, off, last = (a[more] for a in (rows, cut, stop, off, last))
+    if len(bands) == 1:
+        cols, sizes, starts, owners = bands[0]
+    else:
+        # the empty band in front covers a matrix with no band to join
+        cols, sizes, _, owners = map(np.concatenate, zip((_EMPTY,) * 4, *bands))
+        starts = np.cumsum(sizes) - sizes
+    return Meetings(cols=cols, starts=starts, sizes=sizes, owners=owners)
 
 
 class CommGraph:

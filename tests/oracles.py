@@ -122,6 +122,22 @@ def draw_rows(
     return positions
 
 
+def heard_counts(k: int, slots: int) -> np.ndarray:
+    """``netsim._heard_counts`` one slot at a time: each slot moves
+    (k - a) * 2**-k of the mass at heard count a to a + 1, stopping
+    early once nothing moves."""
+    move = (k - np.arange(k + 1)) * math.ldexp(1.0, -k)
+    dist = np.zeros(k + 1)
+    dist[0] = 1.0
+    for _ in range(slots):
+        step = dist * move
+        if not step.any():
+            break
+        dist -= step
+        dist[1:] += step[:-1]
+    return dist
+
+
 def as_meetings(groups) -> Meetings:
     """A :class:`Meetings` record of ``(column, participants)`` groups,
     given column-sorted with sorted participants."""

@@ -67,6 +67,27 @@ def sparse_matrices(draw, min_rows=9):
 
 
 @st.composite
+def banded_matrices(draw):
+    """1-6 rows of 0-4 units over up to 2**40 columns, with positions
+    and offsets within 3 of multiples of the band width ``2**32 // n``
+    of ``detect_meetings``: rows share columns on both sides of a band
+    edge, and some rows have no unit in a band."""
+    n = draw(st.integers(1, 6))
+    width = 2**32 // n
+
+    def near(most):
+        return st.builds(lambda j, e: j * width + e, st.integers(0, most), st.integers(-3, 3))
+
+    columns = max(1, draw(st.one_of(st.integers(1, 2**40), near(6))))
+    rows = [
+        np.array(sorted({min(max(p, 0), columns - 1) for p in draw(st.lists(near(5), max_size=4))}))
+        for _ in range(n)
+    ]
+    offsets = [max(o, 0) for o in draw(st.lists(near(2), min_size=n, max_size=n))]
+    return ScheduleMatrix(n=n, columns=columns, positions=rows, offsets=offsets)
+
+
+@st.composite
 def meeting_lists(draw):
     """Column-sorted meetings with sorted participants, of any size."""
     n = draw(st.integers(2, 8))
@@ -115,6 +136,12 @@ def test_kernel_and_graph_match_oracle(m):
 @settings(max_examples=50, deadline=None)
 @given(m=matrices(zero_offsets=True))
 def test_zero_offsets_match_oracle(m):
+    assert_kernel_and_graph_match_oracle(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=banded_matrices())
+def test_banded_kernel_and_graph_match_oracle(m):
     assert_kernel_and_graph_match_oracle(m)
 
 

@@ -1,9 +1,14 @@
 """Sweep determinism, CSV schema stability, config files, CLI surface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import radiosync
 from radiosync.cli import main
 from radiosync.harness import (
     RUN_COLUMNS,
@@ -142,6 +147,18 @@ def test_cli_birthday(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("lemma,")
     assert len(out) == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(radiosync.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-m", "radiosync", "--help"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: radiosync")
+    assert "accept" in out.stdout
 
 
 def test_cli_sync_run(capsys):

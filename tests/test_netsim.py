@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from radiosync.netsim import (
     DriftParams,
     _heard_counts,
@@ -148,6 +149,21 @@ def test_heard_count_table_is_a_distribution(k, slots):
     assert table.shape == (k + 1,) and (table >= 0).all()
     assert table.sum() == pytest.approx(1.0, abs=1e-11)
     assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("slots", [1, 2, 36, 961, 10**4])
+def test_squared_heard_count_table_matches_stepped_oracle(slots):
+    for k in range(2, 65):
+        table = _heard_counts(k, slots)
+        assert np.abs(table - oracles.heard_counts(k, slots)).max() <= 1e-12, k
+
+
+def test_heard_count_table_at_a_million_slots_is_quick():
+    _heard_counts.cache_clear()
+    start = time.perf_counter()
+    table = _heard_counts(40, 10**6)
+    assert time.perf_counter() - start < 1.0
+    assert table.sum() == pytest.approx(1.0, abs=1e-11) and (table >= 0).all()
 
 
 def test_nobody_heard_once_the_lone_slot_rate_underflows():

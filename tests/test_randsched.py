@@ -1,13 +1,21 @@
 """Schedule matrices, meeting detection, and graph statistics."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import oracles
 from radiosync.bitstrings import BitSchedule, ShiftAssignment, pack_non_overlapping
-from radiosync.protocol import make_node_states, run_sync
+from radiosync.protocol import (
+    SimConfig,
+    build_pipeline_matrix,
+    draw_offsets,
+    make_node_states,
+    pipeline_params,
+    run_sync,
+)
 from radiosync.randsched import (
     CommGraph,
     ScheduleMatrix,
@@ -193,7 +201,8 @@ def test_detect_rejects_key_overflow():
 
 
 def test_detect_beyond_int32_columns():
-    # columns and row bases past int32: the kernel's transients widen
+    # columns and row bases past int32: positions are int64, while the
+    # band keys stay uint32
     big = 2**40
     m = matrix_from_ones(big, [[5, big - 9], [big - 7], [0, big - 10]], [2, 0, 3])
     assert list(detect_meetings(m)) == [(big - 7, (0, 1, 2))]
@@ -207,8 +216,9 @@ def test_detect_beyond_int32_columns():
 )
 def test_detect_at_the_int32_key_boundary(n, bound):
     # (columns + top offset) * n = bound on either side of 2**31 - 1,
-    # where the sort keys widen from int32 to int64; the largest key,
-    # bound - 1, is a top-offset row awake at its last column
+    # the largest int32 key; both sides fit one uint32 band. The
+    # largest key, bound - 1, is a top-offset row awake at its last
+    # column
     top, reach = 6, bound // n
     assert reach * n == bound
     columns = reach - top
@@ -218,6 +228,44 @@ def test_detect_at_the_int32_key_boundary(n, bound):
     m = matrix_from_ones(columns, rows, offsets)
     expect = {1: [], 2: [(top, (0, 1))], 3: [(top, (0, 1, 2)), (reach - 1, (1, 2))]}
     assert list(detect_meetings(m)) == oracles.detect_meetings(m) == expect[n]
+
+
+def test_detect_meets_at_both_ends_of_a_band():
+    # n = 3 does not divide 2**32; bands are 2**32 // 3 columns wide and
+    # start at the first unit not yet placed, so the first band is
+    # [10, 10 + w) and the second [10 + w, 10 + 2w). Meetings sit at the
+    # first and last column of each; row 2 ends alone in a third band
+    w = 2**32 // 3
+    offsets = [4, 1, 0]
+    meet = {10: (0, 1), 10 + w - 1: (1, 2), 10 + w: (0, 2), 10 + 2 * w - 1: (0, 1, 2)}
+    rows = [[col - offsets[r] for col, who in meet.items() if r in who] for r in range(3)]
+    rows[2].append(10 + 2 * w)
+    m = matrix_from_ones(10 + 2 * w + 1, rows, offsets)
+    assert list(detect_meetings(m)) == oracles.detect_meetings(m) == list(meet.items())
+
+
+def test_detect_visits_only_occupied_bands():
+    # 2**61 columns make some 10**9 bands of 2**32 // 3 columns; the
+    # kernel must go from one awake unit to the next
+    big = 2**61
+    m = matrix_from_ones(
+        big, [[0, 2**60, big - 1], [2**60 - 5, big - 4], [0, big - 1]], [0, 5, 2]
+    )
+    start = time.perf_counter()
+    got = list(detect_meetings(m))
+    assert time.perf_counter() - start < 1.0
+    assert got == oracles.detect_meetings(m) == [(2**60, (0, 1)), (big + 1, (1, 2))]
+
+
+def test_detect_on_the_multi_band_sparse_pipeline_shape():
+    # the sparse-multihop benchmark shape: n = 1449 over about 2.7 bands
+    config = SimConfig(d=16384, beta=0.75, scale=0.5, repetition_k=1)
+    params = pipeline_params(config.d, config.n, scale=0.5, repetition_k=1)
+    rng = spawn_rng(21)
+    m = build_pipeline_matrix(config.n, params, rng)
+    m = m.with_offsets(draw_offsets(config.n, config.d, rng))
+    assert (m.columns + int(m.offsets.max())) * m.n > 2 * 2**32
+    assert list(detect_meetings(m)) == oracles.detect_meetings(m)
 
 
 def test_single_meeting_hand_case():
