@@ -36,11 +36,11 @@ from .randsched import (
     Meetings,
     ScheduleMatrix,
     _integers,
+    _pair_order,
     _radix_order,
     clamped_log2,
     detect_meetings,
     draw_rows,
-    graph_from_pairs,
     graph_stats,  # noqa: F401  (the benchmark tracer wraps it by this name)
     reached_from,
     repetition_constant,
@@ -285,23 +285,30 @@ def _arrivals(
     return np.minimum(arrive, never, out=arrive)
 
 
+def _grouped(
+    senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """Deliveries already grouped by receiver, plus the index of each
+    receiver's first delivery and that receiver, for
+    ``np.minimum.reduceat``."""
+    heads = np.flatnonzero(np.diff(receivers, prepend=-1))
+    return senders, receivers, cols, heads, receivers[heads]
+
+
 def _by_receiver(
     senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray, n: int
 ) -> tuple[np.ndarray, ...]:
     """Deliveries among ``n`` nodes grouped by receiver (a stable radix
-    sort), plus the index of each receiver's first delivery and that
-    receiver, for ``np.minimum.reduceat``."""
+    sort), as :func:`_grouped` gives them."""
     order = _radix_order(receivers, n)
-    senders, receivers, cols = senders[order], receivers[order], cols[order]
-    heads = np.flatnonzero(np.diff(receivers, prepend=-1))
-    return senders, receivers, cols, heads, receivers[heads]
+    return _grouped(senders[order], receivers[order], cols[order])
 
 
 def _relax(
     label: np.ndarray, deliveries: tuple[np.ndarray, ...], period: int, never: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Earliest arrivals from the holders' -1 labels: relax over the
-    :func:`_by_receiver` deliveries until nothing moves. Returns the
+    :func:`_grouped` deliveries until nothing moves. Returns the
     labels and every delivery's arrival."""
     senders, _receivers, cols, heads, into = deliveries
     while True:
@@ -372,9 +379,7 @@ def _adopt(
 
 
 def _spread(
-    senders: np.ndarray,
-    receivers: np.ndarray,
-    cols: np.ndarray,
+    deliveries: tuple[np.ndarray, ...],
     period: int,
     copies: int,
     held: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -382,7 +387,8 @@ def _spread(
 ) -> np.ndarray:
     """Flood the held identifiers over ``copies`` copies of a schedule
     of ``period`` columns in which ``senders[i]`` reaches
-    ``receivers[i]`` at column ``cols[i]``.
+    ``receivers[i]`` at column ``cols[i]``: the ``deliveries``, grouped
+    by receiver as :func:`_grouped` gives them.
 
     ``held`` is (max_seen, root_origin, hops) per node, updated in
     place. Returns each node's adoption label ``copy * period + column``
@@ -392,9 +398,8 @@ def _spread(
     time-respecting path: label -1 at the holders, and over a delivery
     the column in the sender's arrival copy if it is later, else in the
     next one. Each round floods one held identifier, from the largest
-    down: one multi-source earliest-arrival relaxation (:func:`_relax`
-    over the deliveries grouped by receiver, :func:`_by_receiver`) from
-    its holders, assigned to the nodes it reaches that no larger
+    down: one multi-source earliest-arrival relaxation (:func:`_relax`)
+    from its holders, assigned to the nodes it reaches that no larger
     identifier reached. That is exact under the budget: a larger
     identifier held by any node on a path would reach the end of that
     path too, so an unassigned node's paths, and the senders it adopts
@@ -407,13 +412,14 @@ def _spread(
     ``never - 1 - back`` still reaches an unassigned node in time. The
     next round floods the largest identifier below this one that a node
     with ``back < never`` holds, over the deliveries that leave before
-    their receiver's deadline. So every round assigns a node, and the
-    identifier strictly descends.
+    their receiver's deadline; they are a subset of the grouped
+    deliveries, so they stay grouped. Only the reversed deliveries are
+    grouped anew (:func:`_by_receiver`). So every round assigns a node,
+    and the identifier strictly descends.
     """
     value, origin, hops = held
     n = value.size
     never = copies * period
-    deliveries = _by_receiver(senders, receivers, cols, n)
     senders, receivers, cols = deliveries[:3]
     open_ = np.ones(n, dtype=bool)
     adopted = np.full(n, -1, dtype=np.int64)
@@ -436,7 +442,7 @@ def _spread(
         # paths that cannot reach an unassigned node in time end at
         # assigned nodes, whose results stand: leave them out
         keep = back[receivers] + cols < never - 1
-        active = _by_receiver(senders[keep], receivers[keep], cols[keep], n)
+        active = _grouped(senders[keep], receivers[keep], cols[keep])
         bar = value[(back < never) & (value < bar)].max()
     for array, result in zip(held, out):
         array[:] = result
@@ -477,23 +483,26 @@ def _deliver_meetings(
     the number of copies it used.
 
     ``pairs`` are the meetings' directed pairs (sender, receiver,
-    column, sender's slot in ``meetings.owners``) and ``held`` the
-    per-node (max_seen, root_origin, hops), updated in place. In the
+    column, sender's slot in ``meetings.owners``, the slots only in the
+    interference model), grouped by receiver, and ``held`` the per-node
+    (max_seen, root_origin, hops), updated in place. In the
     base model every participant hears every other, so the flood is one
     relaxation over all copies; the copies used follow from the last
     copy L in which any node adopted: L + 1 when every node ends at
     ``global_max``, else one more pass that changes nothing,
     min(rounds, L + 2). In the interference model each copy draws its
     back-off winners with :func:`~radiosync.netsim.resolve_backoff`;
-    its deliveries are every sole transmitter to the rest of its unit.
-    Each copy's deliveries are relaxed once, from the ``global_max``
-    holders, on the labels of the copies before it. Copies are drawn
+    its deliveries are every sole transmitter to the rest of its unit,
+    a subset of the pairs that stays grouped. Each copy's deliveries are
+    relaxed once, from the ``global_max`` holders, on the labels of the
+    copies before it. Copies are drawn
     until ``global_max`` has reached every node; if no node holds more,
     those labels are :func:`_spread`'s first and only round, so the
     copies' tight deliveries give the chains (:func:`_chains`,
     :func:`_adopt`) and nothing is relaxed again. Otherwise the copies
-    drawn are laid end to end and flooded by :func:`_spread`, as one
-    copy of a longer period. When ``trace`` is given, one row per
+    drawn are laid end to end, grouped by receiver again
+    (:func:`_by_receiver`) and flooded by :func:`_spread`, as one copy
+    of a longer period. When ``trace`` is given, one row per
     meeting unit and copy is appended (see :func:`_trace_rows`), at
     time ``copy * columns + column``.
     """
@@ -501,7 +510,7 @@ def _deliver_meetings(
     period = int(meetings.cols[-1]) + 1 if len(meetings) else 1
     if not exclusive:
         adopted = _spread(
-            senders, receivers, cols, period, rounds, held, transmit_delay
+            _grouped(senders, receivers, cols), period, rounds, held, transmit_delay
         )
         last = int(adopted.max()) // period
         if (held[0] == global_max).all():
@@ -524,8 +533,7 @@ def _deliver_meetings(
     for copy in range(rounds):
         won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
         heard = won[slots]
-        part = senders[heard], receivers[heard], cols[heard] + copy * period
-        part = _by_receiver(*part, reach.size)
+        part = _grouped(senders[heard], receivers[heard], cols[heard] + copy * period)
         heard_per_copy.append(part[:3])
         if trace is not None:
             trace.extend(_trace_rows(meetings, won, copy * columns))
@@ -543,7 +551,7 @@ def _deliver_meetings(
             return copy + 1
     # the copies, laid end to end, are one copy of a longer period
     deliveries = (np.concatenate(arrays) for arrays in zip(*heard_per_copy))
-    _spread(*deliveries, horizon, 1, held, transmit_delay)
+    _spread(_by_receiver(*deliveries, reach.size), horizon, 1, held, transmit_delay)
     return rounds
 
 
@@ -574,12 +582,15 @@ def run_sync(
     the accompanying clock plus the per-hop transmission delay, from
     the sender with the fewest hops (then the lowest index) among those
     carrying it. The meetings stay arrays from detection on: one pass
-    builds their directed pairs in meeting order, which give the graph
-    (pairs of two-radio meetings only in the interference model; edge
-    arrays plus CSR adjacency, see
-    :func:`~radiosync.randsched.graph_from_pairs`) and feed the flood,
-    :func:`_deliver_meetings`, which groups them by receiver with a
-    radix sort. Copies of the schedule beyond the point
+    builds their directed pairs in meeting order, and one stable radix
+    sort groups them by (receiver, sender)
+    (:func:`~radiosync.randsched._pair_order`), carrying their columns
+    and, in the interference model, the senders' slots and the
+    two-radio mask. Each (receiver, sender) run starts at that link's
+    earliest meeting, so the run heads are the graph's CSR entries and
+    first columns (of the two-radio pairs only in the interference
+    model); the same grouped pairs feed the flood,
+    :func:`_deliver_meetings`. Copies of the schedule beyond the point
     where a full pass changes nothing count as unused, but are still
     paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
@@ -603,9 +614,21 @@ def run_sync(
     meetings = detect_meetings(matrix)
     slots, dst, which = meetings.pairs()
     senders, receivers = meetings.owners[slots], meetings.owners[dst]
+    del dst
+    # one grouping by (receiver, sender) serves the graph and the flood;
+    # one gather at a time, each freeing what it replaces, so no extra
+    # pair-length array is held through the grouping
+    order = _pair_order(n, senders, receivers)
+    senders = senders[order]
+    receivers = receivers[order]
+    which = which[order]
+    slots = slots[order] if exclusive else None
+    del order
     cols = meetings.cols[which]
     edges = meetings.sizes[which] == 2 if exclusive else slice(None)
-    graph = graph_from_pairs(n, senders[edges], receivers[edges], cols[edges])
+    del which
+    graph = CommGraph._from_pairs(n, senders[edges], receivers[edges], cols[edges])
+    del edges
 
     held = max_seen.copy(), matrix.offsets.copy(), hops.copy()
     root_index = int(ident.argmax())

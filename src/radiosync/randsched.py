@@ -15,13 +15,16 @@ reuse the same communication structure.
 
 Everything is held as flat arrays from the draw to the graph: a
 matrix's rows lie back to back in one position array, meetings are
-arrays of columns and owners, and the graph is an edge list plus a CSR
-adjacency. Grouping by node index uses stable 16-bit radix passes
-(:func:`_radix_order`) rather than comparison sorts. Schedule positions
-are int32 whenever every value they can take fits (:func:`_width`),
-which halves what the draw moves. Meeting detection sorts uint32 keys
-one band of ``2**32 // n`` global columns at a time, so its sort moves
-32-bit keys whatever the window; meetings and graphs are int64.
+arrays of columns and owners, and the graph is a CSR adjacency with
+each entry's first meeting column. The directed meeting pairs are
+grouped by (receiver, sender) once, by stable 16-bit radix passes
+(:func:`_radix_order`) rather than comparison sorts; the runs of that
+grouping are the CSR entries, and the protocol's flood reads the same
+grouped pairs. Schedule positions are int32 whenever every value they
+can take fits (:func:`_width`), which halves what the draw moves.
+Meeting detection sorts uint32 keys one band of ``2**32 // n`` global
+columns at a time, so its sort moves 32-bit keys whatever the window;
+meetings and graphs are int64.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -110,28 +114,34 @@ def _as_offsets(n: int, offsets) -> np.ndarray:
     return _read_only(offsets)
 
 
-def _check_rows(flat: np.ndarray, ends: np.ndarray, columns: int) -> None:
-    """Every row of the flat positions (row ``r`` ends before
-    ``ends[r]``) must be strictly increasing inside ``[0, columns)``; a
-    repeated position would make a row meet itself. One pass over the
-    positions."""
+def _check_rows(flat: np.ndarray, starts: np.ndarray, columns: int) -> None:
+    """Every row of the flat positions (row ``r`` is
+    ``flat[starts[r]:starts[r + 1]]``) must be strictly increasing
+    inside ``[0, columns)``; a repeated position would make a row meet
+    itself. Strict increase is checked first, so the range check reads
+    only each row's ends; a failure is located by a full scan, which
+    reports a position out of range before a repeat."""
     if flat.size == 0:
         return
+    ends = starts[1:]
+    repeat = flat[1:] <= flat[:-1]
+    # pairs straddling two rows are not steps within a row
+    repeat[ends[(ends > 0) & (ends < flat.size)] - 1] = False
+    if not repeat.any():
+        full = np.flatnonzero(np.diff(starts))
+        if flat[starts[full]].min() >= 0 and flat[ends[full] - 1].max() < columns:
+            return
     if flat.min() < 0 or flat.max() >= columns:
         at = int(np.argmax((flat < 0) | (flat >= columns)))
         raise ValueError(
             f"row {np.searchsorted(ends, at, side='right')}: position "
             f"{flat[at]} outside [0, {columns})"
         )
-    repeat = flat[1:] <= flat[:-1]
-    # pairs straddling two rows are not steps within a row
-    repeat[ends[(ends > 0) & (ends < flat.size)] - 1] = False
-    if repeat.any():
-        at = int(np.argmax(repeat)) + 1
-        raise ValueError(
-            f"row {np.searchsorted(ends, at, side='right')}: positions must be "
-            f"strictly increasing, {flat[at - 1]} then {flat[at]}"
-        )
+    at = int(np.argmax(repeat)) + 1
+    raise ValueError(
+        f"row {np.searchsorted(ends, at, side='right')}: positions must be "
+        f"strictly increasing, {flat[at - 1]} then {flat[at]}"
+    )
 
 
 class ScheduleMatrix:
@@ -181,7 +191,7 @@ class ScheduleMatrix:
                     "over one flat position array"
                 )
         # checked at the width given, so nothing wraps before the check
-        _check_rows(positions, starts[1:], columns)
+        _check_rows(positions, starts, columns)
         self.n = n
         self.columns = columns
         self.positions = _read_only(positions.astype(width, copy=False))
@@ -221,12 +231,13 @@ def draw_rows(
     and the unused half is cached in the bit generator's own state, not
     within one call.
 
-    Each window's start is added first, so windows occupy disjoint
-    ranges and sorting a run of whole windows sorts each of them. Runs
-    hold about :data:`_SORT_RUN` values (at least one window), plus one
-    sort of each row's leftover windows. Entries equal to their left
-    neighbour along a row are then dropped. O(n * windows * draws *
-    log _SORT_RUN).
+    Each window's start is added first, as one row of offsets added
+    along every row, so windows occupy disjoint ranges and sorting a run
+    of whole windows sorts each of them. Runs hold about
+    :data:`_SORT_RUN` values (at least one window), plus one sort of
+    each row's leftover windows. Entries equal to their left neighbour
+    along a row are then dropped, through the flat mask. O(n * windows *
+    draws * log _SORT_RUN).
     """
     # the draw's own bound must fit too, even with no windows to draw
     width = _width(max(windows, 1) * columns)
@@ -234,8 +245,8 @@ def draw_rows(
     size = windows * draws
     if raw.size == 0:
         return raw.reshape(-1), np.zeros(n + 1, dtype=np.int64)
-    raw += np.arange(windows, dtype=width)[:, None] * columns
     flat = raw.reshape(n, size)
+    flat += np.repeat(np.arange(windows, dtype=width) * columns, draws)
     run = max(1, _SORT_RUN // draws) * draws
     whole = size - size % run
     # both sorts act on views of ``raw``: each row's slice is contiguous
@@ -245,8 +256,8 @@ def draw_rows(
     keep[:, 0] = True
     np.not_equal(flat[:, 1:], flat[:, :-1], out=keep[:, 1:])
     starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(keep.sum(axis=1), out=starts[1:])
-    return flat[keep], starts
+    np.cumsum(np.count_nonzero(keep, axis=1), out=starts[1:])
+    return flat.reshape(-1)[keep.reshape(-1)], starts
 
 
 def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -414,17 +425,39 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     return Meetings(cols=cols, starts=starts, sizes=sizes, owners=owners)
 
 
-class CommGraph:
-    """Undirected meeting graph over ``n`` rows, held as arrays.
+def _pair_order(n: int, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """The stable permutation that groups directed pairs among ``n``
+    nodes by (receiver, sender): :func:`_radix_order` on ``receivers *
+    n + senders``. Pairs given in column order come out with each
+    (receiver, sender) run's earliest column first."""
+    return _radix_order(receivers * n + senders, n * n)
 
-    Edge ``e`` joins rows ``i[e] < j[e]``, which first meet at global
-    column ``cols[e]``; the edges are kept in (column, i, j) order, the
-    order a walk over the column-sorted meetings first meets them (the
-    constructor sorts them into it if needed). ``indptr`` and
-    ``indices`` are the CSR adjacency: row ``r``'s neighbours, ascending,
-    are ``indices[indptr[r]:indptr[r + 1]]``. Every array is read-only
-    int64. The constructor checks 0 <= i < j < n and that no edge
-    repeats.
+
+def _run_starts(senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """Mask of the pairs that start a run of equal (receiver, sender)."""
+    start = np.empty(senders.size, dtype=bool)
+    start[:1] = True
+    np.not_equal(receivers[1:], receivers[:-1], out=start[1:])
+    start[1:] |= senders[1:] != senders[:-1]
+    return start
+
+
+class CommGraph:
+    """Undirected meeting graph over ``n`` rows, held as a CSR
+    adjacency.
+
+    Row ``r``'s neighbours, ascending, are ``indices[indptr[r]:
+    indptr[r + 1]]``, and ``first_cols[k]`` is the first global column
+    at which row ``r`` meets ``indices[k]``. Every array is read-only
+    int64. The constructor takes an edge list: edge ``e`` joins rows
+    ``i[e] < j[e]``, which first meet at column ``cols[e]``. It checks
+    0 <= i < j < n and that no edge repeats.
+
+    The edge arrays ``i``, ``j`` and ``cols`` are derived from the CSR
+    when first read, in (column, i, j) order, the order a walk over the
+    column-sorted meetings first meets the edges; ``witness`` maps each
+    edge to its column. Two graphs are equal when their edges and first
+    columns are.
     """
 
     def __init__(self, n: int, i, j, cols) -> None:
@@ -438,38 +471,72 @@ class CommGraph:
         if bad.any():
             e = int(np.argmax(bad))
             raise ValueError(f"edge ({i[e]}, {j[e]}) needs 0 <= i < j < n = {n}")
-        codes = i * n + j
-        same_col = cols[1:] == cols[:-1]
-        ascending = (cols[1:] > cols[:-1]) | (same_col & (codes[1:] > codes[:-1]))
-        if not ascending.all():
-            order = np.lexsort((j, i, cols))
-            i, j, cols = i[order], j[order], cols[order]
         # each edge both ways, grouped by (row, neighbour)
-        src, dst = np.concatenate((i, j)), np.concatenate((j, i))
-        order = _radix_order(src * n + dst, n * n)
-        src, dst = src[order], dst[order]
-        twice = np.flatnonzero((src[1:] == src[:-1]) & (dst[1:] == dst[:-1]))
-        if twice.size:
-            a, b = sorted((int(src[twice[0]]), int(dst[twice[0]])))
+        rows, nbrs = np.concatenate((i, j)), np.concatenate((j, i))
+        order = _pair_order(n, nbrs, rows)
+        rows, nbrs = rows[order], nbrs[order]
+        start = _run_starts(nbrs, rows)
+        if not start.all():
+            at = int(np.argmin(start))
+            a, b = sorted((int(rows[at]), int(nbrs[at])))
             raise ValueError(f"edge ({a}, {b}) given twice")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        self._set_runs(n, nbrs, rows, np.concatenate((cols, cols))[order], start)
+
+    @classmethod
+    def _from_pairs(
+        cls, n: int, senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
+    ) -> "CommGraph":
+        """The graph of directed meeting pairs that come both ways,
+        grouped by (receiver, sender) with each run's earliest column
+        first (see :func:`_pair_order`): each run is one CSR entry."""
+        g = cls.__new__(cls)
+        g._set_runs(n, senders, receivers, cols, _run_starts(senders, receivers))
+        return g
+
+    def _set_runs(self, n, senders, receivers, cols, start) -> None:
         self.n = n
-        self.i, self.j, self.cols = _read_only(i), _read_only(j), _read_only(cols)
-        self.indptr, self.indices = _read_only(indptr), _read_only(dst)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(receivers[start], minlength=n), out=self.indptr[1:])
+        self.indptr = _read_only(self.indptr)
+        self.indices = _read_only(senders[start])
+        self.first_cols = _read_only(cols[start])
+
+    @cached_property
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        upper = rows < self.indices
+        i, j, cols = rows[upper], self.indices[upper], self.first_cols[upper]
+        # already in (i, j) order: a stable sort by column finishes it
+        order = np.argsort(cols, kind="stable")
+        return _read_only(i[order]), _read_only(j[order]), _read_only(cols[order])
+
+    @property
+    def i(self) -> np.ndarray:
+        return self._edges[0]
+
+    @property
+    def j(self) -> np.ndarray:
+        return self._edges[1]
+
+    @property
+    def cols(self) -> np.ndarray:
+        return self._edges[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CommGraph):
             return NotImplemented
         return self.n == other.n and all(
             np.array_equal(a, b)
-            for a, b in zip((self.i, self.j, self.cols), (other.i, other.j, other.cols))
+            for a, b in zip(
+                (self.indptr, self.indices, self.first_cols),
+                (other.indptr, other.indices, other.first_cols),
+            )
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"CommGraph(n={self.n}, edges={self.i.size})"
+        return f"CommGraph(n={self.n}, edges={self.indices.size // 2})"
 
     @property
     def witness(self) -> Mapping[tuple[int, int], int]:
@@ -486,27 +553,19 @@ def graph_from_pairs(
     n: int, senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
 ) -> CommGraph:
     """Graph over ``n`` rows from directed meeting pairs (sender,
-    receiver, column) in column order, as :meth:`Meetings.pairs` emits
-    them; each undirected edge (i < j) is read off its pairs with sender
-    < receiver and witnessed by its earliest column.
+    receiver, column) that come both ways and in column order, as
+    :meth:`Meetings.pairs` emits them; each edge is witnessed by its
+    earliest column.
 
-    The pairs are encoded ``i * n + j`` and put in code order by a
-    stable radix sort (:func:`_radix_order`), so the first pair of each
-    run of equal codes is the edge's earliest. Marking those pairs in
-    the input keeps the edges in column order, and in (column, i, j)
-    order when each meeting's pairs come in (sender, receiver) order.
-    O(P) per 16-bit digit of n**2 in the P pairs.
+    One stable radix sort (:func:`_pair_order`) groups the pairs by
+    (receiver, sender), so each run is one CSR entry and starts at the
+    link's earliest column. O(P) per 16-bit digit of n**2 in the P
+    pairs.
     """
-    keep = senders < receivers
-    cols = cols[keep]
     if (cols[1:] < cols[:-1]).any():
         raise ValueError("meeting pairs must come in column order")
-    codes = senders[keep] * n + receivers[keep]
-    order = _radix_order(codes, n * n)
-    first = np.zeros(codes.size, dtype=bool)
-    first[order[np.flatnonzero(np.diff(codes[order], prepend=-1))]] = True
-    i, j = np.divmod(codes[first], n)
-    return CommGraph(n, i, j, cols[first])
+    order = _pair_order(n, senders, receivers)
+    return CommGraph._from_pairs(n, senders[order], receivers[order], cols[order])
 
 
 def build_comm_graph(m: ScheduleMatrix) -> CommGraph:
@@ -582,8 +641,9 @@ def _diameter(g: CommGraph) -> int:
 
 def reached_from(g: CommGraph, root: int = 0) -> int:
     """How many nodes a BFS from ``root`` reaches, the root included,
-    one level at a time from the CSR rows (the frontier's neighbour
-    lists gathered at once). A root outside the graph is refused."""
+    one level at a time from the CSR rows: the frontier's neighbour
+    lists are gathered at once and marked in a node mask, whose unseen
+    nodes are the next frontier. A root outside the graph is refused."""
     root = operator.index(root)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} is not a node of a graph of n = {g.n} nodes")
@@ -596,9 +656,11 @@ def reached_from(g: CommGraph, root: int = 0) -> int:
     while frontier.size:
         lens = degree[frontier]
         at = np.repeat(indptr[frontier] - (np.cumsum(lens) - lens), lens)
-        found = indices[at + np.arange(at.size)]
-        frontier = np.unique(found[~seen[found]])
-        seen[frontier] = True
+        new = np.zeros(g.n, dtype=bool)
+        new[indices[at + np.arange(at.size)]] = True
+        new &= ~seen
+        frontier = np.flatnonzero(new)
+        seen |= new
     return int(seen.sum())
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from radiosync import acceptance, netsim, protocol
+from radiosync import acceptance, netsim, protocol, randsched
 from radiosync.protocol import (
     NodeState,
     _arrivals,
@@ -26,6 +26,7 @@ from radiosync.protocol import (
     run_sync,
 )
 from radiosync.randsched import (
+    CommGraph,
     ScheduleMatrix,
     _radix_order,
     build_comm_graph,
@@ -167,6 +168,51 @@ def test_run_sync_graph_and_neighbors_match_oracle(m, exclusive):
     result = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng)
     assert witness_items(result.comm_graph.witness) == witness_items(expected)
     assert_csr_matches(result.comm_graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.one_of(matrices(), sparse_matrices(min_rows=2)), exclusive=st.booleans())
+def test_run_sync_graph_equals_its_edge_list_rebuild(m, exclusive):
+    # the graph read off the flood's grouped pairs is the graph the
+    # checked edge-list constructor builds from its own edges, and each
+    # CSR entry carries its edge's first column
+    meetings = oracles.detect_meetings(m)
+    if exclusive:
+        meetings = [mt for mt in meetings if len(mt[1]) == 2]
+    expected = oracles.graph_from_meetings(meetings)
+    rng = spawn_rng(6)
+    g = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
+    rebuilt = CommGraph(m.n, g.i, g.j, g.cols)
+    for name in ("indptr", "indices", "first_cols"):
+        assert np.array_equal(getattr(g, name), getattr(rebuilt, name))
+    assert g == rebuilt
+    rows = np.repeat(np.arange(m.n), g.degrees()).tolist()
+    firsts = [expected[min(a, b), max(a, b)] for a, b in zip(rows, g.indices.tolist())]
+    assert g.first_cols.tolist() == firsts
+
+
+def test_one_pair_grouping_per_run(monkeypatch):
+    # base mode at n <= 256: the pairs are grouped once, in one 16-bit
+    # radix pass, for the graph and a one-round flood alike; an
+    # interference run that ends with every node reached groups its
+    # copies' heard pairs never again
+    bounds = []
+    radix_order = randsched._radix_order
+
+    def counted(keys, bound):
+        bounds.append(bound)
+        return radix_order(keys, bound)
+
+    monkeypatch.setattr(randsched, "_radix_order", counted)
+    monkeypatch.setattr(protocol, "_radix_order", counted)
+    for config, copies in (
+        (SimConfig(d=4096, beta=0.5, seed=1), 1),
+        (SimConfig(d=256, beta=0.75, scale=0.5, repetition_k=1, exclusive=True), 2),
+    ):
+        bounds.clear()
+        result = run_pipeline(config)
+        assert result.success and result.rounds_used == copies
+        assert bounds == [config.n * config.n] and config.n * config.n <= 2**16
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])

@@ -106,6 +106,10 @@ def test_gen_matrix_seeds_differ():
         ([[3], [12]], r"row 1: position 12 outside \[0, 10\)"),
         ([[-1, 4], [5]], "row 0: position -1 outside"),
         ([[3, 3], [12]], "row 1: position 12 outside"),
+        # out of range inside a row that also descends, and after an
+        # empty row: the full scan finds both
+        ([[5, 12, 3], [1]], "row 0: position 12 outside"),
+        ([[], [10]], "row 1: position 10 outside"),
         ([[1], [2.0, 3.0]], "row 1: positions must be integers"),
         ([np.array([[1, 2]]), [5]], "row 0: positions must be 1-D"),
     ],
@@ -405,7 +409,10 @@ def test_graph_edges_kept_in_column_order():
     assert g.indptr.tolist() == [0, 2, 4, 6, 8]
     assert g.indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
     assert g.degrees().tolist() == [2, 2, 2, 2]
+    # each CSR entry's first column, the same both ways
+    assert g.first_cols.tolist() == [0, 1, 0, 1, 1, 5, 1, 5]
     assert g == oracles.graph(4, g.witness)
+    assert g != CommGraph(4, [2, 0, 1, 0], [3, 3, 2, 1], [5, 1, 2, 0])
     with pytest.raises(TypeError):
         g.witness[(0, 1)] = 3
 
