@@ -106,12 +106,12 @@ def test_gen_matrix_seeds_differ():
         ([[3], [12]], r"row 1: position 12 outside \[0, 10\)"),
         ([[-1, 4], [5]], "row 0: position -1 outside"),
         ([[3, 3], [12]], "row 1: position 12 outside"),
+        ([[1], [2.0, 3.0]], "row 1: positions must be integers"),
+        ([np.array([[1, 2]]), [5]], "row 0: positions must be 1-D"),
         # out of range inside a row that also descends, and after an
         # empty row: the full scan finds both
         ([[5, 12, 3], [1]], "row 0: position 12 outside"),
         ([[], [10]], "row 1: position 10 outside"),
-        ([[1], [2.0, 3.0]], "row 1: positions must be integers"),
-        ([np.array([[1, 2]]), [5]], "row 0: positions must be 1-D"),
     ],
 )
 def test_malformed_rows_rejected(positions, message):
