@@ -76,12 +76,25 @@ class BitSchedule:
 
     @classmethod
     def from_text(cls, text: str) -> "BitSchedule":
+        """Read :meth:`to_text`'s format back. The positions line may be
+        left out for a string of no ones; only blank lines may follow
+        it."""
         lines = text.splitlines()
         if not lines or not lines[0].startswith("L="):
             raise ValueError("expected first line 'L=<length>'")
-        length = int(lines[0][2:])
-        positions = tuple(int(tok) for tok in lines[1].split()) if len(lines) > 1 else ()
+        for number, line in enumerate(lines[2:], start=3):
+            if line.strip():
+                raise ValueError(f"line {number}: {line!r} follows the positions line")
+        length = _integer(lines[0][2:])
+        positions = tuple(_integer(tok) for tok in lines[1].split()) if len(lines) > 1 else ()
         return cls(length, positions)
+
+
+def _integer(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{token!r} is not an integer") from None
 
 
 @dataclass(frozen=True)

@@ -51,8 +51,17 @@ def cmd_sched_gen(args) -> int:
     return 0
 
 
+def _read_schedule(path: str) -> BitSchedule:
+    """The schedule in file ``path``; a file that does not decode or
+    parse is refused with its path (an unreadable one names it already)."""
+    try:
+        return BitSchedule.from_text(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_sched_verify(args) -> int:
-    schedule = BitSchedule.from_text(Path(args.file).read_text())
+    schedule = _read_schedule(args.file)
     missing = first_uncovered_shift(schedule, args.d)
     if missing is None:
         print(f"PASS: overlaps itself at every shift 1..{args.d}")
@@ -62,7 +71,7 @@ def cmd_sched_verify(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    strings = [BitSchedule.from_text(Path(f).read_text()) for f in args.files]
+    strings = [_read_schedule(f) for f in args.files]
     result = pack_non_overlapping(strings, args.bound)
     if not isinstance(result, ShiftAssignment):
         print(f"NOT FOUND: string {result.failing_index} exhausted the budget")

@@ -36,7 +36,6 @@ from .randsched import (
     Meetings,
     ScheduleMatrix,
     _integers,
-    _pair_order,
     _radix_order,
     clamped_log2,
     detect_meetings,
@@ -59,7 +58,9 @@ class SimConfig:
     """Parameters of one synchronization run.
 
     Either ``n`` or ``beta`` fixes the processor count (n =
-    ceil(d**beta)); with neither, the count is unknown and only
+    ceil(d**beta); given both, they must agree, so a config derived from
+    ``beta`` can be copied with ``dataclasses.replace``); with neither,
+    the count is unknown and only
     :func:`estimate_n` applies. ``exclusive`` selects the interference
     model, in which every awake unit is expanded into ``backoff_rounds``
     back-off slots. Optional fields left as None are derived: window
@@ -96,13 +97,20 @@ class SimConfig:
             raise ValueError(
                 f"transmit_delay must be non-negative, got {self.transmit_delay}"
             )
-        if self.n is None and self.beta is not None:
+        if self.beta is not None:
             try:
-                self.n = math.ceil(float(self.d) ** self.beta)
+                n = math.ceil(float(self.d) ** self.beta)
             except OverflowError:
                 raise ValueError(
                     f"beta={self.beta} is too large: d**beta overflows at d={self.d}"
                 ) from None
+            if self.n is None:
+                self.n = n
+            elif self.n != n:
+                raise ValueError(
+                    f"n={self.n} contradicts beta={self.beta}: "
+                    f"ceil(d**beta) = {n} at d={self.d}"
+                )
         # n may stay None: the count is then unknown and must be estimated
         if self.n is not None and self.n < 2:
             raise ValueError(f"need at least two processors, got {self.n}")
@@ -581,15 +589,14 @@ def run_sync(
     of its meetings; a node hearing a larger identifier adopts it and
     the accompanying clock plus the per-hop transmission delay, from
     the sender with the fewest hops (then the lowest index) among those
-    carrying it. The meetings stay arrays from detection on: one pass
-    builds their directed pairs in meeting order, and one stable radix
-    sort groups them by (receiver, sender)
-    (:func:`~radiosync.randsched._pair_order`), carrying their columns
-    and, in the interference model, the senders' slots and the
-    two-radio mask. Each (receiver, sender) run starts at that link's
-    earliest meeting, so the run heads are the graph's CSR entries and
-    first columns (of the two-radio pairs only in the interference
-    model); the same grouped pairs feed the flood,
+    carrying it. The meetings stay arrays from detection on: their
+    directed pairs are grouped once by (receiver, sender)
+    (:meth:`~radiosync.randsched.Meetings.grouped_pairs`), carrying
+    their columns and, in the interference model, the senders' slots
+    and the two-radio mask. Each (receiver, sender) run starts at that
+    link's earliest meeting, so the run heads are the graph's CSR
+    entries and first columns (of the two-radio pairs only in the
+    interference model); the same grouped pairs feed the flood,
     :func:`_deliver_meetings`. Copies of the schedule beyond the point
     where a full pass changes nothing count as unused, but are still
     paid for in radio cost. Success requires every node to end at the
@@ -612,18 +619,8 @@ def run_sync(
     if hops.min(initial=0) < 0:
         raise ValueError(f"hops must be non-negative, got {hops.min()}")
     meetings = detect_meetings(matrix)
-    slots, dst, which = meetings.pairs()
-    senders, receivers = meetings.owners[slots], meetings.owners[dst]
-    del dst
-    # one grouping by (receiver, sender) serves the graph and the flood;
-    # one gather at a time, each freeing what it replaces, so no extra
-    # pair-length array is held through the grouping
-    order = _pair_order(n, senders, receivers)
-    senders = senders[order]
-    receivers = receivers[order]
-    which = which[order]
-    slots = slots[order] if exclusive else None
-    del order
+    # one grouping by (receiver, sender) serves the graph and the flood
+    senders, receivers, which, slots = meetings.grouped_pairs(n, slots=exclusive)
     cols = meetings.cols[which]
     edges = meetings.sizes[which] == 2 if exclusive else slice(None)
     del which

@@ -34,7 +34,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -294,20 +293,40 @@ class Meetings:
         spans = zip(self.starts.tolist(), self.sizes.tolist())
         return zip(self.cols.tolist(), (tuple(owners[lo : lo + k]) for lo, k in spans))
 
-    def pairs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every ordered pair of distinct participants of every meeting,
-        as (sender slot, receiver slot, meeting); slots index ``owners``.
-        Pairs come in meeting order, and within a meeting in (sender,
-        receiver) order. O(sum of size**2)."""
+    def grouped_pairs(
+        self, n: int, slots: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Every ordered pair of distinct participants of every meeting
+        among ``n`` rows, as (senders, receivers, meeting, sender slot),
+        grouped by (receiver, sender) by one stable radix sort
+        (:func:`_pair_order`). The pairs are built in meeting order, so
+        each (receiver, sender) run starts at its link's earliest
+        meeting. The slots index ``owners`` and are gathered only when
+        ``slots`` is set (None otherwise). The arrays are gathered one at
+        a time, each freeing what it replaces. O(sum of size**2)."""
         per = self.sizes * (self.sizes - 1)
         which = np.repeat(np.arange(len(self)), per)
         # pair p of a meeting of k rows is slot p // (k - 1) to the
         # (p % (k - 1))-th other slot
         p = np.arange(which.size) - np.repeat(np.cumsum(per) - per, per)
         src, dst = np.divmod(p, (self.sizes - 1)[which])
+        del p
         dst += dst >= src
         base = self.starts[which]
-        return src + base, dst + base, which
+        src += base
+        dst += base
+        del base
+        senders = self.owners[src]
+        src = src if slots else None
+        receivers = self.owners[dst]
+        del dst
+        order = _pair_order(n, senders, receivers)
+        senders = senders[order]
+        receivers = receivers[order]
+        which = which[order]
+        if slots:
+            src = src[order]
+        return senders, receivers, which, src
 
 
 def _bisect(
@@ -451,13 +470,8 @@ class CommGraph:
     at which row ``r`` meets ``indices[k]``. Every array is read-only
     int64. The constructor takes an edge list: edge ``e`` joins rows
     ``i[e] < j[e]``, which first meet at column ``cols[e]``. It checks
-    0 <= i < j < n and that no edge repeats.
-
-    The edge arrays ``i``, ``j`` and ``cols`` are derived from the CSR
-    when first read, in (column, i, j) order, the order a walk over the
-    column-sorted meetings first meets the edges; ``witness`` maps each
-    edge to its column. Two graphs are equal when their edges and first
-    columns are.
+    0 <= i < j < n and that no edge repeats. Two graphs are equal when
+    their CSR arrays and first columns are.
     """
 
     def __init__(self, n: int, i, j, cols) -> None:
@@ -488,7 +502,8 @@ class CommGraph:
     ) -> "CommGraph":
         """The graph of directed meeting pairs that come both ways,
         grouped by (receiver, sender) with each run's earliest column
-        first (see :func:`_pair_order`): each run is one CSR entry."""
+        first, as :meth:`Meetings.grouped_pairs` gives them: each run is
+        one CSR entry."""
         g = cls.__new__(cls)
         g._set_runs(n, senders, receivers, cols, _run_starts(senders, receivers))
         return g
@@ -500,27 +515,6 @@ class CommGraph:
         self.indptr = _read_only(self.indptr)
         self.indices = _read_only(senders[start])
         self.first_cols = _read_only(cols[start])
-
-    @cached_property
-    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        upper = rows < self.indices
-        i, j, cols = rows[upper], self.indices[upper], self.first_cols[upper]
-        # already in (i, j) order: a stable sort by column finishes it
-        order = np.argsort(cols, kind="stable")
-        return _read_only(i[order]), _read_only(j[order]), _read_only(cols[order])
-
-    @property
-    def i(self) -> np.ndarray:
-        return self._edges[0]
-
-    @property
-    def j(self) -> np.ndarray:
-        return self._edges[1]
-
-    @property
-    def cols(self) -> np.ndarray:
-        return self._edges[2]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CommGraph):
@@ -540,41 +534,25 @@ class CommGraph:
 
     @property
     def witness(self) -> Mapping[tuple[int, int], int]:
-        """Read-only map of each edge (i, j) to its first column, in
-        (column, i, j) order; built from the arrays on every access."""
-        edges = zip(self.i.tolist(), self.j.tolist())
-        return MappingProxyType(dict(zip(edges, self.cols.tolist())))
+        """Read-only map of each edge (i, j), i < j, to its first
+        column, in (i, j) order: the CSR's upper entries, read on every
+        access."""
+        rows = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
+        upper = rows < self.indices
+        edges = zip(rows[upper].tolist(), self.indices[upper].tolist())
+        return MappingProxyType(dict(zip(edges, self.first_cols[upper].tolist())))
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
 
-def graph_from_pairs(
-    n: int, senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
-) -> CommGraph:
-    """Graph over ``n`` rows from directed meeting pairs (sender,
-    receiver, column) that come both ways and in column order, as
-    :meth:`Meetings.pairs` emits them; each edge is witnessed by its
-    earliest column.
-
-    One stable radix sort (:func:`_pair_order`) groups the pairs by
-    (receiver, sender), so each run is one CSR entry and starts at the
-    link's earliest column. O(P) per 16-bit digit of n**2 in the P
-    pairs.
-    """
-    if (cols[1:] < cols[:-1]).any():
-        raise ValueError("meeting pairs must come in column order")
-    order = _pair_order(n, senders, receivers)
-    return CommGraph._from_pairs(n, senders[order], receivers[order], cols[order])
-
-
 def build_comm_graph(m: ScheduleMatrix) -> CommGraph:
-    """Graph whose edges are row pairs with at least one meeting (see
-    :func:`graph_from_pairs`)."""
+    """Graph whose edges are row pairs with at least one meeting, each
+    witnessed by its earliest column: the runs of the meetings' grouped
+    pairs (:meth:`Meetings.grouped_pairs`)."""
     meetings = detect_meetings(m)
-    src, dst, which = meetings.pairs()
-    owners = meetings.owners
-    return graph_from_pairs(m.n, owners[src], owners[dst], meetings.cols[which])
+    senders, receivers, which, _ = meetings.grouped_pairs(m.n)
+    return CommGraph._from_pairs(m.n, senders, receivers, meetings.cols[which])
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,7 @@
 Each function is the straightforward loop the library once used (the
 floods with their tie-break made explicit), or a helper that feeds or
 finishes one; the hypothesis tests in ``test_fast_paths.py`` check that
-the fast paths return exactly what these do, down to dict insertion
-order.
+the fast paths return exactly what these do.
 """
 
 import math
@@ -71,9 +70,9 @@ def graph(n: int, witness) -> CommGraph:
 
 
 def adjacency(g: CommGraph) -> list[list[int]]:
-    """Sorted neighbour lists, from the edge arrays."""
+    """Sorted neighbour lists, from the edges of ``g.witness``."""
     adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, j in zip(g.i.tolist(), g.j.tolist()):
+    for i, j in g.witness:
         adj[i].append(j)
         adj[j].append(i)
     return [sorted(nbrs) for nbrs in adj]

@@ -2,6 +2,7 @@
 brute-force oracles."""
 
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -52,6 +53,26 @@ def test_text_roundtrip():
     assert BitSchedule.from_text(empty.to_text()) == empty
     with pytest.raises(ValueError):
         BitSchedule.from_text("bogus\n")
+
+
+def test_text_refuses_lines_after_the_positions():
+    # a third line would otherwise be dropped, and another schedule read
+    with pytest.raises(ValueError, match=r"line 3: '5' follows the positions line"):
+        BitSchedule.from_text("L=10\n1\n5\n")
+    with pytest.raises(ValueError, match=r"line 4: 'x' follows"):
+        BitSchedule.from_text("L=10\n1\n\nx\n")
+    # blank lines after the positions are accepted
+    assert BitSchedule.from_text("L=10\n1 5\n\n") == sched(10, 1, 5)
+    assert BitSchedule.from_text("L=10\n1 5\n  \n\n") == sched(10, 1, 5)
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [("L=ten\n1\n", "ten"), ("L=10\n1 x 3\n", "x"), ("L=10\n1.5\n", "1.5")],
+)
+def test_text_names_the_bad_token(text, token):
+    with pytest.raises(ValueError, match=rf"^'{re.escape(token)}' is not an integer$"):
+        BitSchedule.from_text(text)
 
 
 # --- overlaps_at -----------------------------------------------------------

@@ -32,7 +32,6 @@ from radiosync.randsched import (
     build_comm_graph,
     detect_meetings,
     draw_rows,
-    graph_from_pairs,
     graph_stats,
     row_draws,
 )
@@ -99,33 +98,33 @@ def meeting_lists(draw):
     ]
 
 
-def witness_items(witness):
-    return list(witness.items())
-
-
 def graph_of(n, meetings):
     """The graph of a :class:`Meetings` record, built as
-    ``build_comm_graph`` builds it: its pairs through
-    ``graph_from_pairs``."""
-    src, dst, which = meetings.pairs()
-    owners = meetings.owners
-    return graph_from_pairs(n, owners[src], owners[dst], meetings.cols[which])
+    ``build_comm_graph`` builds it: the runs of its grouped pairs."""
+    senders, receivers, which, _ = meetings.grouped_pairs(n)
+    return CommGraph._from_pairs(n, senders, receivers, meetings.cols[which])
 
 
-def assert_csr_matches(g):
-    """The CSR rows are the sorted neighbour lists of the edge set, and
-    the degrees their lengths."""
-    adj = oracles.adjacency(g)
+def assert_csr_matches(g, witness):
+    """``g`` is the graph of ``witness`` (edge -> first column): its
+    ``witness`` equals it, each CSR row holds the row's neighbours in
+    ascending order with each edge's first column, and the degrees are
+    the rows' lengths."""
+    assert g.witness == witness
+    entries = [[] for _ in range(g.n)]
+    for (i, j), col in witness.items():
+        entries[i].append((j, col))
+        entries[j].append((i, col))
     ptr = g.indptr.tolist()
-    assert [g.indices[lo:hi].tolist() for lo, hi in zip(ptr, ptr[1:])] == adj
-    assert g.degrees().tolist() == [len(nbrs) for nbrs in adj]
+    nbrs, firsts = g.indices.tolist(), g.first_cols.tolist()
+    got = [list(zip(nbrs[lo:hi], firsts[lo:hi])) for lo, hi in zip(ptr, ptr[1:])]
+    assert got == [sorted(row) for row in entries]
+    assert g.degrees().tolist() == [len(row) for row in entries]
 
 
 def assert_kernel_and_graph_match_oracle(m):
     assert list(detect_meetings(m)) == oracles.detect_meetings(m)
-    assert witness_items(build_comm_graph(m).witness) == witness_items(
-        oracles.build_comm_graph(m)
-    )
+    assert_csr_matches(build_comm_graph(m), oracles.build_comm_graph(m))
 
 
 @settings(max_examples=200, deadline=None)
@@ -151,10 +150,7 @@ def test_banded_kernel_and_graph_match_oracle(m):
 def test_graph_builder_matches_oracle(case):
     n, meetings = case
     got = graph_of(n, oracles.as_meetings(meetings))
-    assert witness_items(got.witness) == witness_items(
-        oracles.graph_from_meetings(meetings)
-    )
-    assert_csr_matches(got)
+    assert_csr_matches(got, oracles.graph_from_meetings(meetings))
 
 
 @settings(max_examples=50, deadline=None)
@@ -165,37 +161,34 @@ def test_run_sync_graph_and_neighbors_match_oracle(m, exclusive):
         meetings = [mt for mt in meetings if len(mt[1]) == 2]
     expected = oracles.graph_from_meetings(meetings)
     rng = spawn_rng(5)
-    result = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng)
-    assert witness_items(result.comm_graph.witness) == witness_items(expected)
-    assert_csr_matches(result.comm_graph)
+    g = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
+    assert_csr_matches(g, expected)
 
 
 @settings(max_examples=150, deadline=None)
 @given(m=st.one_of(matrices(), sparse_matrices(min_rows=2)), exclusive=st.booleans())
 def test_run_sync_graph_equals_its_edge_list_rebuild(m, exclusive):
     # the graph read off the flood's grouped pairs is the graph the
-    # checked edge-list constructor builds from its own edges, and each
-    # CSR entry carries its edge's first column
+    # checked edge-list constructor builds from the oracle's edges, and
+    # each CSR entry carries its edge's first column
     meetings = oracles.detect_meetings(m)
     if exclusive:
         meetings = [mt for mt in meetings if len(mt[1]) == 2]
     expected = oracles.graph_from_meetings(meetings)
     rng = spawn_rng(6)
     g = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
-    rebuilt = CommGraph(m.n, g.i, g.j, g.cols)
+    rebuilt = oracles.graph(m.n, expected)
     for name in ("indptr", "indices", "first_cols"):
         assert np.array_equal(getattr(g, name), getattr(rebuilt, name))
     assert g == rebuilt
-    rows = np.repeat(np.arange(m.n), g.degrees()).tolist()
-    firsts = [expected[min(a, b), max(a, b)] for a, b in zip(rows, g.indices.tolist())]
-    assert g.first_cols.tolist() == firsts
+    assert_csr_matches(g, expected)
 
 
 def test_one_pair_grouping_per_run(monkeypatch):
     # base mode at n <= 256: the pairs are grouped once, in one 16-bit
     # radix pass, for the graph and a one-round flood alike; an
     # interference run that ends with every node reached groups its
-    # copies' heard pairs never again
+    # copies' heard pairs never again; build_comm_graph groups once too
     bounds = []
     radix_order = randsched._radix_order
 
@@ -213,6 +206,15 @@ def test_one_pair_grouping_per_run(monkeypatch):
         result = run_pipeline(config)
         assert result.success and result.rounds_used == copies
         assert bounds == [config.n * config.n] and config.n * config.n <= 2**16
+        # the edge count the benchmark's digests record
+        g = result.comm_graph
+        assert len(g.witness) == g.indices.size // 2 > 0
+    rng = spawn_rng(7)
+    positions, starts = draw_rows(40, 1, 64, 8, rng)
+    m = ScheduleMatrix(40, 64, positions, starts=starts).with_offsets(rng.integers(0, 16, 40))
+    bounds.clear()
+    assert build_comm_graph(m).indices.size > 0
+    assert bounds == [40 * 40]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -509,21 +511,20 @@ def test_graph_beyond_16_bit_node_indices_matches_oracles():
     for col in sorted(rng.choice(10**6, size=300, replace=False).tolist()):
         size = int(rng.integers(2, 5))
         groups.append((col, tuple(sorted(rng.choice(hubs, size, replace=False).tolist()))))
-    meetings = oracles.as_meetings(groups)
-    g = graph_of(n, meetings)
-    assert witness_items(g.witness) == witness_items(oracles.graph_from_meetings(groups))
-    assert_csr_matches(g)
+    g = graph_of(n, oracles.as_meetings(groups))
+    assert_csr_matches(g, oracles.graph_from_meetings(groups))
     root = int(np.argmax(g.degrees()))
     got = graph_stats(g, root=root)
     assert stats_fields(got) == stats_fields(oracles.graph_stats(g, root=root))
     assert 3 < got.reached < n
     # the flood's receiver grouping at this size is the stable sort
-    slots, dst, which = meetings.pairs()
-    receivers = meetings.owners[dst]
-    by = _by_receiver(meetings.owners[slots], receivers, meetings.cols[which], n)
+    pairs = [(a, b, col) for col, group in groups for a in group for b in group if a != b]
+    senders, receivers, cols = map(np.array, zip(*pairs))
+    by = _by_receiver(senders, receivers, cols, n)
     order = np.argsort(receivers, kind="stable")
     assert np.array_equal(by[1], receivers[order])
-    assert np.array_equal(by[0], meetings.owners[slots][order])
+    assert np.array_equal(by[0], senders[order])
+    assert np.array_equal(by[2], cols[order])
     assert np.array_equal(by[4], np.unique(receivers))
 
 

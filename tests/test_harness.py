@@ -209,6 +209,9 @@ BAD_INPUT_FILES = {
     "null-trials.json": json.dumps({"d_grid": "64", "trials": None}),
     "three.txt": "L=8\n0 1 3\n",
     "huge.txt": f"L={10**20}\n0 {10**20 - 1}\n",
+    "extra-line.txt": "L=10\n1\n5\n",
+    "bad-token.txt": "L=8\n0 x\n",
+    "not-utf8.txt": b"L=8\n\xff\n",
 }
 
 
@@ -240,6 +243,10 @@ BAD_INPUT_FILES = {
         ["birthday", "--lemma", "1", "--L", "100", "--C", "1e300"],
         ["pack", "--bound", "-1", "{tmp}/three.txt"],
         ["pack", "--bound", "4", "{tmp}/huge.txt"],
+        # schedule files that do not parse, or do not decode
+        ["sched", "verify", "--d", "4", "--file", "{tmp}/extra-line.txt"],
+        ["pack", "--bound", "4", "{tmp}/three.txt", "{tmp}/bad-token.txt"],
+        ["sched", "verify", "--d", "4", "--file", "{tmp}/not-utf8.txt"],
     ],
     ids=[
         "d-1",
@@ -263,11 +270,13 @@ BAD_INPUT_FILES = {
         "birthday-scale-huge",
         "pack-negative-bound",
         "pack-length-past-int64",
+        "verify-extra-line",
+        "pack-bad-token",
+        "verify-not-utf8",
     ],
 )
 def test_cli_bad_input_is_one_line_error(argv, tmp_path, capsys):
-    for name, text in BAD_INPUT_FILES.items():
-        (tmp_path / name).write_text(text)
+    write_bad_input_files(tmp_path)
     assert main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -275,6 +284,28 @@ def test_cli_bad_input_is_one_line_error(argv, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("radiosync: error: ")
     assert "Traceback" not in captured.err
+
+
+def write_bad_input_files(folder):
+    for name, data in BAD_INPUT_FILES.items():
+        (folder / name).write_bytes(data if isinstance(data, bytes) else data.encode())
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("extra-line.txt", "line 3: '5' follows the positions line"),
+        ("bad-token.txt", "'x' is not an integer"),
+        ("not-utf8.txt", "'utf-8' codec can't decode byte 0xff"),
+        ("huge.txt", "exceeds 2**63"),
+    ],
+)
+def test_cli_schedule_file_errors_name_the_file(name, message, tmp_path, capsys):
+    write_bad_input_files(tmp_path)
+    path = str(tmp_path / name)
+    assert main(["sched", "verify", "--d", "4", "--file", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"radiosync: error: {path}: ") and message in err
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ gossip cases, convergence invariants, and the unknown-count loop."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -50,6 +51,18 @@ def test_config_derivations():
     assert c2.backoff_rounds == 4
     unknown = SimConfig(d=64)
     assert unknown.n is None
+
+
+def test_config_n_must_agree_with_beta():
+    # given both, n must be ceil(d**beta): a contradiction is refused,
+    # not settled by dropping beta
+    with pytest.raises(ValueError, match=r"n=5 contradicts beta=0.9: ceil\(d\*\*beta\) = 13"):
+        SimConfig(d=16, n=5, beta=0.9)
+    assert SimConfig(d=16, n=13, beta=0.9).n == 13
+    # a copy of a config derived from beta carries both, and they agree
+    c = SimConfig(d=1024, beta=0.5, seed=1)
+    copied = replace(c, seed=2, exclusive=True)
+    assert (copied.n, copied.beta, copied.seed, copied.exclusive) == (32, 0.5, 2, True)
 
 
 def test_config_validation():

@@ -47,7 +47,7 @@ def random_matrix(n, columns, exponent, scale, rng):
 
 
 def edge_set(g):
-    return set(zip(g.i.tolist(), g.j.tolist()))
+    return set(g.witness)
 
 
 def interference_graph(m):
@@ -282,13 +282,13 @@ def test_exclusive_drops_crowded_columns():
     m = matrix_from_ones(8, [[4], [4], [4]], offsets=[0, 0, 0])
     assert list(detect_meetings(m)) == [(4, (0, 1, 2))]
     g = build_comm_graph(m)
-    assert (g.i.tolist(), g.j.tolist()) == ([0, 0, 1], [1, 2, 2])  # all pairs witnessed
-    assert interference_graph(m).i.size == 0
+    assert g.witness == {(0, 1): 4, (0, 2): 4, (1, 2): 4}  # all pairs witnessed
+    assert interference_graph(m).indices.size == 0
 
 
 def test_disjoint_schedules_empty_graph():
     m = matrix_from_ones(8, [[0, 2], [1, 3]], offsets=[0, 0])
-    assert build_comm_graph(m).i.size == 0
+    assert build_comm_graph(m).indices.size == 0
 
 
 def test_packed_shifts_produce_no_meetings():
@@ -306,7 +306,7 @@ def test_packed_shifts_produce_no_meetings():
         L, [s.ones for s in strings], offsets=list(got.shifts)
     )
     assert list(detect_meetings(m)) == []
-    assert build_comm_graph(m).i.size == 0
+    assert build_comm_graph(m).indices.size == 0
 
 
 def test_witness_soundness():
@@ -402,17 +402,18 @@ def test_bad_edges_rejected(i, j, message):
         CommGraph(3, i, j, [0] * len(i))
 
 
-def test_graph_edges_kept_in_column_order():
-    # given out of order, the edges are stored in (column, i, j) order
-    g = CommGraph(4, [2, 0, 1, 0], [3, 3, 2, 1], [5, 1, 1, 0])
-    assert list(g.witness.items()) == [((0, 1), 0), ((0, 3), 1), ((1, 2), 1), ((2, 3), 5)]
+def test_graph_from_unordered_edge_list():
+    # given out of order, the edges come back in (i, j) order, not in
+    # the order of their columns
+    g = CommGraph(4, [2, 0, 1, 0], [3, 3, 2, 1], [5, 6, 1, 0])
+    assert list(g.witness.items()) == [((0, 1), 0), ((0, 3), 6), ((1, 2), 1), ((2, 3), 5)]
     assert g.indptr.tolist() == [0, 2, 4, 6, 8]
     assert g.indices.tolist() == [1, 3, 0, 2, 1, 3, 0, 2]
     assert g.degrees().tolist() == [2, 2, 2, 2]
     # each CSR entry's first column, the same both ways
-    assert g.first_cols.tolist() == [0, 1, 0, 1, 1, 5, 1, 5]
+    assert g.first_cols.tolist() == [0, 6, 0, 1, 1, 5, 6, 5]
     assert g == oracles.graph(4, g.witness)
-    assert g != CommGraph(4, [2, 0, 1, 0], [3, 3, 2, 1], [5, 1, 2, 0])
+    assert g != CommGraph(4, [2, 0, 1, 0], [3, 3, 2, 1], [5, 6, 2, 0])
     with pytest.raises(TypeError):
         g.witness[(0, 1)] = 3
 
