@@ -38,7 +38,7 @@ from .protocol import (
     run_pipeline,
     run_sync,
 )
-from .randsched import ScheduleMatrix, build_comm_graph, reached_from
+from .randsched import DEFAULT_SCALE, ScheduleMatrix, build_comm_graph, reached_from
 from .seeding import derive_seed, spawn_rng
 
 #: root seed for the whole suite; criteria derive their own streams
@@ -185,12 +185,12 @@ def criterion_a5() -> CriterionResult:
     """Shared-bin probability at the threshold scale stays above 0.78
     (0.8 minus sampling tolerance)."""
     t0 = time.perf_counter()
-    params = BirthdayParams.from_exponents(bins=10_000, red_exp=0.5, scale=1.82)
+    params = BirthdayParams.from_exponents(bins=10_000, red_exp=0.5, scale=DEFAULT_SCALE)
     est = estimate_prob_H(params, trials=10_000, seed=derive_seed(ACCEPT_SEED, 5))
     return _result(
         "A5",
         est.estimate >= 0.78,
-        "P[shared bin] >= 0.78 at scale 1.82, 10^4 bins, 10^4 trials",
+        f"P[shared bin] >= 0.78 at scale {DEFAULT_SCALE}, 10^4 bins, 10^4 trials",
         f"{est.estimate:.4f} +/- {est.half_width:.4f}",
         t0,
     )

@@ -36,6 +36,7 @@ from .harness import (
     trace_to_csv,
 )
 from .protocol import SimConfig, estimate_n
+from .randsched import DEFAULT_SCALE
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -231,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="1 = any shared bin, 2 = exclusive red/blue pair",
     )
     bday.add_argument("--L", type=int, required=True, help="bin count")
-    bday.add_argument("--C", type=float, default=1.82, help="ball-count scale")
+    bday.add_argument("--C", type=float, default=DEFAULT_SCALE, help="ball-count scale")
     bday.add_argument("--s", type=float, default=0.5, help="red-ball exponent")
     bday.add_argument("--trials", type=int, default=10_000)
     bday.add_argument("--seed", type=int, default=0)

@@ -62,8 +62,8 @@ class DriftParams:
             )
 
     def ticks_per_step(self, node: int) -> float:
-        """Ticks node ``node`` counts as one time step."""
-        return 2.0 * self.ratio_bound * self.speeds[node] * self.min_transmit_time
+        """Ticks node ``node`` counts as one time step, the same at every node."""
+        return 2.0 * self.ratio_bound * min(self.speeds) * self.min_transmit_time
 
     def step_length(self, node: int) -> float:
         """Global duration of one of node's time steps (ticks / tick rate)."""

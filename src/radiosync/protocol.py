@@ -33,10 +33,10 @@ import numpy as np
 from .netsim import resolve_backoff, resolve_backoff_unit  # noqa: F401
 from .randsched import (
     CommGraph,
+    DEFAULT_SCALE,
     Meetings,
     ScheduleMatrix,
     _integers,
-    _radix_order,
     clamped_log2,
     detect_meetings,
     draw_rows,
@@ -72,7 +72,7 @@ class SimConfig:
     d: int
     n: Optional[int] = None
     beta: Optional[float] = None
-    scale: float = 1.82
+    scale: float = DEFAULT_SCALE
     repetition_k: Optional[int] = None
     rounds: Optional[int] = None
     exclusive: bool = False
@@ -159,7 +159,7 @@ def pipeline_params(
     d: int,
     n: int,
     *,
-    scale: float = 1.82,
+    scale: float = DEFAULT_SCALE,
     columns: Optional[int] = None,
     repetition_k: Optional[int] = None,
     rounds: Optional[int] = None,
@@ -303,15 +303,6 @@ def _grouped(
     return senders, receivers, cols, heads, receivers[heads]
 
 
-def _by_receiver(
-    senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray, n: int
-) -> tuple[np.ndarray, ...]:
-    """Deliveries among ``n`` nodes grouped by receiver (a stable radix
-    sort), as :func:`_grouped` gives them."""
-    order = _radix_order(receivers, n)
-    return _grouped(senders[order], receivers[order], cols[order])
-
-
 def _relax(
     label: np.ndarray, deliveries: tuple[np.ndarray, ...], period: int, never: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -388,6 +379,7 @@ def _adopt(
 
 def _spread(
     deliveries: tuple[np.ndarray, ...],
+    backward: tuple[np.ndarray, ...],
     period: int,
     copies: int,
     held: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -396,7 +388,8 @@ def _spread(
     """Flood the held identifiers over ``copies`` copies of a schedule
     of ``period`` columns in which ``senders[i]`` reaches
     ``receivers[i]`` at column ``cols[i]``: the ``deliveries``, grouped
-    by receiver as :func:`_grouped` gives them.
+    by receiver as :func:`_grouped` gives them; ``backward`` is the same
+    reversed (ends swapped, column ``period - 1 - c``), grouped alike.
 
     ``held`` is (max_seen, root_origin, hops) per node, updated in
     place. Returns each node's adoption label ``copy * period + column``
@@ -414,16 +407,14 @@ def _spread(
     from, are never overtaken. A receiver adopts from one of the senders
     whose delivery is its arrival (:func:`_chains`, :func:`_adopt`).
 
-    After a round, :func:`_relax` in reversed time (ends swapped,
-    column ``period - 1 - c``) from the unassigned nodes gives each
-    node's latest departure mirrored: a message it holds before label
-    ``never - 1 - back`` still reaches an unassigned node in time. The
-    next round floods the largest identifier below this one that a node
-    with ``back < never`` holds, over the deliveries that leave before
-    their receiver's deadline; they are a subset of the grouped
-    deliveries, so they stay grouped. Only the reversed deliveries are
-    grouped anew (:func:`_by_receiver`). So every round assigns a node,
-    and the identifier strictly descends.
+    After a round, :func:`_relax` over ``backward`` from the unassigned
+    nodes gives each node's latest departure mirrored: a message it
+    holds before label ``never - 1 - back`` still reaches an unassigned
+    node in time. The next round floods the largest identifier below
+    this one that a node with ``back < never`` holds, over the
+    deliveries that leave before their receiver's deadline: a subset of
+    the grouped deliveries, so nothing is sorted. So every round assigns
+    a node, and the identifier strictly descends.
     """
     value, origin, hops = held
     n = value.size
@@ -432,7 +423,7 @@ def _spread(
     open_ = np.ones(n, dtype=bool)
     adopted = np.full(n, -1, dtype=np.int64)
     out = value.copy(), origin.copy(), hops.copy()
-    active, backward = deliveries, None
+    active = deliveries
     bar = value.max()
     while True:
         source = value == bar
@@ -444,8 +435,6 @@ def _spread(
         open_ &= ~take
         if not open_.any():
             break
-        if backward is None:
-            backward = _by_receiver(receivers, senders, period - 1 - cols, n)
         back = _relax(np.where(open_, -1, never), backward, period, never)[0]
         # paths that cannot reach an unassigned node in time end at
         # assigned nodes, whose results stand: leave them out
@@ -491,9 +480,11 @@ def _deliver_meetings(
     the number of copies it used.
 
     ``pairs`` are the meetings' directed pairs (sender, receiver,
-    column, sender's slot in ``meetings.owners``, the slots only in the
-    interference model), grouped by receiver, and ``held`` the per-node
-    (max_seen, root_origin, hops), updated in place. In the
+    column, and the sender's and receiver's slots in ``meetings.owners``
+    in the interference model), grouped by receiver, and ``held`` the
+    per-node (max_seen, root_origin, hops), updated in place. A pair's
+    reverse is a pair of the same meeting, so the pairs at mirrored
+    columns are :func:`_spread`'s reversed deliveries. In the
     base model every participant hears every other, so the flood is one
     relaxation over all copies; the copies used follow from the last
     copy L in which any node adopted: L + 1 when every node ends at
@@ -508,18 +499,18 @@ def _deliver_meetings(
     those labels are :func:`_spread`'s first and only round, so the
     copies' tight deliveries give the chains (:func:`_chains`,
     :func:`_adopt`) and nothing is relaxed again. Otherwise the copies
-    drawn are laid end to end, grouped by receiver again
-    (:func:`_by_receiver`) and flooded by :func:`_spread`, as one copy
-    of a longer period. When ``trace`` is given, one row per
-    meeting unit and copy is appended (see :func:`_trace_rows`), at
-    time ``copy * columns + column``.
+    drawn are laid end to end, pair-major so they stay grouped, and
+    flooded by :func:`_spread` as one copy of a longer period: a pair
+    delivers in the copies its sender won, its reverse in those its
+    receiver won. With ``trace``, one row per meeting unit and copy is
+    appended (:func:`_trace_rows`), at ``copy * columns + column``.
     """
     senders, receivers, cols, slots = pairs
     period = int(meetings.cols[-1]) + 1 if len(meetings) else 1
     if not exclusive:
-        adopted = _spread(
-            _grouped(senders, receivers, cols), period, rounds, held, transmit_delay
-        )
+        forward = _grouped(senders, receivers, cols)
+        backward = (senders, receivers, period - 1 - cols, *forward[3:])
+        adopted = _spread(forward, backward, period, rounds, held, transmit_delay)
         last = int(adopted.max()) // period
         if (held[0] == global_max).all():
             used = max(last, 0) + 1
@@ -537,12 +528,12 @@ def _deliver_meetings(
     source = held[0] == global_max
     reach = np.where(source, -1, horizon)
     can_stop = not (held[0] > global_max).any()
-    heard_per_copy, tight_per_copy = [], []
+    won_per_copy, tight_per_copy = [], []
     for copy in range(rounds):
         won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
-        heard = won[slots]
+        won_per_copy.append(won)
+        heard = won.take(slots[0])
         part = _grouped(senders[heard], receivers[heard], cols[heard] + copy * period)
-        heard_per_copy.append(part[:3])
         if trace is not None:
             trace.extend(_trace_rows(meetings, won, copy * columns))
         # a later copy arrives after every label set so far, so this
@@ -558,8 +549,14 @@ def _deliver_meetings(
             _adopt(held, held, slice(None), chains, transmit_delay)
             return copy + 1
     # the copies, laid end to end, are one copy of a longer period
-    deliveries = (np.concatenate(arrays) for arrays in zip(*heard_per_copy))
-    _spread(_by_receiver(*deliveries, reach.size), horizon, 1, held, transmit_delay)
+    won = np.stack(won_per_copy, axis=1)
+    pair, copy = np.nonzero(won.take(slots[0], axis=0))
+    forward = _grouped(senders[pair], receivers[pair], cols[pair] + copy * period)
+    pair, copy = np.nonzero(won.take(slots[1], axis=0))
+    mirrored = horizon - 1 - cols[pair] - copy * period
+    backward = _grouped(senders[pair], receivers[pair], mirrored)
+    del pair, copy
+    _spread(forward, backward, horizon, 1, held, transmit_delay)
     return rounds
 
 
@@ -592,13 +589,13 @@ def run_sync(
     carrying it. The meetings stay arrays from detection on: their
     directed pairs are grouped once by (receiver, sender)
     (:meth:`~radiosync.randsched.Meetings.grouped_pairs`), carrying
-    their columns and, in the interference model, the senders' slots
-    and the two-radio mask. Each (receiver, sender) run starts at that
+    their columns and, in the interference model, both ends' slots and
+    the two-radio mask. Each (receiver, sender) run starts at that
     link's earliest meeting, so the run heads are the graph's CSR
     entries and first columns (of the two-radio pairs only in the
-    interference model); the same grouped pairs feed the flood,
-    :func:`_deliver_meetings`. Copies of the schedule beyond the point
-    where a full pass changes nothing count as unused, but are still
+    interference model); the same grouped pairs feed the flood both
+    ways, :func:`_deliver_meetings`. Copies of the schedule beyond the
+    point where a full pass changes nothing count as unused, but are still
     paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
     the unreached nodes are reported. The flood updates copies of the

@@ -297,13 +297,14 @@ class Meetings:
         self, n: int, slots: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Every ordered pair of distinct participants of every meeting
-        among ``n`` rows, as (senders, receivers, meeting, sender slot),
+        among ``n`` rows, as (senders, receivers, meeting, slots),
         grouped by (receiver, sender) by one stable radix sort
         (:func:`_pair_order`). The pairs are built in meeting order, so
         each (receiver, sender) run starts at its link's earliest
-        meeting. The slots index ``owners`` and are gathered only when
-        ``slots`` is set (None otherwise). The arrays are gathered one at
-        a time, each freeing what it replaces. O(sum of size**2)."""
+        meeting. The slots (None unless ``slots`` is set) are the sender's
+        and receiver's in ``owners``, one (2, pairs) array at :func:`_width`
+        (gather with ``take``: int32 fancy indexing is slow). Each array
+        is gathered in turn, freeing what it replaces. O(sum of size**2)."""
         per = self.sizes * (self.sizes - 1)
         which = np.repeat(np.arange(len(self)), per)
         # pair p of a meeting of k rows is slot p // (k - 1) to the
@@ -316,17 +317,18 @@ class Meetings:
         src += base
         dst += base
         del base
+        if slots:
+            # both slots in the bytes of one int64 array
+            ends = np.array((src, dst), dtype=_width(self.owners.size))
         senders = self.owners[src]
-        src = src if slots else None
+        del src
         receivers = self.owners[dst]
         del dst
         order = _pair_order(n, senders, receivers)
         senders = senders[order]
         receivers = receivers[order]
         which = which[order]
-        if slots:
-            src = src[order]
-        return senders, receivers, which, src
+        return senders, receivers, which, ends.take(order, axis=1) if slots else None
 
 
 def _bisect(

@@ -15,7 +15,7 @@ from radiosync import acceptance, netsim, protocol, randsched
 from radiosync.protocol import (
     NodeState,
     _arrivals,
-    _by_receiver,
+    _grouped,
     _relax,
     SimConfig,
     build_pipeline_matrix,
@@ -196,8 +196,10 @@ def test_one_pair_grouping_per_run(monkeypatch):
         bounds.append(bound)
         return radix_order(keys, bound)
 
-    monkeypatch.setattr(randsched, "_radix_order", counted)
-    monkeypatch.setattr(protocol, "_radix_order", counted)
+    # wherever the sort is bound, so that no grouping escapes the count
+    for module in (randsched, protocol):
+        if hasattr(module, "_radix_order"):
+            monkeypatch.setattr(module, "_radix_order", counted)
     for config, copies in (
         (SimConfig(d=4096, beta=0.5, seed=1), 1),
         (SimConfig(d=256, beta=0.75, scale=0.5, repetition_k=1, exclusive=True), 2),
@@ -209,6 +211,18 @@ def test_one_pair_grouping_per_run(monkeypatch):
         # the edge count the benchmark's digests record
         g = result.comm_graph
         assert len(g.witness) == g.indices.size // 2 > 0
+    # runs that reach later rounds, and their reversed relaxations (in
+    # the interference model over the copies laid end to end), still
+    # group once
+    for exclusive in (False, True):
+        config = SimConfig(
+            d=16384, beta=0.75, scale=0.5, repetition_k=1, rounds=1, seed=1,
+            exclusive=exclusive,
+        )
+        bounds.clear()
+        result = run_pipeline(config)
+        assert len(result.unreached) == 160
+        assert bounds == [config.n * config.n]
     rng = spawn_rng(7)
     positions, starts = draw_rows(40, 1, 64, 8, rng)
     m = ScheduleMatrix(40, 64, positions, starts=starts).with_offsets(rng.integers(0, 16, 40))
@@ -517,15 +531,6 @@ def test_graph_beyond_16_bit_node_indices_matches_oracles():
     got = graph_stats(g, root=root)
     assert stats_fields(got) == stats_fields(oracles.graph_stats(g, root=root))
     assert 3 < got.reached < n
-    # the flood's receiver grouping at this size is the stable sort
-    pairs = [(a, b, col) for col, group in groups for a in group for b in group if a != b]
-    senders, receivers, cols = map(np.array, zip(*pairs))
-    by = _by_receiver(senders, receivers, cols, n)
-    order = np.argsort(receivers, kind="stable")
-    assert np.array_equal(by[1], receivers[order])
-    assert np.array_equal(by[0], senders[order])
-    assert np.array_equal(by[2], cols[order])
-    assert np.array_equal(by[4], np.unique(receivers))
 
 
 def test_batched_backoff_lone_units_draw_nothing():
@@ -667,7 +672,8 @@ def test_reversed_relaxation_mirrors_latest_departures(case, data):
     nodes = st.lists(st.integers(0, n - 1), min_size=senders.size, max_size=senders.size)
     receivers = np.array(data.draw(nodes), dtype=np.int64)
     open_ = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    backward = _by_receiver(receivers, senders, period - 1 - cols, n)
+    order = np.argsort(senders, kind="stable")
+    backward = _grouped(receivers[order], senders[order], period - 1 - cols[order])
     back = _relax(np.where(open_, -1, never), backward, period, never)[0]
     want = oracles.deadlines(open_, senders, receivers, cols, period, never)
     assert np.array_equal(never - 1 - back, want)

@@ -205,6 +205,14 @@ def test_drift_equal_speeds_equal_steps():
     assert len(steps) == 1
 
 
+def test_drift_steps_differ_by_speed_ratio():
+    # every node counts the same ticks, so the faster clock's step is
+    # shorter by the speed ratio
+    p = DriftParams(speeds=(1.0, 2.0), ratio_bound=2.0, min_transmit_time=1.0)
+    assert p.ticks_per_step(0) == p.ticks_per_step(1) == 4.0
+    assert (p.step_length(0), p.step_length(1)) == (4.0, 2.0)
+
+
 def test_drift_ratio_bound_enforced():
     with pytest.raises(ValueError):
         DriftParams(speeds=(1.0, 3.0), ratio_bound=2.0, min_transmit_time=1.0)
