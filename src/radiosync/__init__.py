@@ -6,9 +6,11 @@ Library layout:
   non-colliding shift construction and its brute-force oracle
 * :mod:`radiosync.detsched`    -- deterministic two-processor schedule
   and the all-shift self-overlap verifier
-* :mod:`radiosync.birthday`    -- two-color collision Monte-Carlo
-* :mod:`radiosync.randsched`   -- random schedule matrices, meeting
-  detection, communication graphs
+* :mod:`radiosync.birthday`    -- two-color collision Monte-Carlo,
+  both events estimated from one pass over the throws
+* :mod:`radiosync.randsched`   -- random schedule matrices (flat
+  positions with row starts), meeting detection, and the communication
+  graph built from the grouped meeting pairs
 * :mod:`radiosync.netsim`      -- back-off contention and the
   bounded clock drift lemma
 * :mod:`radiosync.protocol`    -- run configuration, the radio medium
@@ -30,7 +32,6 @@ from .bitstrings import (
     pack_non_overlapping,
 )
 from .detsched import (
-    TwoProcParams,
     build_two_proc_schedule,
     radio_cost,
     verify_self_overlap,
@@ -39,8 +40,7 @@ from .birthday import (
     BirthdayParams,
     ProbEstimate,
     TrialOutcome,
-    estimate_prob_H,
-    estimate_prob_T,
+    estimate_probs,
     run_trial,
 )
 from .randsched import (
@@ -73,7 +73,6 @@ __all__ = [
     "find_non_overlap_shift",
     "brute_force_min_overlap_shift",
     "pack_non_overlapping",
-    "TwoProcParams",
     "build_two_proc_schedule",
     "verify_self_overlap",
     "radio_cost",
@@ -81,8 +80,7 @@ __all__ = [
     "TrialOutcome",
     "ProbEstimate",
     "run_trial",
-    "estimate_prob_H",
-    "estimate_prob_T",
+    "estimate_probs",
     "ScheduleMatrix",
     "CommGraph",
     "GraphStats",

@@ -11,9 +11,10 @@ events are read off each throw:
   blue ball; for scale <= 5 this exceeds 3/4 for large bin counts.
 
 The shared-bin event models two radios being awake in the same time
-unit; the exclusive variant is the interference-free meeting. Trials
-are independently seeded from (root seed, trial index), so estimates
-are reproducible and trivially parallelizable.
+unit; the exclusive variant is the interference-free meeting.
+:func:`estimate_probs` reads both events off each throw, so one pass
+estimates both. Trials are independently seeded from (root seed, trial
+index), so estimates are reproducible and trivially parallelizable.
 """
 
 from __future__ import annotations
@@ -103,30 +104,27 @@ def run_trial(params: BirthdayParams, rng: np.random.Generator) -> TrialOutcome:
     )
 
 
-def _estimate(
-    params: BirthdayParams, trials: int, seed: int, exclusive: bool
-) -> ProbEstimate:
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    hits = 0
-    for idx in range(trials):
-        outcome = run_trial(params, spawn_rng(seed, idx))
-        hits += outcome.exclusive_pair_bin if exclusive else outcome.any_shared_bin
+def _interval(hits: int, trials: int) -> ProbEstimate:
     p = hits / trials
     half = Z99 * math.sqrt(p * (1.0 - p) / trials)
     return ProbEstimate(estimate=p, half_width=half, trials=trials, successes=hits)
 
 
-def estimate_prob_H(params: BirthdayParams, trials: int, seed: int) -> ProbEstimate:
-    """Sample probability of the shared-bin event, with 99% half-width."""
-    return _estimate(params, trials, seed, exclusive=False)
+def estimate_probs(
+    params: BirthdayParams, trials: int, seed: int
+) -> tuple[ProbEstimate, ProbEstimate]:
+    """Sample probabilities of the shared-bin and the exclusive-pair
+    events, each with its 99% half-width, as ``(shared, exclusive)``.
 
-
-def estimate_prob_T(params: BirthdayParams, trials: int, seed: int) -> ProbEstimate:
-    """Sample probability of the exclusive-pair event, with 99% half-width.
-
-    Consumes the same per-trial seed stream as :func:`estimate_prob_H`,
-    so containment (T implies H) holds estimate-wise, not just in
+    Both are read off the same throws, one per trial, so containment
+    (exclusive implies shared) holds estimate-wise, not just in
     expectation.
     """
-    return _estimate(params, trials, seed, exclusive=True)
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
+    shared = exclusive = 0
+    for idx in range(trials):
+        outcome = run_trial(params, spawn_rng(seed, idx))
+        shared += outcome.any_shared_bin
+        exclusive += outcome.exclusive_pair_bin
+    return _interval(shared, trials), _interval(exclusive, trials)

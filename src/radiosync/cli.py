@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .acceptance import run_all
-from .birthday import BirthdayParams, estimate_prob_H, estimate_prob_T
+from .birthday import BirthdayParams, estimate_probs
 from .bitstrings import BitSchedule, ShiftAssignment, pack_non_overlapping
 from .detsched import build_two_proc_schedule, first_uncovered_shift
 from .harness import (
@@ -86,8 +86,7 @@ def cmd_birthday(args) -> int:
     params = BirthdayParams.from_exponents(
         bins=args.L, red_exp=args.s, scale=args.C
     )
-    estimator = estimate_prob_H if args.lemma == 1 else estimate_prob_T
-    est = estimator(params, args.trials, args.seed)
+    est = estimate_probs(params, args.trials, args.seed)[args.lemma - 1]
     header = ("lemma", "L", "C", "s", "trials", "seed", "estimate", "half_width")
     row = (
         args.lemma,

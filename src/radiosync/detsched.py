@@ -26,7 +26,6 @@ literal per-shift loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Optional
 
@@ -38,36 +37,19 @@ def ceil_sqrt(d: int) -> int:
     return r if r * r == d else r + 1
 
 
-@dataclass(frozen=True)
-class TwoProcParams:
-    """Derived quantities for offset bound ``d``: the window length ``W``
-    and the largest schedule index ``max_i`` = floor(2*sqrt(d) + 2)."""
-
-    d: int
-    W: int
-    max_i: int
-
-    @classmethod
-    def for_offset(cls, d: int) -> "TwoProcParams":
-        if d < 1:
-            raise ValueError(f"offset bound must be positive, got {d}")
-        W = 2 * d + 4 * ceil_sqrt(d) + 2
-        max_i = isqrt(4 * d) + 2  # floor(2*sqrt(d)) + 2, exact in integers
-        return cls(d=d, W=W, max_i=max_i)
-
-
 def build_two_proc_schedule(d: int) -> BitSchedule:
     """Schedule that self-overlaps at every shift 1..d (see module docs).
 
     The result has at most 4*ceil(sqrt(d)) + 4 ones inside a window of
     at most 2d + 4*ceil(sqrt(d)) + 2 units.
     """
-    params = TwoProcParams.for_offset(d)
+    if d < 1:
+        raise ValueError(f"offset bound must be positive, got {d}")
     r = isqrt(d)
     if r * r == d:
         # integer sqrt: both families over i = 1..2r+2, zero-based via -1
         positions = set()
-        for i in range(1, params.max_i + 1):
+        for i in range(1, 2 * r + 3):
             positions.add(i * r - 1)
             positions.add(i * (r + 1) - 1)
     else:
@@ -75,7 +57,8 @@ def build_two_proc_schedule(d: int) -> BitSchedule:
         positions = {j * r for j in range(0, 2 * r + 1)}
         positions.update(i * (r + 1) for i in range(0, r + 1))
     length = max(positions) + 1
-    assert length <= params.W, f"window {length} exceeds bound {params.W} for d={d}"
+    bound = 2 * d + 4 * ceil_sqrt(d) + 2
+    assert length <= bound, f"window {length} exceeds bound {bound} for d={d}"
     return BitSchedule.from_positions(length, positions)
 
 

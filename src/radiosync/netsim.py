@@ -61,13 +61,14 @@ class DriftParams:
                 f"speed ratio {ratio:.6g} exceeds declared bound {self.ratio_bound}"
             )
 
-    def ticks_per_step(self, node: int) -> float:
-        """Ticks node ``node`` counts as one time step, the same at every node."""
+    @property
+    def ticks_per_step(self) -> float:
+        """Ticks every node counts as one time step."""
         return 2.0 * self.ratio_bound * min(self.speeds) * self.min_transmit_time
 
     def step_length(self, node: int) -> float:
         """Global duration of one of node's time steps (ticks / tick rate)."""
-        return self.ticks_per_step(node) / self.speeds[node]
+        return self.ticks_per_step / self.speeds[node]
 
     @property
     def max_step(self) -> float:

@@ -21,6 +21,7 @@ radio spend is dominated by the last epoch.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -52,6 +53,16 @@ from .seeding import refuse_beyond_memory, spawn_rng
 #: realistic n, so collisions are negligible (and regenerated away)
 ID_BITS = 63
 
+#: the :class:`SimConfig` fields that count something, each an integer
+_COUNTS = "d n repetition_k rounds backoff_rounds seed transmit_delay columns polylog_exp"
+
+
+def _require_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer, a bool included, with one
+    line naming it: a fraction would be billed or truncated silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass
 class SimConfig:
@@ -66,7 +77,8 @@ class SimConfig:
     back-off slots. Optional fields left as None are derived: window
     ``columns`` 4d and back-off slot count ceil(log2 n)**2 here, the
     stage shape and sync ``rounds`` (ceil(log2 n) + 10) by
-    :func:`pipeline_params`.
+    :func:`pipeline_params`. A count field given as anything but an
+    integer is refused, as is a bool.
     """
 
     d: int
@@ -83,6 +95,10 @@ class SimConfig:
     polylog_exp: int = 2
 
     def __post_init__(self) -> None:
+        for name in _COUNTS.split():
+            value = getattr(self, name)
+            if value is not None:
+                _require_integer(name, value)
         if self.d < 1:
             raise ValueError(f"offset bound must be positive, got {self.d}")
         if self.beta is not None and not math.isfinite(self.beta):
@@ -601,6 +617,9 @@ def run_sync(
     the unreached nodes are reported. The flood updates copies of the
     ``states`` arrays; every per-node result is an array.
     """
+    _require_integer("rounds", rounds)
+    _require_integer("backoff_rounds", backoff_rounds)
+    _require_integer("transmit_delay", transmit_delay)
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     if exclusive and backoff_rounds < 1:
@@ -742,6 +761,7 @@ def estimate_n(
         raise ValueError(
             f"estimate_n needs d >= 2 (the first guess is d), got {config.d}"
         )
+    _require_integer("true_n", true_n)
     if true_n < 2:
         raise ValueError(f"need at least two processors, got {true_n}")
     for name in ("beta", "n", "rounds", "repetition_k"):

@@ -96,14 +96,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-def _as_row(r: int, row) -> np.ndarray:
-    """Row ``r`` as a 1-D int64 array."""
-    row = _integers(f"row {r}: positions", row)
-    if row.ndim != 1:
-        raise ValueError(f"row {r}: positions must be 1-D, got shape {row.shape}")
-    return row
-
-
 def _as_offsets(n: int, offsets) -> np.ndarray:
     offsets = _integers("offsets", offsets)
     if offsets.shape != (n,):
@@ -151,10 +143,9 @@ class ScheduleMatrix:
     once, on construction. Both arrays are read-only: ``starts`` is
     int64, ``positions`` int32 when ``columns`` is at most 2**31 - 1 and
     int64 otherwise (:func:`_width`), whatever integer type it is given
-    in. ``positions`` may also be given as a sequence of ``n`` 1-D
-    integer rows, with ``starts`` left out. ``offsets`` are the per-row
-    global start times (None until assigned); :meth:`with_offsets`
-    assigns them to a copy that shares the checked rows.
+    in. ``offsets`` are the per-row global start times (None until
+    assigned); :meth:`with_offsets` assigns them to a copy that shares
+    the checked rows.
     """
 
     def __init__(
@@ -164,31 +155,24 @@ class ScheduleMatrix:
         positions,
         offsets: Optional[Sequence[int]] = None,
         *,
-        starts: Optional[np.ndarray] = None,
+        starts,
     ) -> None:
         width = _width(columns)
-        if starts is None:
-            if n != len(positions):
-                raise ValueError(f"{n} rows declared, {len(positions)} given")
-            rows = [_as_row(r, row) for r, row in enumerate(positions)]
-            positions = np.concatenate([_EMPTY, *rows])
-            starts = np.cumsum([0] + [row.size for row in rows], dtype=np.int64)
-        else:
-            positions = np.asarray(positions)
-            if positions.dtype != width:
-                positions = _integers("positions", positions)
-            starts = _integers("row starts", starts)
-            if (
-                positions.ndim != 1
-                or starts.shape != (n + 1,)
-                or starts[0] != 0
-                or starts[-1] != positions.size
-                or (starts[1:] < starts[:-1]).any()
-            ):
-                raise ValueError(
-                    f"need {n + 1} ascending row starts from 0 to {positions.size} "
-                    "over one flat position array"
-                )
+        positions = np.asarray(positions)
+        if positions.dtype != width:
+            positions = _integers("positions", positions)
+        starts = _integers("row starts", starts)
+        if (
+            positions.ndim != 1
+            or starts.shape != (n + 1,)
+            or starts[0] != 0
+            or starts[-1] != positions.size
+            or (starts[1:] < starts[:-1]).any()
+        ):
+            raise ValueError(
+                f"need {n + 1} ascending row starts from 0 to {positions.size} "
+                "over one flat position array"
+            )
         # checked at the width given, so nothing wraps before the check
         _check_rows(positions, starts, columns)
         self.n = n
@@ -454,15 +438,6 @@ def _pair_order(n: int, senders: np.ndarray, receivers: np.ndarray) -> np.ndarra
     return _radix_order(receivers * n + senders, n * n)
 
 
-def _run_starts(senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-    """Mask of the pairs that start a run of equal (receiver, sender)."""
-    start = np.empty(senders.size, dtype=bool)
-    start[:1] = True
-    np.not_equal(receivers[1:], receivers[:-1], out=start[1:])
-    start[1:] |= senders[1:] != senders[:-1]
-    return start
-
-
 class CommGraph:
     """Undirected meeting graph over ``n`` rows, held as a CSR
     adjacency.
@@ -470,33 +445,10 @@ class CommGraph:
     Row ``r``'s neighbours, ascending, are ``indices[indptr[r]:
     indptr[r + 1]]``, and ``first_cols[k]`` is the first global column
     at which row ``r`` meets ``indices[k]``. Every array is read-only
-    int64. The constructor takes an edge list: edge ``e`` joins rows
-    ``i[e] < j[e]``, which first meet at column ``cols[e]``. It checks
-    0 <= i < j < n and that no edge repeats. Two graphs are equal when
-    their CSR arrays and first columns are.
+    int64. The class takes no constructor arguments: a graph is built
+    only from grouped meeting pairs (:meth:`_from_pairs`), by
+    :func:`build_comm_graph` or :func:`radiosync.protocol.run_sync`.
     """
-
-    def __init__(self, n: int, i, j, cols) -> None:
-        n = operator.index(n)
-        if n < 0:
-            raise ValueError(f"need a non-negative node count, got {n}")
-        i, j, cols = _integers("i", i), _integers("j", j), _integers("cols", cols)
-        if i.ndim != 1 or not i.shape == j.shape == cols.shape:
-            raise ValueError("edge arrays i, j and cols must be 1-D and of one length")
-        bad = (i < 0) | (i >= j) | (j >= n)
-        if bad.any():
-            e = int(np.argmax(bad))
-            raise ValueError(f"edge ({i[e]}, {j[e]}) needs 0 <= i < j < n = {n}")
-        # each edge both ways, grouped by (row, neighbour)
-        rows, nbrs = np.concatenate((i, j)), np.concatenate((j, i))
-        order = _pair_order(n, nbrs, rows)
-        rows, nbrs = rows[order], nbrs[order]
-        start = _run_starts(nbrs, rows)
-        if not start.all():
-            at = int(np.argmin(start))
-            a, b = sorted((int(rows[at]), int(nbrs[at])))
-            raise ValueError(f"edge ({a}, {b}) given twice")
-        self._set_runs(n, nbrs, rows, np.concatenate((cols, cols))[order], start)
 
     @classmethod
     def _from_pairs(
@@ -504,32 +456,20 @@ class CommGraph:
     ) -> "CommGraph":
         """The graph of directed meeting pairs that come both ways,
         grouped by (receiver, sender) with each run's earliest column
-        first, as :meth:`Meetings.grouped_pairs` gives them: each run is
-        one CSR entry."""
+        first, as :meth:`Meetings.grouped_pairs` gives them: each run of
+        equal (receiver, sender) is one CSR entry."""
+        start = np.empty(senders.size, dtype=bool)
+        start[:1] = True
+        np.not_equal(receivers[1:], receivers[:-1], out=start[1:])
+        start[1:] |= senders[1:] != senders[:-1]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(receivers[start], minlength=n), out=indptr[1:])
         g = cls.__new__(cls)
-        g._set_runs(n, senders, receivers, cols, _run_starts(senders, receivers))
+        g.n = n
+        g.indptr = _read_only(indptr)
+        g.indices = _read_only(senders[start])
+        g.first_cols = _read_only(cols[start])
         return g
-
-    def _set_runs(self, n, senders, receivers, cols, start) -> None:
-        self.n = n
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(receivers[start], minlength=n), out=self.indptr[1:])
-        self.indptr = _read_only(self.indptr)
-        self.indices = _read_only(senders[start])
-        self.first_cols = _read_only(cols[start])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CommGraph):
-            return NotImplemented
-        return self.n == other.n and all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                (self.indptr, self.indices, self.first_cols),
-                (other.indptr, other.indices, other.first_cols),
-            )
-        )
-
-    __hash__ = None
 
     def __repr__(self) -> str:
         return f"CommGraph(n={self.n}, edges={self.indices.size // 2})"

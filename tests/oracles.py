@@ -16,6 +16,17 @@ from radiosync.protocol import NodeReading
 from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
 
 
+def matrix(n: int, columns: int, rows, offsets=None) -> ScheduleMatrix:
+    """The :class:`ScheduleMatrix` of rows given one by one: their
+    positions laid back to back, with the row starts. An empty row adds
+    nothing to the flat positions, so it cannot turn them into floats."""
+    rows = [np.asarray(row) for row in rows]
+    filled = [row for row in rows if len(row)] or [np.zeros(0, dtype=np.int64)]
+    positions = np.concatenate(filled)
+    starts = np.cumsum([0] + [len(row) for row in rows])
+    return ScheduleMatrix(n, columns, positions, offsets, starts=starts)
+
+
 def rows(m: ScheduleMatrix) -> list[np.ndarray]:
     """The matrix's rows, as views of its flat positions."""
     return np.split(m.positions, m.starts[1:-1])
@@ -64,9 +75,23 @@ def build_comm_graph(m: ScheduleMatrix):
 
 
 def graph(n: int, witness) -> CommGraph:
-    """The :class:`CommGraph` of a witness dict (edge -> column)."""
+    """The :class:`CommGraph` of a witness dict (edge -> column): each
+    edge both ways, grouped by (receiver, sender) with ``np.lexsort``."""
     pairs = np.array(list(witness), dtype=np.int64).reshape(-1, 2)
-    return CommGraph(n, pairs[:, 0], pairs[:, 1], list(witness.values()))
+    senders = np.concatenate((pairs[:, 0], pairs[:, 1]))
+    receivers = np.concatenate((pairs[:, 1], pairs[:, 0]))
+    cols = np.array(list(witness.values()) * 2, dtype=np.int64)
+    order = np.lexsort((senders, receivers))
+    return CommGraph._from_pairs(n, senders[order], receivers[order], cols[order])
+
+
+def same_graph(a: CommGraph, b: CommGraph) -> bool:
+    """Whether two graphs have the same nodes, CSR arrays and first
+    columns; :class:`CommGraph` itself defines no ``==``."""
+    return a.n == b.n and all(
+        np.array_equal(getattr(a, name), getattr(b, name))
+        for name in ("indptr", "indices", "first_cols")
+    )
 
 
 def adjacency(g: CommGraph) -> list[list[int]]:

@@ -7,8 +7,7 @@ import pytest
 from radiosync.birthday import (
     BirthdayParams,
     TrialOutcome,
-    estimate_prob_H,
-    estimate_prob_T,
+    estimate_probs,
     run_trial,
 )
 from radiosync.seeding import spawn_rng
@@ -75,26 +74,23 @@ def test_forced_red_multiplicity_kills_exclusive():
 def test_two_bins_single_balls_half_probability():
     # 4 equally likely placements; 2 put both balls in one bin
     p = raw_params(bins=2, n_red=1, n_blue=1)
-    est = estimate_prob_H(p, trials=40_000, seed=11)
+    est, est_t = estimate_probs(p, trials=40_000, seed=11)
     assert abs(est.estimate - 0.5) < 0.012
     # with one ball of each color, exclusivity is automatic: T == H
-    est_t = estimate_prob_T(p, trials=40_000, seed=11)
     assert est_t.estimate == est.estimate
 
 
 def test_rejects_zero_trials():
     p = raw_params(bins=2, n_red=1, n_blue=1)
     with pytest.raises(ValueError):
-        estimate_prob_H(p, trials=0, seed=0)
+        estimate_probs(p, trials=0, seed=0)
 
 
 def test_estimates_deterministic_and_contained():
     p = BirthdayParams.from_exponents(bins=500, red_exp=0.5, scale=1.5)
-    a = estimate_prob_H(p, trials=300, seed=123)
-    b = estimate_prob_H(p, trials=300, seed=123)
-    assert a == b
-    t = estimate_prob_T(p, trials=300, seed=123)
-    assert t.estimate <= a.estimate  # same per-trial seed stream
+    a, t = estimate_probs(p, trials=300, seed=123)
+    assert (a, t) == estimate_probs(p, trials=300, seed=123)
+    assert t.estimate <= a.estimate  # same throws
 
 
 def test_trial_outcomes_reproducible():
@@ -123,12 +119,12 @@ def test_shared_probability_monotone_in_scale():
     assert monotone_ok == trials  # prefix coupling is exactly monotone
 
     # and the estimator reflects it statistically
-    lo = estimate_prob_H(
+    lo, _ = estimate_probs(
         BirthdayParams.from_exponents(bins=2_000, red_exp=0.5, scale=0.8),
         trials=2_000,
         seed=3,
     )
-    hi = estimate_prob_H(
+    hi, _ = estimate_probs(
         BirthdayParams.from_exponents(bins=2_000, red_exp=0.5, scale=2.4),
         trials=2_000,
         seed=3,
@@ -138,8 +134,8 @@ def test_shared_probability_monotone_in_scale():
 
 def test_half_width_shrinks_with_trials():
     p = BirthdayParams.from_exponents(bins=500, red_exp=0.5, scale=1.5)
-    small = estimate_prob_H(p, trials=100, seed=1)
-    large = estimate_prob_H(p, trials=1_600, seed=1)
+    small, _ = estimate_probs(p, trials=100, seed=1)
+    large, _ = estimate_probs(p, trials=1_600, seed=1)
     assert large.half_width < small.half_width
 
 

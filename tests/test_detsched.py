@@ -8,7 +8,6 @@ import pytest
 
 from radiosync.bitstrings import BitSchedule, overlaps_at
 from radiosync.detsched import (
-    TwoProcParams,
     build_two_proc_schedule,
     ceil_sqrt,
     first_uncovered_shift,
@@ -27,12 +26,13 @@ def naive_verify(s: BitSchedule, d: int):
 
 
 def test_params_derivation():
-    p = TwoProcParams.for_offset(36)
-    assert (p.W, p.max_i) == (98, 14)
-    assert p.W >= 2 * p.d + 2
-    assert p.max_i >= 2
-    with pytest.raises(ValueError):
-        TwoProcParams.for_offset(0)
+    # at d = 36 = 6**2 the window bound 2d + 4*ceil_sqrt(d) + 2 is 98,
+    # and the families run over indices 1..2*6 + 2 = 14, filling it
+    s = build_two_proc_schedule(36)
+    assert s.length == 2 * 36 + 4 * ceil_sqrt(36) + 2 == 98
+    assert max(s.ones) == 14 * 7 - 1
+    with pytest.raises(ValueError, match="offset bound must be positive, got 0"):
+        build_two_proc_schedule(0)
 
 
 def test_worked_example_d36():

@@ -161,6 +161,13 @@ def test_python_dash_m_runs_the_cli():
     assert "accept" in out.stdout
 
 
+def test_star_import_binds_every_public_name():
+    # a name left in __all__ after its definition is gone fails here
+    namespace = {}
+    exec("from radiosync import *", namespace)
+    assert sorted(set(radiosync.__all__) - namespace.keys()) == []
+
+
 def test_cli_sync_run(capsys):
     code = main(["sync", "run", "--d", "64", "--beta", "0.5", "--seed", "2"])
     out = capsys.readouterr().out

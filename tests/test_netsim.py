@@ -209,7 +209,7 @@ def test_drift_steps_differ_by_speed_ratio():
     # every node counts the same ticks, so the faster clock's step is
     # shorter by the speed ratio
     p = DriftParams(speeds=(1.0, 2.0), ratio_bound=2.0, min_transmit_time=1.0)
-    assert p.ticks_per_step(0) == p.ticks_per_step(1) == 4.0
+    assert p.ticks_per_step == 4.0
     assert (p.step_length(0), p.step_length(1)) == (4.0, 2.0)
 
 

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from radiosync import protocol
 from radiosync.detsched import build_two_proc_schedule, radio_cost
 from radiosync.netsim import resolve_backoff
@@ -23,17 +24,13 @@ from radiosync.protocol import (
     run_pipeline,
     run_sync,
 )
-from radiosync.randsched import ScheduleMatrix, graph_stats
+from radiosync.randsched import graph_stats
 from radiosync.seeding import spawn_rng
 
 
 def matrix_from_ones(columns, rows, offsets):
-    return ScheduleMatrix(
-        n=len(rows),
-        columns=columns,
-        positions=[np.array(sorted(r), dtype=np.int64) for r in rows],
-        offsets=np.array(offsets, dtype=np.int64),
-    )
+    rows = [np.array(sorted(r), dtype=np.int64) for r in rows]
+    return oracles.matrix(len(rows), columns, rows, np.array(offsets, dtype=np.int64))
 
 
 def states_with_idents(idents):
@@ -188,21 +185,52 @@ def test_run_sync_refuses_bad_node_records(field, value, message):
         ("backoff_rounds", 0, True),
         ("transmit_delay", -3, False),
         ("transmit_delay", -3, True),
+        # a fraction would be billed as fractional copies or slots, or
+        # truncate the origins, without an error
+        ("rounds", 2.5, False),
+        ("backoff_rounds", 2.5, True),
+        ("transmit_delay", 0.5, False),
+        ("transmit_delay", 0.5, True),
     ],
 )
 def test_run_sync_refuses_what_sim_config_refuses(field, value, exclusive):
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"^{field} "):
         SimConfig(d=64, beta=0.5, exclusive=exclusive, **{field: value})
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"^{field} "):
         run_sync(
             m,
             states_with_idents([100, 50, 10]),
-            2,
             exclusive=exclusive,
             rng=spawn_rng(0),
-            **{field: value},
+            **{"rounds": 2, field: value},
         )
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("d", 64.0),
+        ("n", 8.0),
+        ("repetition_k", 11.5),
+        ("seed", 1.5),
+        ("columns", 300.5),
+        ("polylog_exp", 2.0),
+        ("rounds", True),
+        ("true_n", 8.5),
+        ("true_n", np.float64(8)),
+    ],
+)
+def test_counts_must_be_integers(field, value):
+    # one line naming the field, not a numpy error or a silent fraction;
+    # numpy integers still pass
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got ") as err:
+        if field == "true_n":
+            estimate_n(SimConfig(d=64), value)
+        else:
+            SimConfig(**{"d": 64, "n": 8, field: value})
+    assert "\n" not in str(err.value)
+    SimConfig(d=np.int64(64), n=np.int32(8), rounds=np.uint8(2), seed=np.int64(3))
 
 
 def test_node_state_origin_is_not_an_argument():
