@@ -14,8 +14,10 @@ Library layout:
 * :mod:`radiosync.netsim`      -- back-off contention and the
   bounded clock drift lemma
 * :mod:`radiosync.protocol`    -- run configuration, the radio medium
-  (delivery at meetings), max-identifier synchronization and the
-  unknown-count estimation loop
+  (delivery at meetings), max-identifier synchronization from unique
+  node identifiers, and the unknown-count estimation loop
+* :mod:`radiosync.seeding`     -- seeded rng streams, and the count and
+  memory checks shared by the modules above
 * :mod:`radiosync.harness`     -- seeded runs and sweeps, and the CSV
   text of their results
 * :mod:`radiosync.acceptance`  -- release-gating checks, one line each
@@ -55,7 +57,6 @@ from .randsched import (
 from .netsim import DriftParams, check_unit_overlap
 from .protocol import (
     EstimateResult,
-    NodeState,
     PipelineResult,
     SimConfig,
     build_pipeline_matrix,
@@ -91,7 +92,6 @@ __all__ = [
     "DriftParams",
     "check_unit_overlap",
     "SimConfig",
-    "NodeState",
     "PipelineResult",
     "EstimateResult",
     "build_pipeline_matrix",

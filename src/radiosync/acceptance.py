@@ -31,9 +31,9 @@ from .netsim import DriftParams, check_unit_overlap
 from .protocol import (
     SimConfig,
     build_pipeline_matrix,
+    draw_identifiers,
     draw_offsets,
     estimate_n,
-    make_node_states,
     pipeline_params,
     run_pipeline,
     run_sync,
@@ -249,7 +249,7 @@ def _pipeline_trials(seeds: int = 200) -> tuple[_PipelineTrial, ...]:
             starts=np.cumsum(np.r_[0, early])[matrix.starts],
         )
         stage_deg = int(build_comm_graph(stage).degrees().min())
-        result = run_sync(matrix, make_node_states(n, rng), params.rounds)
+        result = run_sync(matrix, draw_identifiers(n, rng), params.rounds)
         full_deg = int(result.comm_graph.degrees().min())
         connected = reached_from(result.comm_graph) == n
         sync_exact = result.success if connected else None

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import refuse_beyond_memory, spawn_rng
+from .seeding import refuse_beyond_memory, require_integer, spawn_rng
 
 #: two-sided 99% normal quantile used for every half-width below
 Z99 = 2.5758293035489004
@@ -38,6 +38,9 @@ class BirthdayParams:
     scale: float
     n_red: int
     n_blue: int
+
+    def __post_init__(self) -> None:
+        require_integer("bins", self.bins)
 
     @classmethod
     def from_exponents(
@@ -120,6 +123,7 @@ def estimate_probs(
     (exclusive implies shared) holds estimate-wise, not just in
     expectation.
     """
+    require_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     shared = exclusive = 0

@@ -21,7 +21,6 @@ radio spend is dominated by the last epoch.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -46,7 +45,7 @@ from .randsched import (
     repetition_constant,
     row_draws,
 )
-from .seeding import refuse_beyond_memory, spawn_rng
+from .seeding import refuse_beyond_memory, require_integer, spawn_rng
 
 
 #: identifiers are drawn uniformly below 2**63; far wider than any
@@ -55,13 +54,6 @@ ID_BITS = 63
 
 #: the :class:`SimConfig` fields that count something, each an integer
 _COUNTS = "d n repetition_k rounds backoff_rounds seed transmit_delay columns polylog_exp"
-
-
-def _require_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer, a bool included, with one
-    line naming it: a fraction would be billed or truncated silently."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -98,7 +90,7 @@ class SimConfig:
         for name in _COUNTS.split():
             value = getattr(self, name)
             if value is not None:
-                _require_integer(name, value)
+                require_integer(name, value)
         if self.d < 1:
             raise ValueError(f"offset bound must be positive, got {self.d}")
         if self.beta is not None and not math.isfinite(self.beta):
@@ -135,20 +127,6 @@ class SimConfig:
         if self.backoff_rounds is None:
             known = self.n if self.n is not None else self.d
             self.backoff_rounds = math.ceil(clamped_log2(known)) ** 2
-
-
-@dataclass(frozen=True)
-class NodeState:
-    """The nodes' state at the start of a run, one array entry per
-    schedule row: each node's random ``ident``, the largest identifier
-    it has heard (``max_seen``, ``ident`` by default) and the adoptions
-    between that identifier's owner and the node (``hops``, 0 by
-    default). The believed root clock, carried as its *origin* (the
-    time at which it read zero), starts at the row's schedule offset."""
-
-    ident: np.ndarray
-    max_seen: Optional[np.ndarray] = None
-    hops: Optional[np.ndarray] = None
 
 
 NodeReading = namedtuple("NodeReading", "max_seen root_origin hops synchronized root_time")
@@ -252,8 +230,8 @@ def draw_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, d + 1, size=n, dtype=np.int64)
 
 
-def make_node_states(n: int, rng: np.random.Generator) -> NodeState:
-    """Fresh states of ``n`` nodes with unique random identifiers.
+def draw_identifiers(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unique random identifiers of ``n`` nodes.
 
     Identifier collisions are astronomically unlikely at 63 bits; if
     one is ever detected the batch is redrawn, so uniqueness is an
@@ -262,16 +240,18 @@ def make_node_states(n: int, rng: np.random.Generator) -> NodeState:
     while True:
         idents = rng.integers(1, 1 << ID_BITS, size=n, dtype=np.int64)
         if np.unique(idents).size == n:
-            return NodeState(idents)
+            return idents
 
 
 @dataclass
 class PipelineResult:
     """Outcome of one synchronization run. The per-node results are
-    arrays, one entry per schedule row: the final ``max_seen``,
-    ``root_origin`` and ``hops`` of :class:`NodeState`, whether the node
-    is ``synchronized``, and ``root_time``, its root clock read at the
-    end of the last paid copy."""
+    arrays, one entry per schedule row: the largest identifier each
+    node heard (``max_seen``), the time its copy of that identifier's
+    clock read zero (``root_origin``), the adoptions between that
+    identifier's owner and the node (``hops``), whether the node is
+    ``synchronized``, and ``root_time``, its root clock read at the end
+    of the last paid copy."""
 
     comm_graph: CommGraph
     rounds_used: int
@@ -346,117 +326,114 @@ def _tight(
     return senders[tight], receivers[tight]
 
 
-def _chains(
-    senders: np.ndarray, receivers: np.ndarray, source: np.ndarray, hops: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Hop count of every node reached in a round, and the holder its
-    chain of adoptions starts at, over the round's :func:`_tight`
-    deliveries. A receiver adopts from the sender with the fewest hops,
-    then the lowest index. Those deliveries form a DAG (labels grow
-    along it), over which (hops + 1, sender) keys are relaxed; the
-    chosen senders are then followed up by pointer jumping."""
-    n = source.size
+def _hops(
+    senders: np.ndarray, receivers: np.ndarray, source: int, n: int
+) -> np.ndarray:
+    """Hop count from ``source`` of every node a round reaches, over the
+    round's :func:`_tight` deliveries: the fewest adoptions along them.
+    Labels grow along those deliveries, so they form a DAG, over which
+    ``level[sender] + 1`` is relaxed until nothing moves."""
     heads = np.flatnonzero(np.diff(receivers, prepend=-1))
     into = receivers[heads]
     # above any hop count a round reaches: no chain is longer than n
-    level = np.where(source, hops, int(hops.max()) + n)
+    level = np.full(n, n, dtype=np.int64)
+    level[source] = 0
     while True:
-        best = np.minimum.reduceat((level[senders] + 1) * n + senders, heads)
         nxt = level.copy()
-        nxt[into] = best // n
+        nxt[into] = np.minimum.reduceat(level[senders] + 1, heads)
         if np.array_equal(nxt, level):
-            break
+            return level
         level = nxt
-    root = np.arange(n)
-    root[into] = best % n
-    while not np.array_equal(up := root[root], root):
-        root = up
-    return level, root
 
 
 def _adopt(
     out: tuple[np.ndarray, ...],
     held: tuple[np.ndarray, ...],
     take: np.ndarray,
-    chains: tuple[np.ndarray, np.ndarray],
+    source: int,
+    level: np.ndarray,
     transmit_delay: int,
 ) -> None:
-    """Give the ``take`` nodes, in ``out`` (which may be ``held``), the
-    ``held`` value at the start of their :func:`_chains` chain, its
-    origin minus the delay per hop (a running replica set to the
-    received value plus the delay keeps that origin from then on), and
-    their hop count."""
-    value, origin, hops = held
-    level, root = chains
-    results = value[root], origin[root] - transmit_delay * (level - hops[root]), level
-    for array, result in zip(out, results):
-        array[take] = result[take]
+    """Give the ``take`` nodes, in ``out``, the ``held`` identifier of
+    ``source``, its origin minus the delay per hop (a running replica
+    set to the received value plus the delay keeps that origin from
+    then on), and their :func:`_hops` ``level``."""
+    value, origin, hops = out
+    value[take] = held[0][source]
+    origin[take] = held[1][source] - transmit_delay * level[take]
+    hops[take] = level[take]
 
 
 def _spread(
-    deliveries: tuple[np.ndarray, ...],
-    backward: tuple[np.ndarray, ...],
+    first: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]],
+    later: Optional[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]],
     period: int,
     copies: int,
     held: tuple[np.ndarray, np.ndarray, np.ndarray],
     transmit_delay: int,
 ) -> np.ndarray:
     """Flood the held identifiers over ``copies`` copies of a schedule
-    of ``period`` columns in which ``senders[i]`` reaches
-    ``receivers[i]`` at column ``cols[i]``: the ``deliveries``, grouped
-    by receiver as :func:`_grouped` gives them; ``backward`` is the same
+    of ``period`` columns, one round per identifier, from the largest
+    down. ``held`` is (max_seen, root_origin, hops) per node, each node
+    its own identifier's only holder, updated in place. Returns each
+    node's adoption label ``copy * period + column`` of its final
+    identifier, -1 at the holders.
+
+    ``first`` is the largest identifier's round, already relaxed by the
+    caller: its labels, from -1 at the holder (:func:`_relax`), and its
+    :func:`_tight` deliveries. ``later`` is None if that round reaches
+    every node; otherwise it holds the deliveries, in which
+    ``senders[i]`` reaches ``receivers[i]`` at column ``cols[i]``,
+    grouped by receiver as :func:`_grouped` gives them, and the same
     reversed (ends swapped, column ``period - 1 - c``), grouped alike.
 
-    ``held`` is (max_seen, root_origin, hops) per node, updated in
-    place. Returns each node's adoption label ``copy * period + column``
-    of its final identifier, -1 where it kept what it held.
-
     A node ends with the largest identifier that reaches it by a
-    time-respecting path: label -1 at the holders, and over a delivery
-    the column in the sender's arrival copy if it is later, else in the
-    next one. Each round floods one held identifier, from the largest
-    down: one multi-source earliest-arrival relaxation (:func:`_relax`)
-    from its holders, assigned to the nodes it reaches that no larger
-    identifier reached. That is exact under the budget: a larger
-    identifier held by any node on a path would reach the end of that
-    path too, so an unassigned node's paths, and the senders it adopts
-    from, are never overtaken. A receiver adopts from one of the senders
-    whose delivery is its arrival (:func:`_chains`, :func:`_adopt`).
+    time-respecting path: over a delivery, the column in the sender's
+    arrival copy if it is later, else in the next one. A round assigns
+    its identifier to the nodes it reaches that no larger identifier
+    reached. That is exact under the budget: a larger identifier held
+    by any node on a path would reach the end of that path too, so an
+    unassigned node's paths, and the senders it adopts from, are never
+    overtaken. A receiver adopts from one of the senders whose delivery
+    is its arrival, with the fewest hops (:func:`_hops`, :func:`_adopt`).
 
-    After a round, :func:`_relax` over ``backward`` from the unassigned
-    nodes gives each node's latest departure mirrored: a message it
-    holds before label ``never - 1 - back`` still reaches an unassigned
-    node in time. The next round floods the largest identifier below
-    this one that a node with ``back < never`` holds, over the
-    deliveries that leave before their receiver's deadline: a subset of
-    the grouped deliveries, so nothing is sorted. So every round assigns
-    a node, and the identifier strictly descends.
+    After a round, :func:`_relax` over the reversed deliveries from the
+    unassigned nodes gives each node's latest departure mirrored: a
+    message it holds before label ``never - 1 - back`` still reaches an
+    unassigned node in time. The next round floods the largest
+    identifier below this one whose holder has ``back < never``, over
+    the deliveries that leave before their receiver's deadline: a
+    subset of the grouped deliveries, so nothing is sorted. So every
+    round assigns a node, and the identifier strictly descends.
     """
-    value, origin, hops = held
-    n = value.size
+    ident = held[0]
+    n = ident.size
     never = copies * period
-    senders, receivers, cols = deliveries[:3]
     open_ = np.ones(n, dtype=bool)
     adopted = np.full(n, -1, dtype=np.int64)
-    out = value.copy(), origin.copy(), hops.copy()
-    active = deliveries
-    bar = value.max()
+    out = tuple(array.copy() for array in held)
+    source = int(ident.argmax())
+    label, tight = first
     while True:
-        source = value == bar
-        label, arrive = _relax(np.where(source, -1, never), active, period, never)
         take = open_ & (label < never)
-        chains = _chains(*_tight(active, label, arrive, never), source, hops)
-        _adopt(out, held, take, chains, transmit_delay)
+        _adopt(out, held, take, source, _hops(*tight, source, n), transmit_delay)
         adopted[take] = label[take]
         open_ &= ~take
         if not open_.any():
             break
+        forward, backward = later
+        senders, receivers, cols = forward[:3]
         back = _relax(np.where(open_, -1, never), backward, period, never)[0]
         # paths that cannot reach an unassigned node in time end at
         # assigned nodes, whose results stand: leave them out
         keep = back[receivers] + cols < never - 1
         active = _grouped(senders[keep], receivers[keep], cols[keep])
-        bar = value[(back < never) & (value < bar)].max()
+        below = np.flatnonzero((back < never) & (ident < ident[source]))
+        source = int(below[ident[below].argmax()])
+        label = np.full(n, never, dtype=np.int64)
+        label[source] = -1
+        label, arrive = _relax(label, active, period, never)
+        tight = _tight(active, label, arrive, never)
     for array, result in zip(held, out):
         array[:] = result
     return adopted
@@ -484,7 +461,7 @@ def _deliver_meetings(
     held: tuple[np.ndarray, np.ndarray, np.ndarray],
     rounds: int,
     *,
-    global_max: int,
+    root: int,
     exclusive: bool,
     backoff_rounds: int,
     transmit_delay: int,
@@ -498,40 +475,47 @@ def _deliver_meetings(
     ``pairs`` are the meetings' directed pairs (sender, receiver,
     column, and the sender's and receiver's slots in ``meetings.owners``
     in the interference model), grouped by receiver, and ``held`` the
-    per-node (max_seen, root_origin, hops), updated in place. A pair's
-    reverse is a pair of the same meeting, so the pairs at mirrored
-    columns are :func:`_spread`'s reversed deliveries. In the
-    base model every participant hears every other, so the flood is one
-    relaxation over all copies; the copies used follow from the last
-    copy L in which any node adopted: L + 1 when every node ends at
-    ``global_max``, else one more pass that changes nothing,
-    min(rounds, L + 2). In the interference model each copy draws its
-    back-off winners with :func:`~radiosync.netsim.resolve_backoff`;
-    its deliveries are every sole transmitter to the rest of its unit,
-    a subset of the pairs that stays grouped. Each copy's deliveries are
-    relaxed once, from the ``global_max`` holders, on the labels of the
-    copies before it. Copies are drawn
-    until ``global_max`` has reached every node; if no node holds more,
-    those labels are :func:`_spread`'s first and only round, so the
-    copies' tight deliveries give the chains (:func:`_chains`,
-    :func:`_adopt`) and nothing is relaxed again. Otherwise the copies
-    drawn are laid end to end, pair-major so they stay grouped, and
-    flooded by :func:`_spread` as one copy of a longer period: a pair
-    delivers in the copies its sender won, its reverse in those its
-    receiver won. With ``trace``, one row per meeting unit and copy is
-    appended (:func:`_trace_rows`), at ``copy * columns + column``.
+    per-node (max_seen, root_origin, hops), updated in place by
+    :func:`_spread`. Its first round, the flood of the largest
+    identifier from the ``root`` that holds it, is relaxed here; only
+    if it leaves a node unreached are :func:`_spread`'s later
+    deliveries built. A pair's reverse is a pair of the same meeting,
+    so the pairs at mirrored columns are the reversed deliveries.
+
+    In the base model every participant hears every other, so the
+    first round is one relaxation over all copies; the copies used
+    follow from the last copy L in which any node adopted: L + 1 when
+    that round reaches every node, else one more pass that changes
+    nothing, min(rounds, L + 2). In the interference model each copy
+    draws its back-off winners with
+    :func:`~radiosync.netsim.resolve_backoff`; its deliveries are every
+    sole transmitter to the rest of its unit, a subset of the pairs
+    that stays grouped. Each copy's deliveries are relaxed once, from
+    the root, on the labels of the copies before it, and copies are
+    drawn until the root's identifier has reached every node. Those
+    labels and the copies' tight deliveries are the first round. If a
+    node stays unreached, the copies drawn are laid end to end,
+    pair-major so they stay grouped, as one copy of a longer period: a
+    pair delivers in the copies its sender won, its reverse in those
+    its receiver won. With ``trace``, one row per meeting unit and copy
+    is appended (:func:`_trace_rows`), at ``copy * columns + column``.
     """
     senders, receivers, cols, slots = pairs
     period = int(meetings.cols[-1]) + 1 if len(meetings) else 1
+    horizon = rounds * period
+    reach = np.full(held[0].size, horizon, dtype=np.int64)
+    reach[root] = -1
     if not exclusive:
         forward = _grouped(senders, receivers, cols)
-        backward = (senders, receivers, period - 1 - cols, *forward[3:])
-        adopted = _spread(forward, backward, period, rounds, held, transmit_delay)
+        reach, arrive = _relax(reach, forward, period, horizon)
+        first = reach, _tight(forward, reach, arrive, horizon)
+        del arrive
+        later = None
+        if not (reach < horizon).all():
+            later = forward, (senders, receivers, period - 1 - cols, *forward[3:])
+        adopted = _spread(first, later, period, rounds, held, transmit_delay)
         last = int(adopted.max()) // period
-        if (held[0] == global_max).all():
-            used = max(last, 0) + 1
-        else:
-            used = min(rounds, last + 2)
+        used = max(last, 0) + 1 if later is None else min(rounds, last + 2)
         if trace is not None:
             for copy in range(used):
                 trace.extend(_trace_rows(meetings, None, copy * columns))
@@ -539,11 +523,7 @@ def _deliver_meetings(
     if len(meetings) and rng is None:
         raise ValueError("interference mode needs an rng for back-off")
     # the copies' deliveries do not depend on what the radios carry, so
-    # the flood from the ``global_max`` holders alone decides the stop
-    horizon = rounds * period
-    source = held[0] == global_max
-    reach = np.where(source, -1, horizon)
-    can_stop = not (held[0] > global_max).any()
+    # the flood from the root alone decides the stop
     won_per_copy, tight_per_copy = [], []
     for copy in range(rounds):
         won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
@@ -556,24 +536,22 @@ def _deliver_meetings(
         # copy's labels and tight deliveries are final
         reach, arrive = _relax(reach, part, horizon, horizon)
         tight_per_copy.append(_tight(part, reach, arrive, horizon))
-        if can_stop and (reach < horizon).all():
-            # global_max, the largest value, reached every node: the labels
-            # are _spread's first and only round, and each receiver's
-            # tight deliveries lie in one copy, so they stay grouped
-            tight = (np.concatenate(arrays) for arrays in zip(*tight_per_copy))
-            chains = _chains(*tight, source, held[2])
-            _adopt(held, held, slice(None), chains, transmit_delay)
-            return copy + 1
-    # the copies, laid end to end, are one copy of a longer period
-    won = np.stack(won_per_copy, axis=1)
-    pair, copy = np.nonzero(won.take(slots[0], axis=0))
-    forward = _grouped(senders[pair], receivers[pair], cols[pair] + copy * period)
-    pair, copy = np.nonzero(won.take(slots[1], axis=0))
-    mirrored = horizon - 1 - cols[pair] - copy * period
-    backward = _grouped(senders[pair], receivers[pair], mirrored)
-    del pair, copy
-    _spread(forward, backward, horizon, 1, held, transmit_delay)
-    return rounds
+        if (reach < horizon).all():
+            break
+    # each receiver's tight deliveries lie in one copy, so they stay grouped
+    first = reach, tuple(np.concatenate(arrays) for arrays in zip(*tight_per_copy))
+    later = None
+    if not (reach < horizon).all():
+        # the copies, laid end to end, are one copy of a longer period
+        won = np.stack(won_per_copy, axis=1)
+        pair, copy = np.nonzero(won.take(slots[0], axis=0))
+        forward = _grouped(senders[pair], receivers[pair], cols[pair] + copy * period)
+        pair, copy = np.nonzero(won.take(slots[1], axis=0))
+        mirrored = horizon - 1 - cols[pair] - copy * period
+        later = forward, _grouped(senders[pair], receivers[pair], mirrored)
+        del pair, copy
+    _spread(first, later, horizon, 1, held, transmit_delay)
+    return len(won_per_copy)
 
 
 def _node_array(name: str, values, n: int) -> np.ndarray:
@@ -586,7 +564,7 @@ def _node_array(name: str, values, n: int) -> np.ndarray:
 
 def run_sync(
     matrix: ScheduleMatrix,
-    states: NodeState,
+    idents,
     rounds: int,
     *,
     exclusive: bool = False,
@@ -596,12 +574,13 @@ def run_sync(
     trace: Optional[list] = None,
 ) -> PipelineResult:
     """Flood the maximal identifier and its clock for ``rounds`` copies
-    of the schedule, from the nodes' ``states``.
+    of the schedule, from the nodes' unique identifiers ``idents``.
 
-    Every node broadcasts its current (max ident, root clock) at each
-    of its meetings; a node hearing a larger identifier adopts it and
-    the accompanying clock plus the per-hop transmission delay, from
-    the sender with the fewest hops (then the lowest index) among those
+    Every node starts with its own identifier, its row's offset as the
+    origin of its clock and 0 hops, and broadcasts its current (max
+    ident, root clock) at each of its meetings; a node hearing a larger
+    identifier adopts it and the accompanying clock plus the per-hop
+    transmission delay, from a sender with the fewest hops among those
     carrying it. The meetings stay arrays from detection on: their
     directed pairs are grouped once by (receiver, sender)
     (:meth:`~radiosync.randsched.Meetings.grouped_pairs`), carrying
@@ -614,12 +593,12 @@ def run_sync(
     point where a full pass changes nothing count as unused, but are still
     paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
-    the unreached nodes are reported. The flood updates copies of the
-    ``states`` arrays; every per-node result is an array.
+    the unreached nodes are reported. Every per-node result is an
+    array; ``idents`` is left as it was.
     """
-    _require_integer("rounds", rounds)
-    _require_integer("backoff_rounds", backoff_rounds)
-    _require_integer("transmit_delay", transmit_delay)
+    require_integer("rounds", rounds)
+    require_integer("backoff_rounds", backoff_rounds)
+    require_integer("transmit_delay", transmit_delay)
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     if exclusive and backoff_rounds < 1:
@@ -627,13 +606,9 @@ def run_sync(
     if transmit_delay < 0:
         raise ValueError(f"transmit_delay must be non-negative, got {transmit_delay}")
     n = matrix.n
-    ident = _node_array("ident", states.ident, n)
-    max_seen = ident if states.max_seen is None else states.max_seen
-    max_seen = _node_array("max_seen", max_seen, n)
-    hops = np.zeros(n, dtype=np.int64) if states.hops is None else states.hops
-    hops = _node_array("hops", hops, n)
-    if hops.min(initial=0) < 0:
-        raise ValueError(f"hops must be non-negative, got {hops.min()}")
+    ident = _node_array("ident", idents, n)
+    if np.unique(ident).size < n:
+        raise ValueError("node identifiers must be unique")
     meetings = detect_meetings(matrix)
     # one grouping by (receiver, sender) serves the graph and the flood
     senders, receivers, which, slots = meetings.grouped_pairs(n, slots=exclusive)
@@ -643,7 +618,7 @@ def run_sync(
     graph = CommGraph._from_pairs(n, senders[edges], receivers[edges], cols[edges])
     del edges
 
-    held = max_seen.copy(), matrix.offsets.copy(), hops.copy()
+    held = ident.copy(), matrix.offsets.copy(), np.zeros(n, dtype=np.int64)
     root_index = int(ident.argmax())
     root_ident = int(ident[root_index])
     rounds_used = _deliver_meetings(
@@ -651,7 +626,7 @@ def run_sync(
         (senders, receivers, cols, slots),
         held,
         rounds,
-        global_max=root_ident,
+        root=root_index,
         exclusive=exclusive,
         backoff_rounds=backoff_rounds,
         transmit_delay=transmit_delay,
@@ -688,7 +663,7 @@ def run_pipeline(
     rng: Optional[np.random.Generator] = None,
     trace: Optional[list] = None,
 ) -> PipelineResult:
-    """Build schedule, offsets and states from the config, then sync.
+    """Build schedule, offsets and identifiers from the config, then sync.
 
     The rng (seeded from ``config.seed`` when not given) draws, in this
     order, the schedule stack, the start offsets, the node identifiers
@@ -711,7 +686,7 @@ def run_pipeline(
     matrix = matrix.with_offsets(draw_offsets(config.n, config.d, rng))
     return run_sync(
         matrix,
-        make_node_states(config.n, rng),
+        draw_identifiers(config.n, rng),
         params.rounds,
         exclusive=config.exclusive,
         backoff_rounds=config.backoff_rounds,
@@ -761,7 +736,7 @@ def estimate_n(
         raise ValueError(
             f"estimate_n needs d >= 2 (the first guess is d), got {config.d}"
         )
-    _require_integer("true_n", true_n)
+    require_integer("true_n", true_n)
     if true_n < 2:
         raise ValueError(f"need at least two processors, got {true_n}")
     for name in ("beta", "n", "rounds", "repetition_k"):
@@ -795,7 +770,7 @@ def estimate_n(
         matrix = matrix.with_offsets(offsets)
         result = run_sync(
             matrix,
-            make_node_states(true_n, rng),
+            draw_identifiers(true_n, rng),
             params.rounds,
             exclusive=config.exclusive,
             backoff_rounds=config.backoff_rounds,

@@ -5,11 +5,13 @@ All randomness in the package flows from one root seed. Sub-streams
 seed plus integer indices into ``numpy.random.SeedSequence``, which
 mixes the key material platform-independently. There is no global RNG
 state anywhere. A draw whose buffers would exceed physical memory is
-refused by :func:`refuse_beyond_memory` before the rng is touched.
+refused by :func:`refuse_beyond_memory` before the rng is touched, and
+a count that is not an integer by :func:`require_integer`.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 
 import numpy as np
@@ -41,3 +43,10 @@ def refuse_beyond_memory(need: float, what: str) -> None:
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"{what} needs {need:.4g} bytes, physical memory is {have}")
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse a count that is not an integer, a bool included, with one
+    line naming it: a fraction would be billed or truncated silently."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")

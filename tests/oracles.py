@@ -201,18 +201,20 @@ def deadlines(open_, senders, receivers, cols, period, never):
 
 @dataclass
 class Node:
-    """One radio of the oracle floods, updated in place; its root
-    clock's origin starts at its start offset."""
+    """One radio of the oracle floods, updated in place; it starts
+    holding its own identifier, 0 hops out, and its root clock's origin
+    starts at its start offset."""
 
     ident: int
     start_offset: int
-    max_seen: int
-    hops: int
+    max_seen: int = field(init=False)
+    hops: int = field(init=False, default=0)
     root_origin: int = field(init=False)
     synchronized: bool = False
     root_time: int = 0
 
     def __post_init__(self) -> None:
+        self.max_seen = self.ident
         self.root_origin = self.start_offset
 
     def reading(self) -> NodeReading:
@@ -220,13 +222,10 @@ class Node:
         return NodeReading(*(getattr(self, name) for name in NodeReading._fields))
 
 
-def nodes(m: ScheduleMatrix, held) -> list[Node]:
-    """One :class:`Node` per row of ``m``, at that row's offset, from
-    each radio's ``(ident, max_seen, hops)``."""
-    return [
-        Node(ident, int(offset), seen, hops)
-        for (ident, seen, hops), offset in zip(held, m.offsets.tolist())
-    ]
+def nodes(m: ScheduleMatrix, idents) -> list[Node]:
+    """One :class:`Node` per row of ``m``, at that row's offset, with
+    its identifier from ``idents``."""
+    return [Node(ident, int(offset)) for ident, offset in zip(idents, m.offsets.tolist())]
 
 
 def deliver_unit(participants, heard_from, states, transmit_delay):

@@ -86,6 +86,27 @@ def test_rejects_zero_trials():
         estimate_probs(p, trials=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "field, value", [("bins", 10.5), ("bins", True), ("trials", 2.5), ("trials", True)]
+)
+def test_counts_must_be_integers(field, value):
+    # one line naming the count, not a fractional bin range, a numpy
+    # error or a bool reported as a trial count; numpy integers pass
+    if field == "bins":
+        refusals = [
+            lambda: BirthdayParams.from_exponents(bins=value, red_exp=0.5, scale=1.0),
+            lambda: raw_params(bins=value, n_red=1, n_blue=1),
+        ]
+    else:
+        refusals = [lambda: estimate_probs(raw_params(bins=2, n_red=1, n_blue=1), value, 0)]
+    for refuse in refusals:
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got ") as err:
+            refuse()
+        assert "\n" not in str(err.value)
+    p = BirthdayParams.from_exponents(bins=np.int64(16), red_exp=0.5, scale=1.0)
+    assert estimate_probs(p, np.int32(2), 0)[0].trials == 2
+
+
 def test_estimates_deterministic_and_contained():
     p = BirthdayParams.from_exponents(bins=500, red_exp=0.5, scale=1.5)
     a, t = estimate_probs(p, trials=300, seed=123)

@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 import oracles
 from radiosync import acceptance, netsim, protocol, randsched
 from radiosync.protocol import (
-    NodeState,
     _arrivals,
     _grouped,
     _relax,
     SimConfig,
     build_pipeline_matrix,
+    draw_identifiers,
     draw_offsets,
-    make_node_states,
     pipeline_params,
     run_pipeline,
     run_sync,
@@ -161,7 +160,7 @@ def test_run_sync_graph_and_neighbors_match_oracle(m, exclusive):
         meetings = [mt for mt in meetings if len(mt[1]) == 2]
     expected = oracles.graph_from_meetings(meetings)
     rng = spawn_rng(5)
-    g = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
+    g = run_sync(m, draw_identifiers(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
     assert_csr_matches(g, expected)
 
 
@@ -176,7 +175,7 @@ def test_run_sync_graph_equals_its_edge_list_rebuild(m, exclusive):
         meetings = [mt for mt in meetings if len(mt[1]) == 2]
     expected = oracles.graph_from_meetings(meetings)
     rng = spawn_rng(6)
-    g = run_sync(m, make_node_states(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
+    g = run_sync(m, draw_identifiers(m.n, rng), 1, exclusive=exclusive, rng=rng).comm_graph
     assert oracles.same_graph(g, oracles.graph(m.n, expected))
     assert_csr_matches(g, expected)
 
@@ -536,28 +535,18 @@ def test_batched_backoff_lone_units_draw_nothing():
     assert rng.bit_generator.state == before
 
 
-def node_record(held):
-    """The record of nodes that start with ``held`` (ident, max_seen,
-    hops) triples."""
-    ident, seen, hops = (np.array(column, dtype=np.int64) for column in zip(*held))
-    return NodeState(ident, max_seen=seen, hops=hops)
-
-
-def flood_both_ways(m, held, rounds, backoff_rounds, seed):
+def flood_both_ways(m, idents, rounds, backoff_rounds, seed):
     """(trace, states, rounds used, rng state) of ``run_sync`` and of the
-    per-unit oracle flood, from equal inputs. ``held`` gives each node's
-    (ident, max_seen, hops) at the start; a max_seen of 0 means its own
-    identifier."""
-    held = [(ident, seen or ident, hops) for ident, seen, hops in held]
+    per-unit oracle flood, from the nodes' unique ``idents``."""
     out = []
     for fast in (True, False):
         rng, trace = spawn_rng(seed), []
         kwargs = dict(backoff_rounds=backoff_rounds, transmit_delay=1, rng=rng, trace=trace)
         if fast:
-            result = run_sync(m, node_record(held), rounds, exclusive=True, **kwargs)
+            result = run_sync(m, idents, rounds, exclusive=True, **kwargs)
             used, states = result.rounds_used, result.states
         else:
-            states = oracles.nodes(m, held)
+            states = oracles.nodes(m, idents)
             used = oracles.flood_exclusive(m, states, rounds, **kwargs)
         out.append(
             (
@@ -572,8 +561,6 @@ def flood_both_ways(m, held, rounds, backoff_rounds, seed):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    # past 8 radios, identifiers share hash slots in the senders' set, so
-    # the order winners are inserted in can decide ties
     m=sparse_matrices(),
     rounds=st.integers(1, 4),
     backoff_rounds=st.integers(1, 6),
@@ -581,32 +568,23 @@ def flood_both_ways(m, held, rounds, backoff_rounds, seed):
     data=st.data(),
 )
 def test_exclusive_flood_matches_per_unit_oracle(m, rounds, backoff_rounds, seed, data):
-    # nodes may start out holding one of two large identifiers at
-    # different hop counts, so senders tie often
-    idents = spawn_rng(seed, 1).permutation(np.arange(1, m.n + 1)).tolist()
-    held = [
-        (ident, data.draw(st.sampled_from([0, 1000, 2000])), data.draw(st.integers(0, 4)))
-        for ident in idents
-    ]
-    fast, slow = flood_both_ways(m, held, rounds, backoff_rounds, seed)
+    idents = data.draw(st.permutations(range(1, m.n + 1)))
+    fast, slow = flood_both_ways(m, idents, rounds, backoff_rounds, seed)
     assert fast == slow
 
 
-def flood_both_ways_base(m, held, rounds, transmit_delay):
+def flood_both_ways_base(m, idents, rounds, transmit_delay):
     """(trace, states, rounds used) of ``run_sync`` in the base model
-    and of the per-meeting oracle flood, from equal inputs; ``held`` as
-    in :func:`flood_both_ways`."""
-    held = [(ident, seen or ident, hops) for ident, seen, hops in held]
+    and of the per-meeting oracle flood, from the nodes' unique
+    ``idents``."""
     out = []
     for fast in (True, False):
         trace = []
         if fast:
-            result = run_sync(
-                m, node_record(held), rounds, transmit_delay=transmit_delay, trace=trace
-            )
+            result = run_sync(m, idents, rounds, transmit_delay=transmit_delay, trace=trace)
             used, states = result.rounds_used, result.states
         else:
-            nodes = oracles.nodes(m, held)
+            nodes = oracles.nodes(m, idents)
             used = oracles.flood_base(
                 m, nodes, rounds, transmit_delay=transmit_delay, trace=trace
             )
@@ -687,35 +665,28 @@ def test_per_node_division_hand_cases():
     assert oracles.arrivals(label, nodes, cols, period, never).tolist() == expect
 
 
-def test_tie_goes_to_fewest_hops_then_lowest_sender():
-    # radios 1 and 9 both carry identifier 1000 to radio 0 in one unit,
-    # at hop counts 1 and 3; they share a hash slot in a small set, so
-    # a set-ordered choice would depend on which won its slot first
-    positions = [[0], [0]] + [[]] * 7 + [[0]]
-    m = oracles.matrix(10, 2, positions, [0] * 10)
-    held = [(i + 1, 0, 0) for i in range(10)]
-    held[1] = (2, 1000, 1)
-    held[9] = (10, 1000, 3)
+def test_tie_goes_to_fewest_hops():
+    # radio 2 holds the largest identifier; it reaches radio 1 at column
+    # 0, and radio 5 over radios 3 and 4 by column 3. Radios 1 and 5 then
+    # both carry it to radio 0 in one unit, at hop counts 1 and 3
+    positions = [[4], [0, 4], [0, 1], [1, 2], [2, 3], [3, 4]]
+    m = oracles.matrix(6, 5, positions, [0] * 6)
+    idents = [1, 2, 2000, 4, 5, 6]
     heard_both = 0
     for seed in range(40):
-        fast, slow = flood_both_ways(m, held, 1, 8, seed)
+        fast, slow = flood_both_ways(m, idents, 1, 8, seed)
         assert fast == slow
-        ((_t, _awake, sent),) = fast[0]
-        # radio 0 hears every transmitter but itself
-        if {1, 9} <= set(sent):
+        _t, _awake, sent = fast[0][-1]
+        # radio 0 hears every transmitter but itself; count the seeds in
+        # which both chains reached it, at one hop and at three
+        ends = [(seen, hops) for seen, _origin, hops in fast[1]]
+        if {1, 5} <= set(sent) and ends[1] == (2000, 1) and ends[5] == (2000, 3):
             heard_both += 1
             assert fast[1][0][2] == 2
     assert heard_both > 0
-    fast, slow = flood_both_ways_base(m, held, 1, 1)
-    assert fast == slow and fast[1][0].hops == 2
-    # equal hop counts: the lower sender index wins, and with it that
-    # sender's clock (radios 1 and 9 start at different offsets)
-    positions = [[1], [0]] + [[]] * 7 + [[1]]
-    m = oracles.matrix(10, 2, positions, [0, 1] + [0] * 8)
-    held[9] = (10, 1000, 1)
-    fast, slow = flood_both_ways_base(m, held, 1, 1)
-    assert fast == slow
-    assert (fast[1][0].hops, fast[1][0].root_origin) == (2, 1 - 1)
+    fast, slow = flood_both_ways_base(m, idents, 1, 1)
+    # and with it the clock of the shorter chain: one unit of delay a hop
+    assert fast == slow and (fast[1][0].hops, fast[1][0].root_origin) == (2, -2)
 
 
 @pytest.mark.parametrize(
@@ -734,8 +705,7 @@ def test_tie_goes_to_fewest_hops_then_lowest_sender():
 def test_later_rounds_match_oracle_on_hand_schedules(positions, idents, rounds, seen):
     n = len(positions)
     m = oracles.matrix(n, 4, positions, [0] * n)
-    held = [(ident, 0, 0) for ident in idents]
-    fast, slow = flood_both_ways_base(m, held, rounds, 1)
+    fast, slow = flood_both_ways_base(m, idents, rounds, 1)
     assert fast == slow
     assert [s.max_seen for s in fast[1]] == seen
 
@@ -745,27 +715,24 @@ def test_later_rounds_match_oracle_on_hand_schedules(positions, idents, rounds, 
     m=sparse_matrices(min_rows=2),
     rounds=st.integers(1, 4),
     transmit_delay=st.integers(0, 2),
-    seed=st.integers(0, 2**32),
     data=st.data(),
 )
-def test_base_flood_matches_per_meeting_oracle(m, rounds, transmit_delay, seed, data):
+def test_base_flood_matches_per_meeting_oracle(m, rounds, transmit_delay, data):
     # few rounds on sparse matrices: budget-cut and disconnected floods
-    # are common, and pre-held tied identifiers make senders tie
-    idents = spawn_rng(seed, 1).permutation(np.arange(1, m.n + 1)).tolist()
-    seen, hops = st.sampled_from([0, 1000, 2000]), st.integers(0, 4)
-    held = [(ident, data.draw(seen), data.draw(hops)) for ident in idents]
-    fast, slow = flood_both_ways_base(m, held, rounds, transmit_delay)
+    # are common
+    idents = data.draw(st.permutations(range(1, m.n + 1)))
+    fast, slow = flood_both_ways_base(m, idents, rounds, transmit_delay)
     assert fast == slow
 
 
 @st.composite
 def late_relays(draw):
-    """Schedules of 2 to 5 columns in which a radio pre-assigned 1000
-    must reach the end of a chain of pair meetings at consecutive
+    """Schedules of 2 to 5 columns in which the holder of identifier
+    1000 must reach the end of a chain of pair meetings at consecutive
     columns, through relays that the holder of 2000 meets at one later
     column, often after they have passed 1000 on. Every radio may also
-    wake at one random column. Returns the matrix, each radio's held
-    (ident, max_seen, hops) and one or two rounds."""
+    wake at one random column. Returns the matrix, each radio's
+    identifier and one or two rounds."""
     columns = draw(st.integers(2, 5))
     links = draw(st.integers(1, columns - 1))
     start = draw(st.integers(0, columns - 1 - links))
@@ -783,10 +750,9 @@ def late_relays(draw):
         row.update(draw(st.sets(st.integers(0, columns - 1), max_size=1)))
     positions = [sorted(row) for row in rows]
     m = oracles.matrix(n, columns, positions, [0] * n)
-    held = [(v + 1, 0, 0) for v in range(n)]
-    for v, seen in ((chain[0], 1000), (top, 2000)):
-        held[v] = (v + 1, seen, draw(st.integers(0, 2)))
-    return m, held, draw(st.integers(1, 2))
+    idents = [v + 1 for v in range(n)]
+    idents[chain[0]], idents[top] = 1000, 2000
+    return m, idents, draw(st.integers(1, 2))
 
 
 @settings(max_examples=300, deadline=None)
@@ -794,23 +760,22 @@ def late_relays(draw):
 def test_late_relay_floods_match_oracles(case, transmit_delay, seed):
     # a later flood round relays through radios already assigned a
     # larger identifier, one column before their deadline
-    m, held, rounds = case
-    fast, slow = flood_both_ways_base(m, held, rounds, transmit_delay)
+    m, idents, rounds = case
+    fast, slow = flood_both_ways_base(m, idents, rounds, transmit_delay)
     assert fast == slow
-    fast, slow = flood_both_ways(m, held, rounds, 3, seed)
+    fast, slow = flood_both_ways(m, idents, rounds, 3, seed)
     assert fast == slow
 
 
 def seeded_pipeline(d, beta, seed, **shape):
-    """A seeded pipeline schedule with offsets and fresh identifiers
-    held as (ident, 0, 0), with its shape and config."""
+    """A seeded pipeline schedule with offsets and fresh identifiers,
+    with its shape and config."""
     config = SimConfig(d=d, beta=beta, **shape)
     params = pipeline_params(d, config.n, **shape)
     rng = spawn_rng(seed, d)
     m = build_pipeline_matrix(config.n, params, rng)
     m = m.with_offsets(draw_offsets(config.n, d, rng))
-    held = [(ident, 0, 0) for ident in make_node_states(config.n, rng).ident.tolist()]
-    return m, held, params, config
+    return m, draw_identifiers(config.n, rng).tolist(), params, config
 
 
 @pytest.mark.parametrize("d, scale, seed", [(1024, 0.3, 0), (1024, 0.3, 1), (4096, 0.5, 0)])
@@ -818,11 +783,11 @@ def test_budget_cut_pipeline_floods_match_oracles(d, scale, seed):
     # one paid copy of a sparse schedule: most nodes end below the
     # global maximum, on many distinct identifiers, so the flood runs
     # many rounds after its first and prunes holders by deadline
-    m, held, _params, config = seeded_pipeline(d, 0.75, seed, scale=scale, repetition_k=1)
-    fast, slow = flood_both_ways_base(m, held, 1, 1)
+    m, idents, _params, config = seeded_pipeline(d, 0.75, seed, scale=scale, repetition_k=1)
+    fast, slow = flood_both_ways_base(m, idents, 1, 1)
     assert fast == slow
     assert len({s.max_seen for s in fast[1]}) > 4
-    fast, slow = flood_both_ways(m, held, 1, config.backoff_rounds, seed)
+    fast, slow = flood_both_ways(m, idents, 1, config.backoff_rounds, seed)
     assert fast == slow
 
 
@@ -830,33 +795,39 @@ def test_disconnected_pipeline_floods_match_oracles():
     # at the A13 shape this seed leaves one radio isolated, so the flood
     # takes one round per component, in both modes
     seed = 13
-    m, held, params, config = seeded_pipeline(4096, 0.5, seed, scale=0.6, repetition_k=1)
+    m, idents, params, config = seeded_pipeline(4096, 0.5, seed, scale=0.6, repetition_k=1)
     assert not graph_stats(build_comm_graph(m)).connected
-    fast, slow = flood_both_ways_base(m, held, params.rounds, 1)
+    fast, slow = flood_both_ways_base(m, idents, params.rounds, 1)
     assert fast == slow
-    fast, slow = flood_both_ways(m, held, params.rounds, config.backoff_rounds, seed)
+    fast, slow = flood_both_ways(m, idents, params.rounds, config.backoff_rounds, seed)
     assert fast == slow
 
 
 @pytest.mark.parametrize("d, beta, seed", [(256, 0.5, 1), (256, 0.75, 2), (1024, 0.5, 3)])
 def test_seeded_exclusive_flood_matches_per_unit_oracle(d, beta, seed):
-    m, held, params, config = seeded_pipeline(d, beta, seed)
-    fast, slow = flood_both_ways(m, held, params.rounds, config.backoff_rounds, seed)
+    m, idents, params, config = seeded_pipeline(d, beta, seed)
+    fast, slow = flood_both_ways(m, idents, params.rounds, config.backoff_rounds, seed)
     assert fast == slow
     assert fast[0]
 
 
 def counting(monkeypatch, name):
-    """Wrap ``protocol.<name>`` so that its calls are counted."""
+    """Wrap ``protocol.<name>`` so that the arguments of its calls are
+    recorded, one (args, kwargs) pair a call."""
     calls = []
     fn = getattr(protocol, name)
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append((args, kwargs))
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(protocol, name, counted)
     return calls
+
+
+def later_of(spread_calls):
+    """The ``later`` deliveries of each recorded ``_spread`` call."""
+    return [args[1] for args, _kwargs in spread_calls]
 
 
 @pytest.mark.parametrize("scale, repetition_k, seed, copies", [(1.82, None, 3, 1), (0.5, 1, 0, 2)])
@@ -875,31 +846,49 @@ def test_exclusive_stop_check_is_the_only_relaxation(
     result = run_pipeline(config)
     assert result.success and result.rounds_used == copies
     assert len(calls["resolve_backoff"]) == len(calls["_relax"]) == copies
-    assert calls["_spread"] == []
+    assert later_of(calls["_spread"]) == [None]
 
 
-@pytest.mark.parametrize("ending", ["all-reached", "unreached", "above-max"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exclusive_fallback_relaxes_from_the_root_only_per_copy(seed, monkeypatch):
+    # a node left unreached lays the copies end to end for the later
+    # rounds, but the root's round is the per-copy labels: no relaxation
+    # after the copy loop starts from the root again
+    draws, relax = (counting(monkeypatch, name) for name in ("resolve_backoff", "_relax"))
+    config = SimConfig(
+        d=1024, beta=0.75, scale=0.3, repetition_k=1, rounds=2, exclusive=True, seed=seed
+    )
+    result = run_pipeline(config)
+    assert result.unreached and len(relax) > len(draws) == 2
+    from_root = [args[0][result.root_index] == -1 for args, _kwargs in relax]
+    assert from_root == [True] * len(draws) + [False] * (len(relax) - len(draws))
+
+
+def test_base_later_deliveries_only_when_the_first_round_falls_short(monkeypatch):
+    # a default run's first round reaches every node, so the reversed
+    # deliveries are never built; a budget-cut run needs them
+    spread = counting(monkeypatch, "_spread")
+    assert run_pipeline(SimConfig(d=256, beta=0.5, seed=0)).success
+    cut = run_pipeline(SimConfig(d=1024, beta=0.75, scale=0.3, repetition_k=1, rounds=1))
+    assert cut.unreached
+    (no_later, later) = later_of(spread)
+    assert no_later is None and later is not None
+
+
+@pytest.mark.parametrize("ending", ["all-reached", "unreached"])
 @pytest.mark.parametrize("d, seed", [(256, 0), (1024, 1)])
 def test_exclusive_flood_endings_match_per_unit_oracle(ending, d, seed, monkeypatch):
     # a sparse schedule that the flood needs two or more copies of
-    m, held, params, config = seeded_pipeline(d, 0.75, seed, scale=0.5, repetition_k=1)
+    m, idents, params, config = seeded_pipeline(d, 0.75, seed, scale=0.5, repetition_k=1)
     rounds, backoff_rounds = params.rounds, config.backoff_rounds
-    top = max(ident for ident, _seen, _hops in held)
-    # two holders of the maximum, at different hop counts
-    held = [(ident, 0, 3 if ident == top else 0) for ident, _seen, _hops in held]
-    held[5] = (held[5][0], top, 1)
     if ending == "unreached":
         rounds = backoff_rounds = 1
-    if ending == "above-max":
-        # one node already holds more than any identifier
-        held[7] = (held[7][0], top + 1, 2)
     spread = counting(monkeypatch, "_spread")
-    fast, slow = flood_both_ways(m, held, rounds, backoff_rounds, seed)
+    fast, slow = flood_both_ways(m, idents, rounds, backoff_rounds, seed)
     assert fast == slow
     seen = [max_seen for max_seen, _origin, _hops in fast[1]]
+    (later,) = later_of(spread)
     if ending == "all-reached":
-        assert seen == [top] * m.n and fast[2] >= 2 and not spread
-    elif ending == "unreached":
-        assert top in seen and min(seen) < top and spread
+        assert seen == [max(idents)] * m.n and fast[2] >= 2 and later is None
     else:
-        assert top + 1 in seen and fast[2] == rounds and spread
+        assert max(idents) in seen and min(seen) < max(idents) and later is not None

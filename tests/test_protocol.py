@@ -4,6 +4,8 @@ gossip cases, convergence invariants, and the unknown-count loop."""
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +16,11 @@ from radiosync.detsched import build_two_proc_schedule, radio_cost
 from radiosync.netsim import resolve_backoff
 from radiosync.protocol import (
     NodeReading,
-    NodeState,
     SimConfig,
     build_pipeline_matrix,
+    draw_identifiers,
     draw_offsets,
     estimate_n,
-    make_node_states,
     pipeline_params,
     run_pipeline,
     run_sync,
@@ -31,10 +32,6 @@ from radiosync.seeding import spawn_rng
 def matrix_from_ones(columns, rows, offsets):
     rows = [np.array(sorted(r), dtype=np.int64) for r in rows]
     return oracles.matrix(len(rows), columns, rows, np.array(offsets, dtype=np.int64))
-
-
-def states_with_idents(idents):
-    return NodeState(np.array(idents, dtype=np.int64))
 
 
 # --- config ------------------------------------------------------------------
@@ -148,10 +145,9 @@ def test_schedule_draw_beyond_memory_is_refused():
 def test_run_sync_refuses_mismatched_states():
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
     for idents in ([100, 50], [100, 50, 10, 5]):
-        states = states_with_idents(idents)
         shape = rf"3 entries, got \({len(idents)},\)"
         with pytest.raises(ValueError, match=f"^ident must be a 1-D array of {shape}$"):
-            run_sync(m, states, rounds=2)
+            run_sync(m, idents, rounds=2)
 
 
 @pytest.mark.parametrize(
@@ -159,22 +155,16 @@ def test_run_sync_refuses_mismatched_states():
     [
         ("ident", [[100, 50, 10]], "must be a 1-D array of 3 entries"),
         ("ident", [100.0, 50.0, 10.0], "must be integers"),
-        ("max_seen", [100, 50], "must be a 1-D array of 3 entries"),
-        ("max_seen", [[100], [50], [10]], "must be a 1-D array of 3 entries"),
-        ("max_seen", [100.5, 50, 10], "must be integers"),
-        ("max_seen", [True, False, True], "must be integers"),
-        ("hops", [0, 0, 0, 0], "must be a 1-D array of 3 entries"),
-        ("hops", np.zeros(3), "must be integers"),
-        ("hops", [0, -1, 0], "must be non-negative"),
+        # one holder per identifier: a tie would leave the root ambiguous
+        ("node", [100, 50, 100], "identifiers must be unique"),
     ],
 )
 def test_run_sync_refuses_bad_node_records(field, value, message):
-    # a bad record fails with one line naming the field, before any
-    # meeting is detected
+    # bad identifiers fail with one line, before any meeting is detected
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
-    fields = {"ident": [100, 50, 10], "max_seen": None, "hops": None, field: value}
-    with pytest.raises(ValueError, match=f"^{field} {message}") as err:
-        run_sync(m, NodeState(**fields), 2)
+    with mock.patch.object(protocol, "detect_meetings", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=f"^{field} {message}") as err:
+            run_sync(m, value, 2)
     assert "\n" not in str(err.value)
 
 
@@ -200,7 +190,7 @@ def test_run_sync_refuses_what_sim_config_refuses(field, value, exclusive):
     with pytest.raises(ValueError, match=f"^{field} "):
         run_sync(
             m,
-            states_with_idents([100, 50, 10]),
+            [100, 50, 10],
             exclusive=exclusive,
             rng=spawn_rng(0),
             **{"rounds": 2, field: value},
@@ -237,19 +227,21 @@ def test_node_state_origin_is_not_an_argument():
     # the origin starts at the schedule's offsets, the one copy of
     # them; passing one is an error, not silently dropped
     m = matrix_from_ones(8, [[1], [6]], [3, 0])
-    assert run_sync(m, states_with_idents([5, 4]), 1).root_origin.tolist() == [3, 0]
+    assert run_sync(m, [5, 4], 1).root_origin.tolist() == [3, 0]
     with pytest.raises(TypeError, match="root_origin"):
-        NodeState(np.array([5, 4]), root_origin=np.array([9, 9]))
+        run_sync(m, [5, 4], 1, root_origin=np.array([9, 9]))
 
 
-def test_make_node_states_unique_idents():
+def test_draw_identifiers_unique():
     for seed in range(5):
-        states = make_node_states(64, spawn_rng(3, seed))
-        assert states.ident.dtype == np.int64 and states.ident.shape == (64,)
-        assert np.unique(states.ident).size == 64
-        assert states.ident.min() >= 1
-        # every node starts holding its own identifier, zero hops out
-        assert states.max_seen is None and states.hops is None
+        idents = draw_identifiers(64, spawn_rng(3, seed))
+        assert idents.dtype == np.int64 and idents.shape == (64,)
+        assert np.unique(idents).size == 64
+        assert idents.min() >= 1
+    # a batch with a collision is redrawn whole
+    batches = iter([np.array([7, 7, 9]), np.array([7, 8, 9])])
+    rng = SimpleNamespace(integers=lambda *args, **kwargs: next(batches))
+    assert draw_identifiers(3, rng).tolist() == [7, 8, 9]
 
 
 # --- hand-simulated gossip ---------------------------------------------------
@@ -258,7 +250,7 @@ def test_path_graph_adopts_max_clock():
     # meetings 0-1 at column 3 then 1-2 at column 6 inside one window;
     # max ident at node 0, and the nodes start at offsets 3, 1 and 0
     m = matrix_from_ones(8, [[0], [2, 5], [6]], [3, 1, 0])
-    result = run_sync(m, states_with_idents([100, 50, 10]), 2)
+    result = run_sync(m, [100, 50, 10], 2)
     assert result.success
     assert result.root_index == 0
     assert result.max_seen.tolist() == [100, 100, 100]
@@ -271,19 +263,18 @@ def test_adversarial_order_needs_extra_round():
     # edge 1-2 fires before 0-1 in every copy, so reaching node 2 takes
     # a second copy of the schedule
     m = matrix_from_ones(8, [[5], [2, 5], [2]], [0, 0, 0])
-    states = states_with_idents([100, 50, 10])
-    result = run_sync(m, states, 1)
+    result = run_sync(m, [100, 50, 10], 1)
     assert not result.success
     assert result.unreached == frozenset({2})
 
-    result = run_sync(m, states, 2)
+    result = run_sync(m, [100, 50, 10], 2)
     assert result.success
     assert result.rounds_used == 2
 
 
 def test_transmission_delay_accounting():
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
-    result = run_sync(m, states_with_idents([100, 50, 10]), 2, transmit_delay=3)
+    result = run_sync(m, [100, 50, 10], 2, transmit_delay=3)
     assert result.success
     assert result.hops.tolist() == [0, 1, 2]
     # believed clocks run ahead by the accumulated delay
@@ -292,22 +283,25 @@ def test_transmission_delay_accounting():
 
 def test_disconnected_reports_unreached():
     m = matrix_from_ones(64, [[0], [0], [0], [50]], [0, 0, 0, 0])
-    result = run_sync(m, states_with_idents([100, 50, 10, 5]), 3)
+    result = run_sync(m, [100, 50, 10, 5], 3)
     assert not result.success
     assert result.unreached == frozenset({3})
     assert result.synchronized.tolist() == [True, True, True, False]
 
 
-def test_idempotent_on_synchronized_states():
+def test_run_leaves_its_identifiers_unchanged():
+    # a run reads its identifiers and floods copies of them, so a second
+    # run from the same array reports the same, in either model
     m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
-    states = states_with_idents([100, 50, 10])
-    first = run_sync(m, states, 2)
-    # a run reads its record and leaves it as it was
-    assert states.ident.tolist() == [100, 50, 10] and states.max_seen is None
-    rerun = run_sync(m, NodeState(states.ident, first.max_seen, first.hops), 2)
-    for name in ("max_seen", "root_origin", "hops", "synchronized", "root_time"):
-        assert np.array_equal(getattr(rerun, name), getattr(first, name))
-    assert rerun.success
+    idents = np.array([100, 50, 10])
+    for exclusive in (False, True):
+        first, rerun = (
+            run_sync(m, idents, 2, exclusive=exclusive, rng=spawn_rng(1)) for _ in range(2)
+        )
+        assert idents.tolist() == [100, 50, 10]
+        assert first.max_seen.tolist() == [100, 100, 100]
+        for name in ("max_seen", "root_origin", "hops", "synchronized", "root_time"):
+            assert np.array_equal(getattr(rerun, name), getattr(first, name))
 
 
 # --- radio medium ------------------------------------------------------------
@@ -316,14 +310,14 @@ def test_base_mode_delivers_pair_and_triple():
     # a pair at 1, a triple at 3, row 2 alone at 5
     m = matrix_from_ones(8, [[1, 3], [1, 3], [3, 5]], [0, 0, 0])
     trace = []
-    run_sync(m, states_with_idents([100, 50, 10]), 1, trace=trace)
+    run_sync(m, [100, 50, 10], 1, trace=trace)
     assert trace == [(1, (0, 1), (0, 1)), (3, (0, 1, 2), (0, 1, 2))]
 
 
 def test_offset_row_meets_at_position_plus_offset():
     m = matrix_from_ones(8, [[5], [3]], [0, 2])
     trace = []
-    run_sync(m, states_with_idents([100, 50]), 1, trace=trace)
+    run_sync(m, [100, 50], 1, trace=trace)
     assert trace == [(5, (0, 1), (0, 1))]
 
 
@@ -335,7 +329,7 @@ def test_exclusive_transmitters_replay_backoff():
     trace = []
     run_sync(
         m,
-        states_with_idents([10, 20, 30, 40]),
+        [10, 20, 30, 40],
         3,
         exclusive=True,
         backoff_rounds=3,
@@ -359,10 +353,9 @@ def test_exclusive_unit_without_winner_delivers_nothing():
         s for s in range(100) if not resolve_backoff([3], 1, spawn_rng(s)).any()
     )
     m = matrix_from_ones(8, [[3], [3], [3]], [0, 0, 0])
-    states = states_with_idents([100, 50, 10])
     trace = []
     result = run_sync(
-        m, states, 1, exclusive=True, backoff_rounds=1, rng=spawn_rng(seed), trace=trace
+        m, [100, 50, 10], 1, exclusive=True, backoff_rounds=1, rng=spawn_rng(seed), trace=trace
     )
     assert trace == [(3, (0, 1, 2), ())]
     assert result.max_seen.tolist() == [100, 50, 10]
@@ -376,7 +369,7 @@ def test_radio_cost_is_exact(exclusive, expected):
     m = matrix_from_ones(16, [[0, 5, 9], [2]], [0, 0])
     result = run_sync(
         m,
-        states_with_idents([100, 50]),
+        [100, 50],
         4,
         exclusive=exclusive,
         backoff_rounds=9,
@@ -441,7 +434,7 @@ def test_measure_radio_cost_matches_schedule():
     params = pipeline_params(64, 4)
     matrix = build_pipeline_matrix(4, params, rng)
     matrix = matrix.with_offsets(draw_offsets(4, 64, rng))
-    result = run_sync(matrix, make_node_states(4, rng), params.rounds)
+    result = run_sync(matrix, draw_identifiers(4, rng), params.rounds)
     expected = matrix.densities() * params.rounds
     assert result.per_node_radio_cost.tolist() == expected.tolist()
 

@@ -11,8 +11,8 @@ from radiosync.bitstrings import BitSchedule, ShiftAssignment, pack_non_overlapp
 from radiosync.protocol import (
     SimConfig,
     build_pipeline_matrix,
+    draw_identifiers,
     draw_offsets,
-    make_node_states,
     pipeline_params,
     run_sync,
 )
@@ -50,7 +50,7 @@ def interference_graph(m):
     """The graph ``run_sync`` builds in interference mode: meetings of
     exactly two rows only."""
     rng = spawn_rng(0)
-    return run_sync(m, make_node_states(m.n, rng), 1, exclusive=True, rng=rng).comm_graph
+    return run_sync(m, draw_identifiers(m.n, rng), 1, exclusive=True, rng=rng).comm_graph
 
 
 # --- generation -------------------------------------------------------------
