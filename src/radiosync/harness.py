@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .protocol import SimConfig, run_pipeline
 from .randsched import graph_stats
-from .seeding import spawn_rng
+from .seeding import require_integer, spawn_rng
 
 #: per-run CSV schema, fixed
 RUN_COLUMNS = (
@@ -58,6 +58,8 @@ class ExperimentSpec:
     root_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integer("trials", self.trials)
+        require_integer("root_seed", self.root_seed)
         if self.trials < 1:
             raise ValueError(f"trials must be positive, got {self.trials}")
         if not (self.d_grid and self.beta_grid and self.exclusive_grid):

@@ -274,19 +274,25 @@ class PipelineResult:
 
 
 def _arrivals(
-    label: np.ndarray, senders: np.ndarray, cols: np.ndarray, period: int, never: int
+    key: np.ndarray, senders: np.ndarray, cols: np.ndarray, period: int, never: int
 ) -> np.ndarray:
-    """Arrival labels of deliveries at ``cols`` from ``senders``, where
-    node v adopted at ``label[v]``: the column in the sender's own copy
-    if it comes later, in the next copy otherwise (-1, a holder, means
-    copy 0), and ``never`` once past the budget. Each label is split
-    into its copy's start and its column once per node, not once per
-    delivery."""
-    at = label % period
-    arrive = (label - at)[senders]
+    """Arrival keys of deliveries at ``cols`` from ``senders``, where
+    node v holds the key ``time * n + hops`` (n nodes; a holder -n, time
+    -1 and 0 hops). A delivery arrives one hop past its sender, at its
+    column in the sender's own copy if that comes later, in the next
+    copy otherwise; past the budget it reads ``never * n``, the key of
+    an unreached node. Each key is split into its copy's start, its
+    column and its hops once per node, not once per delivery."""
+    n = key.size
+    time, hops = np.divmod(key, n)
+    at = time % period
+    hops += 1
+    start = (time - at) * n + hops
+    arrive = (cols <= at[senders]) * period
     arrive += cols
-    arrive += (cols <= at[senders]) * period
-    return np.minimum(arrive, never, out=arrive)
+    arrive *= n
+    arrive += start[senders]
+    return np.minimum(arrive, never * n, out=arrive)
 
 
 def _grouped(
@@ -300,72 +306,32 @@ def _grouped(
 
 
 def _relax(
-    label: np.ndarray, deliveries: tuple[np.ndarray, ...], period: int, never: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Earliest arrivals from the holders' -1 labels: relax over the
-    :func:`_grouped` deliveries until nothing moves. Returns the
-    labels and every delivery's arrival."""
-    senders, _receivers, cols, heads, into = deliveries
-    while True:
-        arrive = _arrivals(label, senders, cols, period, never)
-        nxt = label.copy()
-        nxt[into] = np.minimum(label[into], np.minimum.reduceat(arrive, heads))
-        if np.array_equal(nxt, label):
-            return label, arrive
-        label = nxt
-
-
-def _tight(
-    deliveries: tuple[np.ndarray, ...], label: np.ndarray, arrive: np.ndarray, never: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The senders and receivers of the deliveries whose arrival is
-    their receiver's label, still grouped by receiver: those a receiver
-    may adopt from."""
-    senders, receivers = deliveries[:2]
-    tight = (arrive == label[receivers]) & (arrive < never)
-    return senders[tight], receivers[tight]
-
-
-def _hops(
-    senders: np.ndarray, receivers: np.ndarray, source: int, n: int
+    key: np.ndarray, deliveries: tuple[np.ndarray, ...], period: int, never: int
 ) -> np.ndarray:
-    """Hop count from ``source`` of every node a round reaches, over the
-    round's :func:`_tight` deliveries: the fewest adoptions along them.
-    Labels grow along those deliveries, so they form a DAG, over which
-    ``level[sender] + 1`` is relaxed until nothing moves."""
-    heads = np.flatnonzero(np.diff(receivers, prepend=-1))
-    into = receivers[heads]
-    # above any hop count a round reaches: no chain is longer than n
-    level = np.full(n, n, dtype=np.int64)
-    level[source] = 0
+    """Earliest arrivals, and the fewest hops behind each, from the
+    starting keys ``key`` (:func:`_arrivals`): relax over the
+    :func:`_grouped` deliveries until nothing moves.
+
+    Every pass takes its minimum with the starting keys, not with the
+    previous pass's: a sender may improve to an earlier time with more
+    hops, and its receivers must follow. Arrival times grow with the
+    sender's time, so the time parts move exactly as a relaxation of
+    times alone; once they settle, the hop parts settle over the
+    deliveries that achieve them. A kept key's hops stay below n: times
+    grow along the path it stands for, so no node repeats on it."""
+    senders, _receivers, cols, heads, into = deliveries
+    start = key[into]
     while True:
-        nxt = level.copy()
-        nxt[into] = np.minimum.reduceat(level[senders] + 1, heads)
-        if np.array_equal(nxt, level):
-            return level
-        level = nxt
-
-
-def _adopt(
-    out: tuple[np.ndarray, ...],
-    held: tuple[np.ndarray, ...],
-    take: np.ndarray,
-    source: int,
-    level: np.ndarray,
-    transmit_delay: int,
-) -> None:
-    """Give the ``take`` nodes, in ``out``, the ``held`` identifier of
-    ``source``, its origin minus the delay per hop (a running replica
-    set to the received value plus the delay keeps that origin from
-    then on), and their :func:`_hops` ``level``."""
-    value, origin, hops = out
-    value[take] = held[0][source]
-    origin[take] = held[1][source] - transmit_delay * level[take]
-    hops[take] = level[take]
+        nxt = key.copy()
+        arrive = _arrivals(key, senders, cols, period, never)
+        nxt[into] = np.minimum(start, np.minimum.reduceat(arrive, heads))
+        if np.array_equal(nxt, key):
+            return key
+        key = nxt
 
 
 def _spread(
-    first: tuple[np.ndarray, tuple[np.ndarray, np.ndarray]],
+    first: np.ndarray,
     later: Optional[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]],
     period: int,
     copies: int,
@@ -376,64 +342,68 @@ def _spread(
     of ``period`` columns, one round per identifier, from the largest
     down. ``held`` is (max_seen, root_origin, hops) per node, each node
     its own identifier's only holder, updated in place. Returns each
-    node's adoption label ``copy * period + column`` of its final
+    node's adoption time ``copy * period + column`` of its final
     identifier, -1 at the holders.
 
     ``first`` is the largest identifier's round, already relaxed by the
-    caller: its labels, from -1 at the holder (:func:`_relax`), and its
-    :func:`_tight` deliveries. ``later`` is None if that round reaches
-    every node; otherwise it holds the deliveries, in which
-    ``senders[i]`` reaches ``receivers[i]`` at column ``cols[i]``,
-    grouped by receiver as :func:`_grouped` gives them, and the same
-    reversed (ends swapped, column ``period - 1 - c``), grouped alike.
+    caller: its :func:`_relax` keys, ``time * n + hops`` from -n at the
+    holder. ``later`` is None if that round reaches every node;
+    otherwise it holds the deliveries, in which ``senders[i]`` reaches
+    ``receivers[i]`` at column ``cols[i]``, grouped by receiver as
+    :func:`_grouped` gives them, and the same reversed (ends swapped,
+    column ``period - 1 - c``), grouped alike.
 
     A node ends with the largest identifier that reaches it by a
     time-respecting path: over a delivery, the column in the sender's
     arrival copy if it is later, else in the next one. A round assigns
     its identifier to the nodes it reaches that no larger identifier
-    reached. That is exact under the budget: a larger identifier held
-    by any node on a path would reach the end of that path too, so an
-    unassigned node's paths, and the senders it adopts from, are never
-    overtaken. A receiver adopts from one of the senders whose delivery
-    is its arrival, with the fewest hops (:func:`_hops`, :func:`_adopt`).
+    reached, with the hops of its key: the fewest adoptions among the
+    paths that arrive first, each one subtracting the transmit delay
+    from the holder's origin (a running replica set to the received
+    value plus the delay keeps that origin from then on). That is exact
+    under the budget: a larger identifier held by any node on a path
+    would reach the end of that path too, so an unassigned node's
+    paths, and the senders it adopts from, are never overtaken.
 
     After a round, :func:`_relax` over the reversed deliveries from the
     unassigned nodes gives each node's latest departure mirrored: a
-    message it holds before label ``never - 1 - back`` still reaches an
+    message it holds before time ``never - 1 - back`` still reaches an
     unassigned node in time. The next round floods the largest
     identifier below this one whose holder has ``back < never``, over
     the deliveries that leave before their receiver's deadline: a
     subset of the grouped deliveries, so nothing is sorted. So every
     round assigns a node, and the identifier strictly descends.
     """
+    value, origin, hops = out = tuple(array.copy() for array in held)
     ident = held[0]
     n = ident.size
     never = copies * period
     open_ = np.ones(n, dtype=bool)
     adopted = np.full(n, -1, dtype=np.int64)
-    out = tuple(array.copy() for array in held)
     source = int(ident.argmax())
-    label, tight = first
+    key = first
     while True:
-        take = open_ & (label < never)
-        _adopt(out, held, take, source, _hops(*tight, source, n), transmit_delay)
-        adopted[take] = label[take]
+        take = open_ & (key < never * n)
+        time, level = np.divmod(key[take], n)
+        value[take] = ident[source]
+        origin[take] = held[1][source] - transmit_delay * level
+        hops[take] = level
+        adopted[take] = time
         open_ &= ~take
         if not open_.any():
             break
         forward, backward = later
         senders, receivers, cols = forward[:3]
-        back = _relax(np.where(open_, -1, never), backward, period, never)[0]
+        back = _relax(np.where(open_, -n, never * n), backward, period, never) // n
         # paths that cannot reach an unassigned node in time end at
         # assigned nodes, whose results stand: leave them out
         keep = back[receivers] + cols < never - 1
         active = _grouped(senders[keep], receivers[keep], cols[keep])
         below = np.flatnonzero((back < never) & (ident < ident[source]))
         source = int(below[ident[below].argmax()])
-        label = np.full(n, never, dtype=np.int64)
-        label[source] = -1
-        label, arrive = _relax(label, active, period, never)
-        tight = _tight(active, label, arrive, never)
+        key = np.full(n, never * n, dtype=np.int64)
+        key[source] = -n
+        key = _relax(key, active, period, never)
     for array, result in zip(held, out):
         array[:] = result
     return adopted
@@ -477,10 +447,12 @@ def _deliver_meetings(
     in the interference model), grouped by receiver, and ``held`` the
     per-node (max_seen, root_origin, hops), updated in place by
     :func:`_spread`. Its first round, the flood of the largest
-    identifier from the ``root`` that holds it, is relaxed here; only
-    if it leaves a node unreached are :func:`_spread`'s later
-    deliveries built. A pair's reverse is a pair of the same meeting,
-    so the pairs at mirrored columns are the reversed deliveries.
+    identifier from the ``root`` that holds it, is relaxed here, on
+    keys ``time * n + hops`` that start at -n at the root and at
+    ``rounds * period * n`` elsewhere (:func:`_arrivals`); only if it
+    leaves a node unreached are :func:`_spread`'s later deliveries
+    built. A pair's reverse is a pair of the same meeting, so the pairs
+    at mirrored columns are the reversed deliveries.
 
     In the base model every participant hears every other, so the
     first round is one relaxation over all copies; the copies used
@@ -491,29 +463,29 @@ def _deliver_meetings(
     :func:`~radiosync.netsim.resolve_backoff`; its deliveries are every
     sole transmitter to the rest of its unit, a subset of the pairs
     that stays grouped. Each copy's deliveries are relaxed once, from
-    the root, on the labels of the copies before it, and copies are
+    the root, on the keys of the copies before it, and copies are
     drawn until the root's identifier has reached every node. Those
-    labels and the copies' tight deliveries are the first round. If a
-    node stays unreached, the copies drawn are laid end to end,
-    pair-major so they stay grouped, as one copy of a longer period: a
-    pair delivers in the copies its sender won, its reverse in those
-    its receiver won. With ``trace``, one row per meeting unit and copy
-    is appended (:func:`_trace_rows`), at ``copy * columns + column``.
+    keys, hop counts and all, are the first round. If a node stays
+    unreached, the copies drawn are laid end to end, pair-major so they
+    stay grouped, as one copy of a longer period: a pair delivers in
+    the copies its sender won, its reverse in those its receiver won.
+    With ``trace``, one row per meeting unit and copy is appended
+    (:func:`_trace_rows`), at ``copy * columns + column``.
     """
     senders, receivers, cols, slots = pairs
+    n = held[0].size
     period = int(meetings.cols[-1]) + 1 if len(meetings) else 1
     horizon = rounds * period
-    reach = np.full(held[0].size, horizon, dtype=np.int64)
-    reach[root] = -1
+    # time * n + hops: the root at time -1 and 0 hops, the rest unreached
+    reach = np.full(n, horizon * n, dtype=np.int64)
+    reach[root] = -n
     if not exclusive:
         forward = _grouped(senders, receivers, cols)
-        reach, arrive = _relax(reach, forward, period, horizon)
-        first = reach, _tight(forward, reach, arrive, horizon)
-        del arrive
+        reach = _relax(reach, forward, period, horizon)
         later = None
-        if not (reach < horizon).all():
+        if not (reach < horizon * n).all():
             later = forward, (senders, receivers, period - 1 - cols, *forward[3:])
-        adopted = _spread(first, later, period, rounds, held, transmit_delay)
+        adopted = _spread(reach, later, period, rounds, held, transmit_delay)
         last = int(adopted.max()) // period
         used = max(last, 0) + 1 if later is None else min(rounds, last + 2)
         if trace is not None:
@@ -524,7 +496,7 @@ def _deliver_meetings(
         raise ValueError("interference mode needs an rng for back-off")
     # the copies' deliveries do not depend on what the radios carry, so
     # the flood from the root alone decides the stop
-    won_per_copy, tight_per_copy = [], []
+    won_per_copy = []
     for copy in range(rounds):
         won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
         won_per_copy.append(won)
@@ -532,16 +504,13 @@ def _deliver_meetings(
         part = _grouped(senders[heard], receivers[heard], cols[heard] + copy * period)
         if trace is not None:
             trace.extend(_trace_rows(meetings, won, copy * columns))
-        # a later copy arrives after every label set so far, so this
-        # copy's labels and tight deliveries are final
-        reach, arrive = _relax(reach, part, horizon, horizon)
-        tight_per_copy.append(_tight(part, reach, arrive, horizon))
-        if (reach < horizon).all():
+        # a later copy arrives after every key set so far, so this
+        # copy's keys are final
+        reach = _relax(reach, part, horizon, horizon)
+        if (reach < horizon * n).all():
             break
-    # each receiver's tight deliveries lie in one copy, so they stay grouped
-    first = reach, tuple(np.concatenate(arrays) for arrays in zip(*tight_per_copy))
     later = None
-    if not (reach < horizon).all():
+    if not (reach < horizon * n).all():
         # the copies, laid end to end, are one copy of a longer period
         won = np.stack(won_per_copy, axis=1)
         pair, copy = np.nonzero(won.take(slots[0], axis=0))
@@ -550,7 +519,7 @@ def _deliver_meetings(
         mirrored = horizon - 1 - cols[pair] - copy * period
         later = forward, _grouped(senders[pair], receivers[pair], mirrored)
         del pair, copy
-    _spread(first, later, horizon, 1, held, transmit_delay)
+    _spread(reach, later, horizon, 1, held, transmit_delay)
     return len(won_per_copy)
 
 
@@ -581,8 +550,9 @@ def run_sync(
     ident, root clock) at each of its meetings; a node hearing a larger
     identifier adopts it and the accompanying clock plus the per-hop
     transmission delay, from a sender with the fewest hops among those
-    carrying it. The meetings stay arrays from detection on: their
-    directed pairs are grouped once by (receiver, sender)
+    carrying it first: one relaxation of ``time * n + hops`` keys gives
+    both (:func:`_relax`). The meetings stay arrays from detection on:
+    their directed pairs are grouped once by (receiver, sender)
     (:meth:`~radiosync.randsched.Meetings.grouped_pairs`), carrying
     their columns and, in the interference model, both ends' slots and
     the two-radio mask. Each (receiver, sender) run starts at that
@@ -594,7 +564,15 @@ def run_sync(
     paid for in radio cost. Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
     the unreached nodes are reported. Every per-node result is an
-    array; ``idents`` is left as it was.
+    array; ``idents`` is left as it was. A ``rounds``, ``transmit_delay``
+    or ``backoff_rounds`` whose int64 arithmetic would overflow is
+    refused before detection. The flood keys stay below ``(3 * (columns
+    + max offset) * rounds + 1) * n``: a delivery's key, before its
+    clamp, may pass the budget by two copies, and a copy of the
+    interference model's later rounds is the whole budget. The clocks
+    stay below ``max offset + columns * rounds + transmit_delay * (n -
+    1)`` and the billed cost below ``max density * rounds *
+    backoff_rounds``.
     """
     require_integer("rounds", rounds)
     require_integer("backoff_rounds", backoff_rounds)
@@ -609,6 +587,17 @@ def run_sync(
     ident = _node_array("ident", idents, n)
     if np.unique(ident).size < n:
         raise ValueError("node identifiers must be unique")
+    expansion = backoff_rounds if exclusive else 1
+    # int64 must hold the flood keys, the clocks and the billed cost;
+    # once the bounds before it hold, each passes int64 only by its field
+    top, span = int(matrix.offsets.max()), matrix.columns * rounds
+    for name, value, reach in (
+        ("rounds", rounds, (3 * (span + top * rounds) + 1) * n),
+        ("transmit_delay", transmit_delay, top + span + transmit_delay * (n - 1)),
+        ("backoff_rounds", expansion, int(matrix.densities().max()) * rounds * expansion),
+    ):
+        if reach > np.iinfo(np.int64).max:
+            raise ValueError(f"{name}={value} is too large: int64 values reach {reach:.4g}")
     meetings = detect_meetings(matrix)
     # one grouping by (receiver, sender) serves the graph and the flood
     senders, receivers, which, slots = meetings.grouped_pairs(n, slots=exclusive)
@@ -635,12 +624,11 @@ def run_sync(
         trace=trace,
     )
     max_seen, root_origin, hops = held
-    end_time = int(matrix.offsets.max()) + matrix.columns * rounds
+    end_time = top + span
     adjusted = root_origin + transmit_delay * hops
     synchronized = (max_seen == root_ident) & (adjusted == matrix.offsets[root_index])
     unreached = frozenset(np.flatnonzero(~synchronized).tolist())
 
-    expansion = backoff_rounds if exclusive else 1
     cost = matrix.densities() * rounds * expansion
     return PipelineResult(
         comm_graph=graph,

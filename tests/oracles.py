@@ -174,12 +174,15 @@ def as_meetings(groups) -> Meetings:
     )
 
 
-def arrivals(label, senders, cols, period, never):
-    """``protocol._arrivals`` one delivery at a time: the sender's label
-    split into copy start and column per delivery."""
-    sent = label[senders]
-    at = sent % period
-    return np.minimum(sent - at + cols + np.where(cols > at, 0, period), never)
+def arrivals(key, senders, cols, period, never):
+    """``protocol._arrivals`` one delivery at a time: the sender's key
+    ``time * n + hops`` split into copy start, column and hops per
+    delivery, one hop added."""
+    n = key.size
+    time, hops = key[senders] // n, key[senders] % n
+    at = time % period
+    time = time - at + cols + np.where(cols > at, 0, period)
+    return np.minimum(time * n + hops + 1, never * n)
 
 
 def deadlines(open_, senders, receivers, cols, period, never):

@@ -596,73 +596,79 @@ def flood_both_ways_base(m, idents, rounds, transmit_delay):
 
 @st.composite
 def labelled_deliveries(draw):
-    """Node labels in [-1, never] over ``copies`` copies of ``period``
-    columns (holders at -1, labels on and beside copy boundaries, at and
-    near ``never``) and deliveries from random nodes, at random columns
-    or at the node's own column, that of ``label - 1`` or ``label + 1``."""
+    """Node keys ``time * n + hops``, times in [-1, never] over
+    ``copies`` copies of ``period`` columns (holders at -1, times on and
+    beside copy boundaries, at and near ``never``) and hops below n (0
+    at times -1 and ``never``), and deliveries from random nodes, at
+    random columns or at the node's own column, that of ``time - 1`` or
+    ``time + 1``."""
     period = draw(st.integers(1, 9))
     copies = draw(st.integers(1, 4))
     never = copies * period
     n = draw(st.integers(1, 8))
     boundary = st.integers(0, copies).map(lambda k: k * period)
-    some_label = st.one_of(
+    some_time = st.one_of(
         st.just(-1),
         st.integers(-1, never),
         boundary,
         boundary.map(lambda b: max(b - 1, -1)),
         st.sampled_from([never - 1, never]),
     )
-    label = np.array(draw(st.lists(some_label, min_size=n, max_size=n)), dtype=np.int64)
+    time = np.array(draw(st.lists(some_time, min_size=n, max_size=n)), dtype=np.int64)
+    inside = st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    hops = np.where((time >= 0) & (time < never), draw(inside), 0)
     nodes = draw(st.lists(st.integers(0, n - 1), max_size=20))
     cols = [
         draw(
             st.one_of(
                 st.integers(0, period - 1),
-                st.sampled_from([(int(label[v]) + d) % period for d in (-1, 0, 1)]),
+                st.sampled_from([(int(time[v]) + d) % period for d in (-1, 0, 1)]),
             )
         )
         for v in nodes
     ]
     nodes, cols = np.array(nodes, dtype=np.int64), np.array(cols, dtype=np.int64)
-    return label, nodes, cols, period, never
+    return time * n + hops, nodes, cols, period, never
 
 
 @settings(max_examples=200, deadline=None)
 @given(case=labelled_deliveries())
 def test_per_node_division_matches_per_delivery_oracle(case):
-    label, nodes, cols, period, never = case
-    got = _arrivals(label, nodes, cols, period, never)
-    assert np.array_equal(got, oracles.arrivals(label, nodes, cols, period, never))
+    key, nodes, cols, period, never = case
+    got = _arrivals(key, nodes, cols, period, never)
+    assert np.array_equal(got, oracles.arrivals(key, nodes, cols, period, never))
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=labelled_deliveries(), data=st.data())
 def test_reversed_relaxation_mirrors_latest_departures(case, data):
     # a latest departure is an earliest arrival in reversed time: ends
-    # swapped, column period - 1 - c, from the open nodes at -1
-    label, senders, cols, period, never = case
-    n = label.size
+    # swapped, column period - 1 - c, from the open nodes at time -1
+    key, senders, cols, period, never = case
+    n = key.size
     nodes = st.lists(st.integers(0, n - 1), min_size=senders.size, max_size=senders.size)
     receivers = np.array(data.draw(nodes), dtype=np.int64)
     open_ = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     order = np.argsort(senders, kind="stable")
     backward = _grouped(receivers[order], senders[order], period - 1 - cols[order])
-    back = _relax(np.where(open_, -1, never), backward, period, never)[0]
+    back = _relax(np.where(open_, -n, never * n), backward, period, never) // n
     want = oracles.deadlines(open_, senders, receivers, cols, period, never)
     assert np.array_equal(never - 1 - back, want)
 
 
 def test_per_node_division_hand_cases():
-    period, never = 10, 30
-    label = np.array([-1, 9, 10, 29, 30])
+    period, never, n = 10, 30, 5
+    # times -1, 9, 10, 29 and 30 at 0, 1, 2, 3 and 0 hops
+    key = np.array([-1, 9, 10, 29, 30]) * n + [0, 1, 2, 3, 0]
     nodes = np.array([0, 0, 1, 2, 3, 4])
     cols = np.array([0, 9, 9, 0, 5, 5])
     # a holder reaches column 0 and its own column 9 in copy 0; column 9
-    # from label 9 and column 0 from label 10 (own columns) wait a copy;
-    # past the budget every arrival reads never
-    expect = [0, 9, 19, 20, 30, 30]
-    assert _arrivals(label, nodes, cols, period, never).tolist() == expect
-    assert oracles.arrivals(label, nodes, cols, period, never).tolist() == expect
+    # from time 9 and column 0 from time 10 (own columns) wait a copy,
+    # each one hop further; past the budget every arrival reads never
+    # at 0 hops, the unreached key
+    expect = np.array([0, 9, 19, 20, 30, 30]) * n + [1, 1, 2, 3, 0, 0]
+    assert _arrivals(key, nodes, cols, period, never).tolist() == expect.tolist()
+    assert oracles.arrivals(key, nodes, cols, period, never).tolist() == expect.tolist()
 
 
 def test_tie_goes_to_fewest_hops():
@@ -695,19 +701,37 @@ def test_tie_goes_to_fewest_hops():
         # radio 2 holds the largest identifier and reaches radio 1 at
         # column 1, after radio 1 sent its own to radio 0 at column 0: a
         # departure at the very first column, from an assigned radio
-        ([[0], [0, 1], [1]], (1, 2, 3), 1, [2, 3, 3]),
+        ([[0], [0, 1], [1]], (1, 2, 3), 1, [(2, 1), (3, 1), (3, 0)]),
         # identifier 5 reaches radios 4, 1 and 2 but not radio 0; then 4
         # travels 4 -> 1 -> 2 -> 0 through radios that hold 5, across the
         # copy boundary, leaving radio 2 at its last column in time
-        ([[1], [0, 3], [1, 3], [2], [0, 2]], (2, 1, 3, 5, 4), 2, [4, 5, 5, 5, 5]),
+        (
+            [[1], [0, 3], [1, 3], [2], [0, 2]],
+            (2, 1, 3, 5, 4),
+            2,
+            [(4, 3), (5, 2), (5, 3), (5, 0), (5, 1)],
+        ),
+        # radio 0 reaches radio 2 over radio 1 at column 1, two hops,
+        # then directly at column 3, one hop, later; radio 3 hears radio
+        # 2 at column 5. The first arrival counts, so radio 3 is three
+        # hops out: a relaxation that kept the hops it was offered first
+        # would leave it at two
+        ([[0, 3], [0, 1], [1, 3, 5], [5]], (40, 10, 20, 30), 1, [(40, h) for h in range(4)]),
     ],
 )
 def test_later_rounds_match_oracle_on_hand_schedules(positions, idents, rounds, seen):
+    # ``seen`` is each radio's identifier and hops; with offsets 0 and
+    # one unit of delay a hop, its origin is minus its hops
     n = len(positions)
-    m = oracles.matrix(n, 4, positions, [0] * n)
+    m = oracles.matrix(n, 6, positions, [0] * n)
     fast, slow = flood_both_ways_base(m, idents, rounds, 1)
     assert fast == slow
-    assert [s.max_seen for s in fast[1]] == seen
+    assert [(s.max_seen, s.hops, -s.root_origin) for s in fast[1]] == [(v, h, h) for v, h in seen]
+    # every meeting here is of two radios; at 64 back-off slots both
+    # are heard, so the interference model floods as the base one does
+    base = [(s.max_seen, s.root_origin, s.hops) for s in fast[1]]
+    fast, slow = flood_both_ways(m, idents, rounds, 64, 0)
+    assert fast == slow and fast[1] == base
 
 
 @settings(max_examples=300, deadline=None)
@@ -860,7 +884,8 @@ def test_exclusive_fallback_relaxes_from_the_root_only_per_copy(seed, monkeypatc
     )
     result = run_pipeline(config)
     assert result.unreached and len(relax) > len(draws) == 2
-    from_root = [args[0][result.root_index] == -1 for args, _kwargs in relax]
+    # the root starts each of its relaxations at time -1 and 0 hops
+    from_root = [args[0][result.root_index] == -config.n for args, _kwargs in relax]
     assert from_root == [True] * len(draws) + [False] * (len(relax) - len(draws))
 
 

@@ -68,6 +68,23 @@ def test_spec_validation():
         ExperimentSpec(d_grid=(64,), beta_grid=(0.5,), trials=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # once a TypeError inside run_sweep
+        ("trials", 2.5),
+        # once a sweep that wrote True into the summary's trials column
+        ("trials", True),
+        # once a sweep seeded as 1
+        ("root_seed", True),
+        ("root_seed", 1.0),
+    ],
+)
+def test_spec_counts_must_be_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        ExperimentSpec(d_grid=(64,), beta_grid=(0.5,), **{field: value})
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"d_grid": "64,128", "trials": 2, "seed": 9}))

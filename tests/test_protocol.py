@@ -169,6 +169,50 @@ def test_run_sync_refuses_bad_node_records(field, value, message):
 
 
 @pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        # the flood keys time * n + hops pass int64 (once a bare
+        # OverflowError)
+        ("rounds", dict(rounds=2**62)),
+        # 2**70 slot units a radio wrap to a billed cost of 0, in a run
+        # that stops after one copy and reports success
+        ("backoff_rounds", dict(rounds=2**40, exclusive=True, backoff_rounds=2**30)),
+        # the origins wrap: a positive root_origin, a negative root_time
+        ("transmit_delay", dict(rounds=2, transmit_delay=2**62)),
+    ],
+)
+def test_run_sync_refuses_int64_overflow(field, kwargs):
+    # refused with one line naming the field, before any meeting is
+    # detected
+    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
+    with mock.patch.object(protocol, "detect_meetings", side_effect=AssertionError):
+        with pytest.raises(ValueError, match=f"^{field}={kwargs[field]} is too large") as err:
+            run_sync(m, [100, 50, 10], rng=spawn_rng(0), **kwargs)
+    assert "\n" not in str(err.value)
+
+
+def test_largest_delay_allowed_keeps_its_clocks():
+    # two hops from the root over 2 copies of 8 columns; one more is
+    # refused
+    m = matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0])
+    limit = (2**63 - 1 - 8 * 2) // 2
+    result = run_sync(m, [100, 50, 10], 2, transmit_delay=limit)
+    assert result.success and result.root_origin.tolist() == [0, -limit, -2 * limit]
+    assert result.root_time.tolist() == [16, 16 + limit, 16 + 2 * limit]
+    with pytest.raises(ValueError, match="^transmit_delay="):
+        run_sync(m, [100, 50, 10], 2, transmit_delay=limit + 1)
+
+
+def test_pipeline_and_estimation_refuse_int64_overflow():
+    with pytest.raises(ValueError, match=r"^transmit_delay=\d+ is too large"):
+        run_pipeline(SimConfig(d=64, beta=0.5, transmit_delay=2**62))
+    with pytest.raises(ValueError, match=r"^rounds=\d+ is too large"):
+        run_pipeline(SimConfig(d=64, beta=0.5, rounds=2**50))
+    with pytest.raises(ValueError, match=r"^backoff_rounds=\d+ is too large"):
+        estimate_n(SimConfig(d=64, exclusive=True, backoff_rounds=2**60), true_n=8)
+
+
+@pytest.mark.parametrize(
     "field, value, exclusive",
     [
         # no back-off slot: zero cost and no delivery, reported as a run
