@@ -9,6 +9,13 @@ nodes can flood the largest random identifier and its owner's clock
 along the graph, one graph hop (at least) per copy. At the end every
 reached node sets its clock to the root's, so all agree exactly.
 
+The flood is one relaxation of earliest-arrival keys over the meetings'
+deliveries, pass after pass until nothing moves. Once the latest arrival
+has halved, a pass drops the deliveries at a column past their
+receiver's arrival: none arrives before its column and arrivals only
+fall, so a dropped one could never set its receiver's key. The keys, and
+the number of passes, are those of the relaxation over every delivery.
+
 When the processor count is unknown, guesses n_i = d / 2**i are tried
 in time-isolated epochs. A too-large guess yields a schedule too
 sparse to connect that many nodes, which the root detects by counting
@@ -318,9 +325,21 @@ def _relax(
     sender's time, so the time parts move exactly as a relaxation of
     times alone; once they settle, the hop parts settle over the
     deliveries that achieve them. A kept key's hops stay below n: times
-    grow along the path it stands for, so no node repeats on it."""
-    senders, _receivers, cols, heads, into = deliveries
-    start = key[into]
+    grow along the path it stands for, so no node repeats on it.
+
+    Whenever the latest time over all nodes has halved since the last
+    cut (the first bound is the largest column), the deliveries at a
+    column past their receiver's time are dropped. That is exact: no
+    delivery arrives before its column, and the times only fall, so a
+    dropped delivery can never set its receiver's key, while those at
+    the receiver's own time stay for their hop counts. Every pass
+    computes the same keys as over all deliveries, so the passes are as
+    many; the halving keeps the cuts' cost below that of the passes."""
+    senders, receivers, cols, heads, into = deliveries
+    n = key.size
+    first = key
+    start = first[into]
+    bound = int(cols.max(initial=-1))
     while True:
         nxt = key.copy()
         arrive = _arrivals(key, senders, cols, period, never)
@@ -328,6 +347,14 @@ def _relax(
         if np.array_equal(nxt, key):
             return key
         key = nxt
+        latest = int(key.max()) // n
+        if 2 * latest <= bound:
+            keep = cols <= key[receivers] // n
+            senders, receivers, cols, heads, into = _grouped(
+                senders[keep], receivers[keep], cols[keep]
+            )
+            start = first[into]
+            bound = latest
 
 
 def _spread(
@@ -531,6 +558,47 @@ def _node_array(name: str, values, n: int) -> np.ndarray:
     return array
 
 
+def _check_int64(
+    n: int,
+    columns: int,
+    rounds: int,
+    top: int,
+    density: int,
+    transmit_delay: int,
+    expansion: int,
+) -> None:
+    """Refuse a run whose int64 arithmetic would overflow: ``rounds``
+    copies of ``n`` rows of ``columns`` columns, offsets up to ``top``
+    and up to ``density`` awake units a row, each billed ``expansion``
+    times. int64 must hold the flood keys, the clocks and the billed
+    cost (:func:`run_sync` gives the bounds); once the bounds before it
+    hold, each passes int64 only by its field, which the one-line
+    refusal names."""
+    span = columns * rounds
+    for name, value, reach in (
+        ("rounds", rounds, (3 * (span + top * rounds) + 1) * n),
+        ("transmit_delay", transmit_delay, top + span + transmit_delay * (n - 1)),
+        ("backoff_rounds", expansion, density * rounds * expansion),
+    ):
+        if reach > np.iinfo(np.int64).max:
+            raise ValueError(f"{name}={value} is too large: int64 values reach {reach:.4g}")
+
+
+def _check_int64_before_draw(n: int, params: PipelineParams, config: SimConfig) -> None:
+    """:func:`_check_int64` before a draw in the shape ``params``, at
+    its worst case: offsets up to ``config.d``, and every draw of a row
+    its own awake unit."""
+    _check_int64(
+        n,
+        params.windows * params.columns,
+        params.rounds,
+        config.d,
+        params.windows * params.draws,
+        config.transmit_delay,
+        config.backoff_rounds if config.exclusive else 1,
+    )
+
+
 def run_sync(
     matrix: ScheduleMatrix,
     idents,
@@ -588,16 +656,9 @@ def run_sync(
     if np.unique(ident).size < n:
         raise ValueError("node identifiers must be unique")
     expansion = backoff_rounds if exclusive else 1
-    # int64 must hold the flood keys, the clocks and the billed cost;
-    # once the bounds before it hold, each passes int64 only by its field
-    top, span = int(matrix.offsets.max()), matrix.columns * rounds
-    for name, value, reach in (
-        ("rounds", rounds, (3 * (span + top * rounds) + 1) * n),
-        ("transmit_delay", transmit_delay, top + span + transmit_delay * (n - 1)),
-        ("backoff_rounds", expansion, int(matrix.densities().max()) * rounds * expansion),
-    ):
-        if reach > np.iinfo(np.int64).max:
-            raise ValueError(f"{name}={value} is too large: int64 values reach {reach:.4g}")
+    top = int(matrix.offsets.max())
+    density = int(matrix.densities().max())
+    _check_int64(n, matrix.columns, rounds, top, density, transmit_delay, expansion)
     meetings = detect_meetings(matrix)
     # one grouping by (receiver, sender) serves the graph and the flood
     senders, receivers, which, slots = meetings.grouped_pairs(n, slots=exclusive)
@@ -624,7 +685,7 @@ def run_sync(
         trace=trace,
     )
     max_seen, root_origin, hops = held
-    end_time = top + span
+    end_time = top + matrix.columns * rounds
     adjusted = root_origin + transmit_delay * hops
     synchronized = (max_seen == root_ident) & (adjusted == matrix.offsets[root_index])
     unreached = frozenset(np.flatnonzero(~synchronized).tolist())
@@ -655,7 +716,9 @@ def run_pipeline(
 
     The rng (seeded from ``config.seed`` when not given) draws, in this
     order, the schedule stack, the start offsets, the node identifiers
-    and, in interference mode, the back-off winners.
+    and, in interference mode, the back-off winners. A budget that
+    :func:`run_sync` would refuse for int64 overflow on some draw of
+    this shape is refused before anything is drawn.
     """
     if config.n is None:
         raise ValueError("processor count unknown; use estimate_n")
@@ -670,6 +733,7 @@ def run_pipeline(
         rounds=config.rounds,
         polylog_exp=config.polylog_exp,
     )
+    _check_int64_before_draw(config.n, params, config)
     matrix = build_pipeline_matrix(config.n, params, rng)
     matrix = matrix.with_offsets(draw_offsets(config.n, config.d, rng))
     return run_sync(
@@ -718,7 +782,9 @@ def estimate_n(
     epochs are separated by more than d idle units so no message can
     leak between them. Gives up once the guess would drop below 2. The
     count, stage shape and round budget come from d alone, so a config
-    that sets ``beta``, ``n``, ``rounds`` or ``repetition_k`` is refused.
+    that sets ``beta``, ``n``, ``rounds`` or ``repetition_k`` is refused,
+    and so is one whose densest epoch could overflow int64 in
+    :func:`run_sync`, before the first draw.
     """
     if config.d < 2:
         raise ValueError(
@@ -748,6 +814,7 @@ def estimate_n(
     ]
     # the last epoch is the densest
     _check_draw_fits(true_n, epochs[-1])
+    _check_int64_before_draw(true_n, epochs[-1], config)
 
     offsets = draw_offsets(true_n, d, rng)
     total_cost = np.zeros(true_n, dtype=np.int64)

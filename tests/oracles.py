@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from radiosync import protocol
 from radiosync.netsim import resolve_backoff
 from radiosync.protocol import NodeReading
 from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
@@ -183,6 +184,22 @@ def arrivals(key, senders, cols, period, never):
     at = time % period
     time = time - at + cols + np.where(cols > at, 0, period)
     return np.minimum(time * n + hops + 1, never * n)
+
+
+def relax_every_delivery(key, deliveries, period, never):
+    """``protocol._relax`` without its cut: every grouped delivery on
+    every pass, each pass's minimum taken with the starting keys, until
+    nothing moves. Arrivals come from ``protocol._arrivals`` looked up
+    at each pass, so a test can count the passes."""
+    senders, _receivers, cols, heads, into = deliveries
+    start = key[into]
+    while True:
+        nxt = key.copy()
+        arrive = protocol._arrivals(key, senders, cols, period, never)
+        nxt[into] = np.minimum(start, np.minimum.reduceat(arrive, heads))
+        if np.array_equal(nxt, key):
+            return key
+        key = nxt
 
 
 def deadlines(open_, senders, receivers, cols, period, never):

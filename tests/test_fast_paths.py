@@ -595,7 +595,7 @@ def flood_both_ways_base(m, idents, rounds, transmit_delay):
 
 
 @st.composite
-def labelled_deliveries(draw):
+def labelled_deliveries(draw, copies=st.integers(1, 4)):
     """Node keys ``time * n + hops``, times in [-1, never] over
     ``copies`` copies of ``period`` columns (holders at -1, times on and
     beside copy boundaries, at and near ``never``) and hops below n (0
@@ -603,7 +603,7 @@ def labelled_deliveries(draw):
     random columns or at the node's own column, that of ``time - 1`` or
     ``time + 1``."""
     period = draw(st.integers(1, 9))
-    copies = draw(st.integers(1, 4))
+    copies = draw(copies)
     never = copies * period
     n = draw(st.integers(1, 8))
     boundary = st.integers(0, copies).map(lambda k: k * period)
@@ -654,6 +654,52 @@ def test_reversed_relaxation_mirrors_latest_departures(case, data):
     back = _relax(np.where(open_, -n, never * n), backward, period, never) // n
     want = oracles.deadlines(open_, senders, receivers, cols, period, never)
     assert np.array_equal(never - 1 - back, want)
+
+
+@pytest.mark.parametrize(
+    "copies", [st.just(1), st.integers(2, 4)], ids=["period-is-never", "period-below-never"]
+)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_relax_matches_every_delivery_oracle_in_as_many_passes(copies, data):
+    # any starting keys, forward deliveries grouped by receiver; one
+    # copy is the interference model's copies, period == never
+    key, senders, cols, period, never = data.draw(labelled_deliveries(copies))
+    n = key.size
+    nodes = st.lists(st.integers(0, n - 1), min_size=senders.size, max_size=senders.size)
+    receivers = np.array(data.draw(nodes), dtype=np.int64)
+    order = np.argsort(receivers, kind="stable")
+    deliveries = _grouped(senders[order], receivers[order], cols[order])
+    passes = []
+    arrivals = protocol._arrivals
+
+    def counted(*args):
+        passes[-1] += 1
+        return arrivals(*args)
+
+    with mock.patch.object(protocol, "_arrivals", counted):
+        passes.append(0)
+        got = _relax(key, deliveries, period, never)
+        passes.append(0)
+        want = oracles.relax_every_delivery(key, deliveries, period, never)
+    assert np.array_equal(got, want)
+    assert passes[0] == passes[1]
+
+
+def test_large_n_root_round_matches_every_delivery_oracle(monkeypatch):
+    # the default large-n path, where the cut drops the most deliveries
+    # and no per-meeting oracle runs: the root round's keys, on the real
+    # grouped pairs, in as many passes as over every delivery
+    relax, arrivals = (counting(monkeypatch, name) for name in ("_relax", "_arrivals"))
+    assert run_pipeline(SimConfig(d=16384, beta=0.75, seed=3)).success
+    (args, _kwargs), = relax
+    per_pass = [call[0][1].size for call in arrivals]
+    arrivals.clear()
+    want = oracles.relax_every_delivery(*args)
+    assert len(arrivals) == len(per_pass)
+    assert np.array_equal(_relax(*args), want)
+    # the cut fired: the last pass read a small share of the deliveries
+    assert per_pass[-1] * 10 < per_pass[0]
 
 
 def test_per_node_division_hand_cases():

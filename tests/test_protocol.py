@@ -204,12 +204,22 @@ def test_largest_delay_allowed_keeps_its_clocks():
 
 
 def test_pipeline_and_estimation_refuse_int64_overflow():
-    with pytest.raises(ValueError, match=r"^transmit_delay=\d+ is too large"):
-        run_pipeline(SimConfig(d=64, beta=0.5, transmit_delay=2**62))
-    with pytest.raises(ValueError, match=r"^rounds=\d+ is too large"):
-        run_pipeline(SimConfig(d=64, beta=0.5, rounds=2**50))
-    with pytest.raises(ValueError, match=r"^backoff_rounds=\d+ is too large"):
-        estimate_n(SimConfig(d=64, exclusive=True, backoff_rounds=2**60), true_n=8)
+    # refused with one line naming the field, at the worst case of the
+    # draw's shape, before any schedule is drawn; the large-n schedule
+    # once took 0.2 s to draw before its refusal
+    refused = [
+        ("transmit_delay", run_pipeline, SimConfig(d=64, beta=0.5, transmit_delay=2**62)),
+        ("rounds", run_pipeline, SimConfig(d=64, beta=0.5, rounds=2**50)),
+        ("rounds", run_pipeline, SimConfig(d=16384, beta=0.75, rounds=2**60)),
+        ("backoff_rounds", estimate_n, SimConfig(d=64, exclusive=True, backoff_rounds=2**60)),
+        ("transmit_delay", estimate_n, SimConfig(d=64, transmit_delay=2**62)),
+    ]
+    with mock.patch.object(protocol, "build_pipeline_matrix", side_effect=AssertionError):
+        for field, run, config in refused:
+            args = (config, 8) if run is estimate_n else (config,)
+            with pytest.raises(ValueError, match=rf"^{field}=\d+ is too large") as err:
+                run(*args)
+            assert "\n" not in str(err.value)
 
 
 @pytest.mark.parametrize(
