@@ -349,7 +349,7 @@ def _relax(
         key = nxt
         latest = int(key.max()) // n
         if 2 * latest <= bound:
-            keep = cols <= key[receivers] // n
+            keep = cols <= (key // n)[receivers]
             senders, receivers, cols, heads, into = _grouped(
                 senders[keep], receivers[keep], cols[keep]
             )

@@ -596,12 +596,12 @@ def flood_both_ways_base(m, idents, rounds, transmit_delay):
 
 @st.composite
 def labelled_deliveries(draw, copies=st.integers(1, 4)):
-    """Node keys ``time * n + hops``, times in [-1, never] over
-    ``copies`` copies of ``period`` columns (holders at -1, times on and
-    beside copy boundaries, at and near ``never``) and hops below n (0
-    at times -1 and ``never``), and deliveries from random nodes, at
-    random columns or at the node's own column, that of ``time - 1`` or
-    ``time + 1``."""
+    """Node keys ``time * n + hops``, times in [-1, never] over a
+    count of copies drawn from ``copies``, of ``period`` columns each
+    (holders at -1, times on and beside copy boundaries, at and near
+    ``never``) and hops below n (0 at times -1 and ``never``), and
+    deliveries from random nodes, at random columns or at the node's own
+    column, that of ``time - 1`` or ``time + 1``."""
     period = draw(st.integers(1, 9))
     copies = draw(copies)
     never = copies * period
