@@ -205,8 +205,8 @@ def test_largest_delay_allowed_keeps_its_clocks():
 
 def test_pipeline_and_estimation_refuse_int64_overflow():
     # refused with one line naming the field, at the worst case of the
-    # draw's shape, before any schedule is drawn; the large-n schedule
-    # once took 0.2 s to draw before its refusal
+    # draw's shape, before any schedule is drawn (a large-n draw alone
+    # takes 0.2 s)
     refused = [
         ("transmit_delay", run_pipeline, SimConfig(d=64, beta=0.5, transmit_delay=2**62)),
         ("rounds", run_pipeline, SimConfig(d=64, beta=0.5, rounds=2**50)),
