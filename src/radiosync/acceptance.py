@@ -1,20 +1,23 @@
 """Acceptance suite: every release-gating check, one function each.
 
-Each criterion pins its own parameters and tolerances; ``run_all``
-executes them in order and prints one PASS/FAIL line per criterion
-with the measured versus required values. Everything is driven by
-fixed seeds, so the whole report is reproducible bit for bit.
+A criterion registers by its decorator, ``@_criterion("A<k>",
+"<required text>")``, and its body returns only ``(passed, measured)``:
+the decorator times the call, builds the :class:`CriterionResult` and
+appends the criterion to :data:`CRITERIA`. Each criterion pins its own
+parameters and tolerances; ``run_all`` executes the registry in
+definition order and prints one PASS/FAIL line per criterion with the
+measured versus required values. Everything is driven by fixed seeds,
+so the whole report is reproducible bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import isqrt
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,20 +65,37 @@ class CriterionResult:
         )
 
 
-def _result(name: str, passed: bool, required: str, measured: str, t0: float):
-    return CriterionResult(
-        name=name,
-        passed=passed,
-        required=required,
-        measured=measured,
-        seconds=time.perf_counter() - t0,
-    )
+#: the registered criteria, in definition order (see :func:`_criterion`)
+CRITERIA: list[Callable[[], CriterionResult]] = []
 
 
-def criterion_a1() -> CriterionResult:
+def _criterion(name: str, required: str):
+    """Register the decorated check as criterion ``name`` with its
+    ``required`` text. The check returns ``(passed, measured)``; the
+    registered function, which keeps the check's name and docstring,
+    times the call and returns its :class:`CriterionResult`."""
+
+    def register(check: Callable[[], tuple[bool, str]]) -> Callable[[], CriterionResult]:
+        # the check's name and docstring, not its return annotation
+        @wraps(check, assigned=("__module__", "__name__", "__qualname__", "__doc__"))
+        def timed() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, measured = check()
+            seconds = time.perf_counter() - t0
+            return CriterionResult(name, passed, required, measured, seconds)
+
+        CRITERIA.append(timed)
+        return timed
+
+    return register
+
+
+@_criterion(
+    "A1", "length<=2d+4ceil(sqrt d)+2, cost<=4ceil(sqrt d)+4, all shifts 1..d overlap"
+)
+def criterion_a1() -> tuple[bool, str]:
     """Two-processor schedule: exact bounds and full self-overlap for
     every d in 1..2000 and {4096, 10**4, 10**5}."""
-    t0 = time.perf_counter()
     ds = list(range(1, 2001)) + [4096, 10**4, 10**5]
     bad = []
     for d in ds:
@@ -87,35 +107,27 @@ def criterion_a1() -> CriterionResult:
             or not verify_self_overlap(s, d)
         ):
             bad.append(d)
-    return _result(
-        "A1",
-        not bad,
-        "length<=2d+4ceil(sqrt d)+2, cost<=4ceil(sqrt d)+4, all shifts 1..d overlap",
+    return not bad, (
         f"{len(ds) - len(bad)}/{len(ds)} values of d exact"
-        + (f", failures at {bad[:5]}" if bad else ""),
-        t0,
+        + (f", failures at {bad[:5]}" if bad else "")
     )
 
 
-def criterion_a2() -> CriterionResult:
+@_criterion("A2", "window length 98, <=28 ones, 26 distinct")
+def criterion_a2() -> tuple[bool, str]:
     """Worked example d=36: window 98, at most 28 ones, 26 distinct."""
-    t0 = time.perf_counter()
     s = build_two_proc_schedule(36)
     ok = s.length == 98 and radio_cost(s) == 26
-    return _result(
-        "A2",
-        ok,
-        "window length 98, <=28 ones, 26 distinct",
-        f"window {s.length}, {radio_cost(s)} ones",
-        t0,
-    )
+    return ok, f"window {s.length}, {radio_cost(s)} ones"
 
 
-def criterion_a3() -> CriterionResult:
+@_criterion(
+    "A3", "success within ceil(L/C^2)+1 and oracle agreement in 100% of 10^4 cases"
+)
+def criterion_a3() -> tuple[bool, str]:
     """Constructive shift finder agrees with the brute-force oracle and
     always succeeds within ceil(L/C^2)+1 when densities allow; 10**4
     fuzzed pairs."""
-    t0 = time.perf_counter()
     rng = spawn_rng(ACCEPT_SEED, 3)
     cases = 10_000
     failures = 0
@@ -132,20 +144,14 @@ def criterion_a3() -> CriterionResult:
         oracle = brute_force_min_overlap_shift(a, b, bound)
         if found is None or found != oracle:
             failures += 1
-    return _result(
-        "A3",
-        not failures,
-        "success within ceil(L/C^2)+1 and oracle agreement in 100% of 10^4 cases",
-        f"{cases - failures}/{cases} agree",
-        t0,
-    )
+    return not failures, f"{cases - failures}/{cases} agree"
 
 
-def criterion_a4() -> CriterionResult:
+@_criterion("A4", "pack succeeds and is pairwise non-overlapping in 100/100 seeds")
+def criterion_a4() -> tuple[bool, str]:
     """Sequential packing of ceil(d^beta) strings at the density for
     d=256, beta=1/2 succeeds with bound L/4 and verifies pairwise, over
     100 seeds."""
-    t0 = time.perf_counter()
     d, beta = 256, 0.5
     count = math.ceil(d**beta)
     density = math.ceil(d ** ((1 - beta) / 2))
@@ -172,44 +178,28 @@ def criterion_a4() -> CriterionResult:
             for j in range(i + 1, count):
                 if shifted[i] & shifted[j]:
                     bad += 1
-    return _result(
-        "A4",
-        bad == 0,
-        "pack succeeds and is pairwise non-overlapping in 100/100 seeds",
-        f"{100 - bad}/100 clean",
-        t0,
-    )
+    return bad == 0, f"{100 - bad}/100 clean"
 
 
-def criterion_a5() -> CriterionResult:
+@_criterion(
+    "A5", f"P[shared bin] >= 0.78 at scale {DEFAULT_SCALE}, 10^4 bins, 10^4 trials"
+)
+def criterion_a5() -> tuple[bool, str]:
     """Shared-bin probability at the threshold scale stays above 0.78
     (0.8 minus sampling tolerance)."""
-    t0 = time.perf_counter()
     params = BirthdayParams.from_exponents(bins=10_000, red_exp=0.5, scale=DEFAULT_SCALE)
     est, _ = estimate_probs(params, trials=10_000, seed=derive_seed(ACCEPT_SEED, 5))
-    return _result(
-        "A5",
-        est.estimate >= 0.78,
-        f"P[shared bin] >= 0.78 at scale {DEFAULT_SCALE}, 10^4 bins, 10^4 trials",
-        f"{est.estimate:.4f} +/- {est.half_width:.4f}",
-        t0,
-    )
+    return est.estimate >= 0.78, f"{est.estimate:.4f} +/- {est.half_width:.4f}"
 
 
-def criterion_a6() -> CriterionResult:
+@_criterion("A6", "P[exclusive pair] >= 0.72 and <= P[shared bin] on the same seeds")
+def criterion_a6() -> tuple[bool, str]:
     """Exclusive-pair probability at scale 2 stays above 0.72 and never
     exceeds the shared-bin estimate on the same seed stream."""
-    t0 = time.perf_counter()
     params = BirthdayParams.from_exponents(bins=10_000, red_exp=0.5, scale=2.0)
     est_h, est_t = estimate_probs(params, trials=10_000, seed=derive_seed(ACCEPT_SEED, 6))
     ok = est_t.estimate >= 0.72 and est_t.estimate <= est_h.estimate
-    return _result(
-        "A6",
-        ok,
-        "P[exclusive pair] >= 0.72 and <= P[shared bin] on the same seeds",
-        f"T={est_t.estimate:.4f}, H={est_h.estimate:.4f}",
-        t0,
-    )
+    return ok, f"T={est_t.estimate:.4f}, H={est_h.estimate:.4f}"
 
 
 @dataclass
@@ -253,48 +243,29 @@ def _pipeline_trials(seeds: int = 200) -> tuple[_PipelineTrial, ...]:
         full_deg = int(result.comm_graph.degrees().min())
         connected = reached_from(result.comm_graph) == n
         sync_exact = result.success if connected else None
-        trials.append(
-            _PipelineTrial(
-                stage_min_degree=stage_deg,
-                full_min_degree=full_deg,
-                connected=connected,
-                sync_exact=sync_exact,
-            )
-        )
+        trials.append(_PipelineTrial(stage_deg, full_deg, connected, sync_exact))
     return tuple(trials)
 
 
-def criterion_a7() -> CriterionResult:
+@_criterion("A7", "min degree >=10: one stage >0.5 of seeds, amplified >0.95")
+def criterion_a7() -> tuple[bool, str]:
     """Minimum degree 10 in more than half the one-stage graphs and in
     more than 95% after amplification (d=1024, beta=1/2, 200 seeds)."""
-    t0 = time.perf_counter()
     trials = _pipeline_trials()
     stage_frac = sum(t.stage_min_degree >= 10 for t in trials) / len(trials)
     full_frac = sum(t.full_min_degree >= 10 for t in trials) / len(trials)
     ok = stage_frac > 0.5 and full_frac > 0.95
-    return _result(
-        "A7",
-        ok,
-        "min degree >=10: one stage >0.5 of seeds, amplified >0.95",
-        f"stage {stage_frac:.3f}, amplified {full_frac:.3f}",
-        t0,
-    )
+    return ok, f"stage {stage_frac:.3f}, amplified {full_frac:.3f}"
 
 
-def criterion_a8() -> CriterionResult:
+@_criterion("A8", "exact agreement on all connected graphs")
+def criterion_a8() -> tuple[bool, str]:
     """On every connected amplified graph, the sync pass ends with the
     global max identifier and identical adjusted clocks at all nodes."""
-    t0 = time.perf_counter()
     connected = [t for t in _pipeline_trials() if t.connected]
     exact = sum(1 for t in connected if t.sync_exact)
     ok = bool(connected) and exact == len(connected)
-    return _result(
-        "A8",
-        ok,
-        "exact agreement on all connected graphs",
-        f"{exact}/{len(connected)} connected runs exact",
-        t0,
-    )
+    return ok, f"{exact}/{len(connected)} connected runs exact"
 
 
 def _fit_cost_exponent(costs_by_d: dict[int, list[float]]) -> float:
@@ -307,11 +278,11 @@ def _fit_cost_exponent(costs_by_d: dict[int, list[float]]) -> float:
     return float(slope)
 
 
-def criterion_a9() -> CriterionResult:
+@_criterion("A9", "fitted exponent in [0.15, 0.35], base and interference")
+def criterion_a9() -> tuple[bool, str]:
     """Max per-node radio cost scales like d**x (after removing the
     cubed log factor) with x in [0.15, 0.35]; interference mode agrees
     after dividing out its back-off expansion."""
-    t0 = time.perf_counter()
     ds = [2**8, 2**10, 2**12, 2**14]
     seeds = 3
     base: dict[int, list[float]] = {}
@@ -330,20 +301,17 @@ def criterion_a9() -> CriterionResult:
     x_base = _fit_cost_exponent(base)
     x_intf = _fit_cost_exponent(intf)
     ok = 0.15 <= x_base <= 0.35 and 0.15 <= x_intf <= 0.35
-    return _result(
-        "A9",
-        ok,
-        "fitted exponent in [0.15, 0.35], base and interference",
-        f"base x={x_base:.3f}, interference x={x_intf:.3f}",
-        t0,
-    )
+    return ok, f"base x={x_base:.3f}, interference x={x_intf:.3f}"
 
 
-def criterion_a10() -> CriterionResult:
+@_criterion(
+    "A10",
+    ">=90% within factor 2; sync fraction >=8/9 and cost sum <=4x final, all accepted runs",
+)
+def criterion_a10() -> tuple[bool, str]:
     """Unknown-count loop at d=1024, true n=32, 100 seeds: accepted
     estimate within factor 2 in >=90% of seeds, synchronized fraction
     >=8/9 in every accepted run, and total cost <=4x the final epoch."""
-    t0 = time.perf_counter()
     d, true_n, seeds = 1024, 32, 100
     within, accepted_runs = 0, 0
     frac_ok, cost_ok = True, True
@@ -359,30 +327,23 @@ def criterion_a10() -> CriterionResult:
             if res.total_max_cost > 4 * res.final_epoch_max_cost:
                 cost_ok = False
     ok = within >= 0.9 * seeds and frac_ok and cost_ok
-    return _result(
-        "A10",
-        ok,
-        ">=90% within factor 2; sync fraction >=8/9 and cost sum <=4x final, all accepted runs",
+    return ok, (
         f"{within}/{seeds} within factor 2, {accepted_runs} accepted, "
-        f"fraction_ok={frac_ok}, cost_ok={cost_ok}",
-        t0,
+        f"fraction_ok={frac_ok}, cost_ok={cost_ok}"
     )
 
 
-def criterion_a11() -> CriterionResult:
+@_criterion("A11", "overlap >= min(step_i, step_j)/2 in 100% of samples")
+def criterion_a11() -> tuple[bool, str]:
     """Drift model: co-awake overlap is at least half the shorter step
     in 100% of 10^5 sampled configurations for ratio bounds 1, 2, 5."""
-    t0 = time.perf_counter()
     rng = spawn_rng(ACCEPT_SEED, 11)
     samples_per_c = 100_000 // 3 + 1
     violations = 0
     total = 0
     for c in (1.0, 2.0, 5.0):
         for _ in range(samples_per_c):
-            speeds = (
-                float(1.0 + rng.random() * (c - 1.0)),
-                float(1.0 + rng.random() * (c - 1.0)),
-            )
+            speeds = tuple(float(1.0 + rng.random() * (c - 1.0)) for _ in range(2))
             tau_trans = float(0.1 + rng.random() * 1.9)
             p = DriftParams(speeds, c, tau_trans)
             s0, s1 = p.step_length(0), p.step_length(1)
@@ -392,20 +353,14 @@ def criterion_a11() -> CriterionResult:
             total += 1
             if overlap < min(s0, s1) / 2 - 1e-9:
                 violations += 1
-    return _result(
-        "A11",
-        violations == 0,
-        "overlap >= min(step_i, step_j)/2 in 100% of samples",
-        f"{total - violations}/{total} satisfied",
-        t0,
-    )
+    return violations == 0, f"{total - violations}/{total} satisfied"
 
 
-def criterion_a12() -> CriterionResult:
+@_criterion("A12", "self-overlap verification fails in 100% of sparse strings")
+def criterion_a12() -> tuple[bool, str]:
     """Negative control: sparse random strings (<= ceil(sqrt(W)) ones)
     always admit a non-overlapping self-shift within ceil(W/2), so the
     self-overlap verifier fails for them in 100% of 10^3 cases."""
-    t0 = time.perf_counter()
     rng = spawn_rng(ACCEPT_SEED, 12)
     cases, bad = 1_000, 0
     for _ in range(cases):
@@ -414,34 +369,14 @@ def criterion_a12() -> CriterionResult:
         s = BitSchedule(W, tuple(sorted(map(int, rng.choice(W, m, replace=False)))))
         if verify_self_overlap(s, math.ceil(W / 2)):
             bad += 1
-    return _result(
-        "A12",
-        bad == 0,
-        "self-overlap verification fails in 100% of sparse strings",
-        f"{cases - bad}/{cases} failed as required",
-        t0,
-    )
+    return bad == 0, f"{cases - bad}/{cases} failed as required"
 
 
 def run_all(stream=None) -> list[CriterionResult]:
-    """Execute every criterion, printing one line per result."""
-    if stream is None:
-        stream = sys.stdout
+    """Execute every registered criterion, printing one line per result
+    to ``stream`` (standard output if None)."""
     results = []
-    for fn in (
-        criterion_a1,
-        criterion_a2,
-        criterion_a3,
-        criterion_a4,
-        criterion_a5,
-        criterion_a6,
-        criterion_a7,
-        criterion_a8,
-        criterion_a9,
-        criterion_a10,
-        criterion_a11,
-        criterion_a12,
-    ):
-        results.append(fn())
+    for criterion in CRITERIA:
+        results.append(criterion())
         print(results[-1].line(), file=stream)
     return results

@@ -87,18 +87,11 @@ def cmd_birthday(args) -> int:
         bins=args.L, red_exp=args.s, scale=args.C
     )
     est = estimate_probs(params, args.trials, args.seed)[args.lemma - 1]
-    header = ("lemma", "L", "C", "s", "trials", "seed", "estimate", "half_width")
-    row = (
-        args.lemma,
-        args.L,
-        args.C,
-        args.s,
-        args.trials,
-        args.seed,
-        f"{est.estimate:.6f}",
-        f"{est.half_width:.6f}",
+    row = dict(
+        lemma=args.lemma, L=args.L, C=args.C, s=args.s, trials=args.trials, seed=args.seed,
+        estimate=f"{est.estimate:.6f}", half_width=f"{est.half_width:.6f}",
     )
-    sys.stdout.write(to_csv(header, [row]))
+    sys.stdout.write(to_csv(row, [row.values()]))
     return 0
 
 
@@ -124,27 +117,13 @@ def cmd_sync_run(args) -> int:
 def cmd_sync_estimate_n(args) -> int:
     config = SimConfig(d=args.d, seed=args.seed)
     res = estimate_n(config, args.true_n)
-    header = (
-        "d",
-        "true_n",
-        "seed",
-        "accepted",
-        "estimate",
-        "epochs",
-        "synchronized_fraction",
-        "max_cost",
+    row = dict(
+        d=args.d, true_n=args.true_n, seed=args.seed, accepted=int(res.accepted),
+        estimate=res.estimate if res.estimate is not None else "",
+        epochs=res.epochs_run, synchronized_fraction=f"{res.synchronized_fraction:.4f}",
+        max_cost=int(res.per_node_cost.max()) if res.per_node_cost.size else 0,
     )
-    row = (
-        args.d,
-        args.true_n,
-        args.seed,
-        int(res.accepted),
-        res.estimate if res.estimate is not None else "",
-        res.epochs_run,
-        f"{res.synchronized_fraction:.4f}",
-        int(res.per_node_cost.max()) if res.per_node_cost.size else 0,
-    )
-    sys.stdout.write(to_csv(header, [row]))
+    sys.stdout.write(to_csv(row, [row.values()]))
     return 0 if res.accepted else 1
 
 

@@ -12,13 +12,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .protocol import SimConfig, run_pipeline
 from .randsched import graph_stats
-from .seeding import require_integer, spawn_rng
+from .seeding import derive_seed, require_integer, spawn_rng
 
 #: per-run CSV schema, fixed
 RUN_COLUMNS = (
@@ -31,19 +31,6 @@ RUN_COLUMNS = (
     "max_radio_cost",
     "rounds",
     "diameter",
-)
-
-#: per-cell summary CSV schema, fixed (wall-clock deliberately absent)
-SUMMARY_COLUMNS = (
-    "d",
-    "beta",
-    "n",
-    "exclusive",
-    "trials",
-    "success_rate",
-    "mean_max_radio_cost",
-    "max_radio_cost",
-    "mean_diameter",
 )
 
 
@@ -100,6 +87,10 @@ class SummaryRecord:
         ]
 
 
+#: per-cell summary CSV schema, the record's fields (wall-clock deliberately absent)
+SUMMARY_COLUMNS = tuple(f.name for f in fields(SummaryRecord))
+
+
 def run_one(
     d: int,
     beta: float,
@@ -135,8 +126,6 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
     Per-trial seeds derive from (root seed, cell index, trial index);
     output order is (cell, trial) regardless of any execution order.
     """
-    from .seeding import derive_seed
-
     records = []
     for cell_idx, (d, beta, excl) in enumerate(spec.cells()):
         runs = []
@@ -163,7 +152,7 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
     return records
 
 
-def to_csv(header: Sequence, rows: Iterable[Sequence]) -> str:
+def to_csv(header: Iterable, rows: Iterable[Iterable]) -> str:
     """The CSV text of a header and its rows, with ``\\n`` line ends."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

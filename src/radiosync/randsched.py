@@ -39,6 +39,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .seeding import refuse_beyond_memory
+
 #: meeting-probability scale; above sqrt(1 - ln 0.1) the shared-bin
 #: probability per window clears 0.8
 DEFAULT_SCALE = 1.82
@@ -51,6 +53,10 @@ _EMPTY.flags.writeable = False
 _SORT_RUN = 128
 
 _INT32_MAX = np.iinfo(np.int32).max
+
+#: bytes a directed pair in :meth:`Meetings.grouped_pairs`: its tracemalloc
+#: peak was 42-62 a pair, 50-70 with slots, at d from 64 to 16384
+_PAIR_BYTES = 72
 
 
 def _width(bound: int) -> type:
@@ -288,8 +294,14 @@ class Meetings:
         meeting. The slots (None unless ``slots`` is set) are the sender's
         and receiver's in ``owners``, one (2, pairs) array at :func:`_width`
         (gather with ``take``: int32 fancy indexing is slow). Each array
-        is gathered in turn, freeing what it replaces. O(sum of size**2)."""
+        is gathered in turn, freeing what it replaces. O(sum of size**2);
+        pairs that would not fit in physical memory are refused before
+        any is built."""
         per = self.sizes * (self.sizes - 1)
+        pairs = int(per.sum())
+        refuse_beyond_memory(
+            pairs * _PAIR_BYTES, f"meeting pairs too large: {pairs} directed pairs"
+        )
         which = np.repeat(np.arange(len(self)), per)
         # pair p of a meeting of k rows is slot p // (k - 1) to the
         # (p % (k - 1))-th other slot

@@ -631,6 +631,36 @@ def labelled_deliveries(draw, copies=st.integers(1, 4)):
     return time * n + hops, nodes, cols, period, never
 
 
+@st.composite
+def flood_rounds(draw, copies):
+    """A flood round as ``_relax`` starts it, ``(key, senders,
+    receivers, cols, period, never)``: one holder at -n, every other
+    node at ``never * n``. Early deliveries reach every node within the
+    first half of the first copy, each node from the holder or from a
+    node reached at an earlier column, some nodes more than once at the
+    same column; one or more random deliveries follow."""
+    period = draw(st.integers(1, 9))
+    never = draw(copies) * period
+    n = draw(st.integers(2, 8))
+    order = draw(st.permutations(range(n)))
+    key = np.full(n, never * n, dtype=np.int64)
+    key[order[0]] = -n
+    half = st.integers(0, (period - 1) // 2)
+    times = [-1] + sorted(draw(st.lists(half, min_size=n - 1, max_size=n - 1)))
+    early = []
+    for i in range(1, n):
+        reached = [order[j] for j in range(i) if times[j] < times[i]]
+        for sender in draw(st.lists(st.sampled_from(reached), min_size=1, max_size=3)):
+            early.append((sender, order[i], times[i]))
+    # the last column often, which sets the first cut's bound past twice
+    # every early time
+    node = st.integers(0, n - 1)
+    column = st.one_of(st.just(period - 1), st.integers(0, period - 1))
+    later = draw(st.lists(st.tuples(node, node, column), min_size=1, max_size=12))
+    senders, receivers, cols = np.array(early + later, dtype=np.int64).T
+    return key, senders, receivers, cols, period, never
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=labelled_deliveries())
 def test_per_node_division_matches_per_delivery_oracle(case):
@@ -662,12 +692,16 @@ def test_reversed_relaxation_mirrors_latest_departures(case, data):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_relax_matches_every_delivery_oracle_in_as_many_passes(copies, data):
-    # any starting keys, forward deliveries grouped by receiver; one
-    # copy is the interference model's copies, period == never
-    key, senders, cols, period, never = data.draw(labelled_deliveries(copies))
-    n = key.size
-    nodes = st.lists(st.integers(0, n - 1), min_size=senders.size, max_size=senders.size)
-    receivers = np.array(data.draw(nodes), dtype=np.int64)
+    # any starting keys, or a flood round's, which reaches the cut;
+    # forward deliveries grouped by receiver; one copy is the
+    # interference model's copies, period == never
+    if data.draw(st.booleans()):
+        key, senders, receivers, cols, period, never = data.draw(flood_rounds(copies))
+    else:
+        key, senders, cols, period, never = data.draw(labelled_deliveries(copies))
+        n = key.size
+        nodes = st.lists(st.integers(0, n - 1), min_size=senders.size, max_size=senders.size)
+        receivers = np.array(data.draw(nodes), dtype=np.int64)
     order = np.argsort(receivers, kind="stable")
     deliveries = _grouped(senders[order], receivers[order], cols[order])
     passes = []

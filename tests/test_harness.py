@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import radiosync
+from radiosync import acceptance
 from radiosync.cli import main
 from radiosync.harness import (
     RUN_COLUMNS,
@@ -176,6 +178,26 @@ def test_python_dash_m_runs_the_cli():
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: radiosync")
     assert "accept" in out.stdout
+
+
+def test_acceptance_registry_is_a1_to_a12_in_definition_order():
+    # read, not run: no criterion is called here
+    want = [getattr(acceptance, f"criterion_a{k}") for k in range(1, 13)]
+    assert acceptance.CRITERIA == want
+    assert [c.__name__ for c in want] == [f"criterion_a{k}" for k in range(1, 13)]
+
+
+@pytest.mark.parametrize("second, code", [(True, 0), (False, 1)])
+def test_cli_accept_prints_each_registered_criterion(second, code, monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", [])
+    acceptance._criterion("S1", "first")(lambda: (True, "one"))
+    acceptance._criterion("S2", "second")(lambda: (second, "two"))
+    assert main(["accept"]) == code
+    out = capsys.readouterr().out.splitlines()
+    assert [re.sub(r"  \[\d+\.\ds\]$", "", line) for line in out] == [
+        "S1   PASS  required: first; measured: one",
+        f"S2   {'PASS' if second else 'FAIL'}  required: second; measured: two",
+    ]
 
 
 def test_star_import_binds_every_public_name():

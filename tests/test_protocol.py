@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
-from radiosync import protocol
+from radiosync import protocol, seeding
 from radiosync.detsched import build_two_proc_schedule, radio_cost
 from radiosync.netsim import resolve_backoff
 from radiosync.protocol import (
@@ -140,6 +140,27 @@ def test_schedule_draw_beyond_memory_is_refused():
     with pytest.raises(ValueError, match="schedule draw too large"):
         estimate_n(SimConfig(d=64), true_n=10**13, rng=rng)
     assert rng.bit_generator.state == before
+
+
+def test_meeting_pairs_beyond_memory_are_refused(monkeypatch):
+    # d=64, beta=1.2: 148 radios, a draw of 0.3 MB and about 760k
+    # directed meeting pairs; with 4 MB of physical memory the draw and
+    # the detection pass, and the pairs are refused before any is built
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    monkeypatch.setattr(seeding.os, "sysconf", pages.__getitem__)
+    detect, detected = protocol.detect_meetings, []
+
+    def recorded(matrix):
+        detected.append(detect(matrix))
+        return detected[-1]
+
+    monkeypatch.setattr(protocol, "detect_meetings", recorded)
+    for exclusive in (False, True):
+        with pytest.raises(ValueError, match="^meeting pairs too large: ") as err:
+            run_pipeline(SimConfig(d=64, beta=1.2, exclusive=exclusive))
+        sizes = detected[-1].sizes
+        assert f": {(sizes * (sizes - 1)).sum()} directed pairs needs " in str(err.value)
+    assert len(detected) == 2
 
 
 def test_run_sync_refuses_mismatched_states():
