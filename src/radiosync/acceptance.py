@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import isqrt
@@ -36,6 +37,7 @@ from .protocol import (
     build_pipeline_matrix,
     draw_identifiers,
     draw_offsets,
+    estimate_guesses,
     estimate_n,
     pipeline_params,
     run_pipeline,
@@ -311,15 +313,24 @@ def criterion_a9() -> tuple[bool, str]:
 def criterion_a10() -> tuple[bool, str]:
     """Unknown-count loop at d=1024, true n=32, 100 seeds: accepted
     estimate within factor 2 in >=90% of seeds, synchronized fraction
-    >=8/9 in every accepted run, and total cost <=4x the final epoch."""
+    >=8/9 in every accepted run, and total cost <=4x the final epoch.
+    Reports how often each guess was accepted, and how many of the
+    epochs run were synced in full: those whose guess is at most the
+    true n (:func:`~radiosync.protocol.estimate_n`)."""
     d, true_n, seeds = 1024, 32, 100
     within, accepted_runs = 0, 0
     frac_ok, cost_ok = True, True
+    estimates = Counter()
+    above = sum(guess > true_n for guess in estimate_guesses(d))
+    epochs = synced = 0
     for seed in range(seeds):
         config = SimConfig(d=d, seed=derive_seed(ACCEPT_SEED, 10, seed))
         res = estimate_n(config, true_n)
+        epochs += res.epochs_run
+        synced += res.epochs_run - above
         if res.accepted:
             accepted_runs += 1
+            estimates[res.estimate] += 1
             if true_n / 2 <= res.estimate <= true_n * 2:
                 within += 1
             if res.synchronized_fraction < 8 / 9:
@@ -329,7 +340,8 @@ def criterion_a10() -> tuple[bool, str]:
     ok = within >= 0.9 * seeds and frac_ok and cost_ok
     return ok, (
         f"{within}/{seeds} within factor 2, {accepted_runs} accepted, "
-        f"fraction_ok={frac_ok}, cost_ok={cost_ok}"
+        f"fraction_ok={frac_ok}, cost_ok={cost_ok}, "
+        f"estimates {dict(sorted(estimates.items()))}, {synced} of {epochs} epochs synced"
     )
 
 

@@ -20,6 +20,9 @@ When the processor count is unknown, guesses n_i = d / 2**i are tried
 in time-isolated epochs. A too-large guess yields a schedule too
 sparse to connect that many nodes, which the root detects by counting
 the nodes its BFS reaches; the first guess that count covers is accepted.
+That count never exceeds the radios present, so in the base model an
+epoch whose guess does is simulated only as far as its rng draws and
+its bill.
 Densities grow geometrically with the epoch index while the
 repetition counts stay fixed (they depend only on d), so the total
 radio spend is dominated by the last epoch.
@@ -77,7 +80,8 @@ class SimConfig:
     ``columns`` 4d and back-off slot count ceil(log2 n)**2 here, the
     stage shape and sync ``rounds`` (ceil(log2 n) + 10) by
     :func:`pipeline_params`. A count field given as anything but an
-    integer is refused, as is a bool.
+    integer is refused, as is a bool; a numpy integer is held as a
+    Python int.
     """
 
     d: int
@@ -97,7 +101,7 @@ class SimConfig:
         for name in _COUNTS.split():
             value = getattr(self, name)
             if value is not None:
-                require_integer(name, value)
+                setattr(self, name, require_integer(name, value))
         if self.d < 1:
             raise ValueError(f"offset bound must be positive, got {self.d}")
         if self.beta is not None and not math.isfinite(self.beta):
@@ -599,6 +603,14 @@ def _check_int64_before_draw(n: int, params: PipelineParams, config: SimConfig) 
     )
 
 
+def billed_cost(matrix: ScheduleMatrix, rounds: int, expansion: int) -> np.ndarray:
+    """Each node's radio cost over ``rounds`` copies of ``matrix``: its
+    awake units, each billed ``expansion`` times (the back-off slots in
+    the interference model, 1 in the base model). Every copy is paid,
+    used or not."""
+    return matrix.densities() * rounds * expansion
+
+
 def run_sync(
     matrix: ScheduleMatrix,
     idents,
@@ -634,7 +646,8 @@ def run_sync(
     the unreached nodes are reported. Every per-node result is an
     array; ``idents`` is left as it was. A ``rounds``, ``transmit_delay``
     or ``backoff_rounds`` whose int64 arithmetic would overflow is
-    refused before detection. The flood keys stay below ``(3 * (columns
+    refused before detection; each is taken as a Python int, so the
+    check itself cannot wrap. The flood keys stay below ``(3 * (columns
     + max offset) * rounds + 1) * n``: a delivery's key, before its
     clamp, may pass the budget by two copies, and a copy of the
     interference model's later rounds is the whole budget. The clocks
@@ -642,9 +655,9 @@ def run_sync(
     1)`` and the billed cost below ``max density * rounds *
     backoff_rounds``.
     """
-    require_integer("rounds", rounds)
-    require_integer("backoff_rounds", backoff_rounds)
-    require_integer("transmit_delay", transmit_delay)
+    rounds = require_integer("rounds", rounds)
+    backoff_rounds = require_integer("backoff_rounds", backoff_rounds)
+    transmit_delay = require_integer("transmit_delay", transmit_delay)
     if rounds < 1:
         raise ValueError(f"rounds must be positive, got {rounds}")
     if exclusive and backoff_rounds < 1:
@@ -690,7 +703,7 @@ def run_sync(
     synchronized = (max_seen == root_ident) & (adjusted == matrix.offsets[root_index])
     unreached = frozenset(np.flatnonzero(~synchronized).tolist())
 
-    cost = matrix.densities() * rounds * expansion
+    cost = billed_cost(matrix, rounds, expansion)
     return PipelineResult(
         comm_graph=graph,
         rounds_used=rounds_used,
@@ -768,29 +781,46 @@ class EstimateResult:
         return self.per_epoch_max_cost[-1] if self.per_epoch_max_cost else 0
 
 
+def estimate_guesses(d: int) -> list[int]:
+    """The guesses n_i = ceil(d / 2**i) of :func:`estimate_n`'s epochs,
+    from d down to the last one that is at least 2."""
+    guesses = (math.ceil(d / 2**epoch) for epoch in range(math.floor(math.log2(d)) + 1))
+    return [guess for guess in guesses if guess >= 2]
+
+
 def estimate_n(
     config: SimConfig, true_n: int, rng: Optional[np.random.Generator] = None
 ) -> EstimateResult:
     """Synchronize without knowing the processor count.
 
     Epoch i sizes the schedule density for the guess n_i =
-    ceil(d / 2**i); the repetition counts and round budget are derived
-    from d once and held fixed across epochs, which keeps per-epoch
-    cost proportional to the density and hence geometrically
-    increasing. The root counts the nodes its BFS reaches after each
-    epoch and the first epoch whose count reaches n_i is accepted;
-    epochs are separated by more than d idle units so no message can
-    leak between them. Gives up once the guess would drop below 2. The
-    count, stage shape and round budget come from d alone, so a config
-    that sets ``beta``, ``n``, ``rounds`` or ``repetition_k`` is refused,
-    and so is one whose densest epoch could overflow int64 in
-    :func:`run_sync`, before the first draw.
+    ceil(d / 2**i) (:func:`estimate_guesses`); the repetition counts and
+    round budget are derived from d once and held fixed across epochs,
+    which keeps per-epoch cost proportional to the density and hence
+    geometrically increasing. The root counts the nodes its BFS reaches
+    after each epoch and the first epoch whose count reaches n_i is
+    accepted; epochs are separated by more than d idle units so no
+    message can leak between them. Gives up once the guess would drop
+    below 2. The guesses, stage shape and round budget come from d
+    alone, so a config that sets ``beta``, ``n``, ``rounds`` or
+    ``repetition_k`` is refused, and so is one whose densest epoch could
+    overflow int64 in :func:`run_sync`, before the first draw.
+
+    ``true_n`` radios take part; it only bounds what the root can
+    count. A count of distinct radios never exceeds it, so an epoch
+    whose guess does is refused whatever it simulates. In the base model
+    such an epoch makes only its rng draws, the schedule and the
+    identifiers, and is billed as :func:`run_sync` would bill it
+    (:func:`billed_cost`); it detects no meetings and floods nothing.
+    The rng stream, and so every later epoch and every output, is that
+    of syncing each epoch in full. In the interference model every epoch
+    runs in full: its back-off draws depend on how far the flood got.
     """
     if config.d < 2:
         raise ValueError(
             f"estimate_n needs d >= 2 (the first guess is d), got {config.d}"
         )
-    require_integer("true_n", true_n)
+    true_n = require_integer("true_n", true_n)
     if true_n < 2:
         raise ValueError(f"need at least two processors, got {true_n}")
     for name in ("beta", "n", "rounds", "repetition_k"):
@@ -805,9 +835,7 @@ def estimate_n(
     # repetition counts and round budget depend only on d (the known
     # quantity); only the density tracks the current guess
     shape = pipeline_params(d, d, scale=config.scale, columns=config.columns)
-    max_epochs = math.floor(math.log2(d)) + 1
-    guesses = [math.ceil(d / 2**epoch) for epoch in range(max_epochs)]
-    guesses = [guess for guess in guesses if guess >= 2]
+    guesses = estimate_guesses(d)
     epochs = [
         replace(shape, draws=row_draws(shape.columns, (1.0 - beta) / 2.0, config.scale))
         for beta in (math.log(guess, d) for guess in guesses)
@@ -822,20 +850,27 @@ def estimate_n(
 
     for epoch, (guess, params) in enumerate(zip(guesses, epochs)):
         matrix = build_pipeline_matrix(true_n, params, rng)
-        matrix = matrix.with_offsets(offsets)
-        result = run_sync(
-            matrix,
-            draw_identifiers(true_n, rng),
-            params.rounds,
-            exclusive=config.exclusive,
-            backoff_rounds=config.backoff_rounds,
-            transmit_delay=config.transmit_delay,
-            rng=rng,
-        )
-        total_cost += result.per_node_radio_cost
-        per_epoch_max.append(int(result.per_node_radio_cost.max()))
+        idents = draw_identifiers(true_n, rng)
+        # no root counts more than the true_n radios present; the draws
+        # above stay, so later epochs read the stream of a full sync
+        if guess > true_n and not config.exclusive:
+            cost, accepted = billed_cost(matrix, params.rounds, 1), False
+        else:
+            result = run_sync(
+                matrix.with_offsets(offsets),
+                idents,
+                params.rounds,
+                exclusive=config.exclusive,
+                backoff_rounds=config.backoff_rounds,
+                transmit_delay=config.transmit_delay,
+                rng=rng,
+            )
+            cost = result.per_node_radio_cost
+            accepted = reached_from(result.comm_graph, root=result.root_index) >= guess
+        total_cost += cost
+        per_epoch_max.append(int(cost.max()))
 
-        if reached_from(result.comm_graph, root=result.root_index) >= guess:
+        if accepted:
             synced = int(result.synchronized.sum())
             return EstimateResult(
                 estimate=guess,

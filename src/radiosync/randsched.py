@@ -39,7 +39,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .seeding import refuse_beyond_memory
+from .seeding import refuse_beyond_memory, require_integer
 
 #: meeting-probability scale; above sqrt(1 - ln 0.1) the shared-bin
 #: probability per window clears 0.8
@@ -151,7 +151,8 @@ class ScheduleMatrix:
     int64 otherwise (:func:`_width`), whatever integer type it is given
     in. ``offsets`` are the per-row global start times (None until
     assigned); :meth:`with_offsets` assigns them to a copy that shares
-    the checked rows.
+    the checked rows. ``n`` and ``columns`` are held as Python ints
+    (:func:`~radiosync.seeding.require_integer`).
     """
 
     def __init__(
@@ -163,6 +164,8 @@ class ScheduleMatrix:
         *,
         starts,
     ) -> None:
+        n = require_integer("n", n)
+        columns = require_integer("columns", columns)
         width = _width(columns)
         positions = np.asarray(positions)
         if positions.dtype != width:

@@ -6,12 +6,14 @@ seed plus integer indices into ``numpy.random.SeedSequence``, which
 mixes the key material platform-independently. There is no global RNG
 state anywhere. A draw whose buffers would exceed physical memory is
 refused by :func:`refuse_beyond_memory` before the rng is touched, and
-a count that is not an integer by :func:`require_integer`.
+a count that is not an integer by :func:`require_integer`, which
+gives the others back as Python ints.
 """
 
 from __future__ import annotations
 
 import numbers
+import operator
 import os
 
 import numpy as np
@@ -45,8 +47,12 @@ def refuse_beyond_memory(need: float, what: str) -> None:
         raise ValueError(f"{what} needs {need:.4g} bytes, physical memory is {have}")
 
 
-def require_integer(name: str, value) -> None:
-    """Refuse a count that is not an integer, a bool included, with one
-    line naming it: a fraction would be billed or truncated silently."""
+def require_integer(name: str, value) -> int:
+    """``value`` as a Python int. A count that is not an integer, a bool
+    included, is refused with one line naming it: a fraction would be
+    billed or truncated silently. A numpy integer is converted, since
+    its fixed width would wrap or refuse to mix with the unsigned keys
+    that count rows."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)

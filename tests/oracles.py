@@ -1,20 +1,22 @@
 """Slow reference implementations of the library's fast paths.
 
 Each function is the straightforward loop the library once used (the
-floods with their tie-break made explicit), or a helper that feeds or
-finishes one; the hypothesis tests in ``test_fast_paths.py`` check that
-the fast paths return exactly what these do.
+floods with their tie-break made explicit, the estimation loop syncing
+every epoch), or a helper that feeds or finishes one; the tests in
+``test_fast_paths.py`` and ``test_protocol.py`` check that the fast
+paths return exactly what these do.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from radiosync import protocol
 from radiosync.netsim import resolve_backoff
 from radiosync.protocol import NodeReading
-from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix
+from radiosync.randsched import CommGraph, GraphStats, Meetings, ScheduleMatrix, reached_from
+from radiosync.seeding import spawn_rng
 
 
 def matrix(n: int, columns: int, rows, offsets=None) -> ScheduleMatrix:
@@ -355,3 +357,53 @@ def finish(m: ScheduleMatrix, states, rounds, *, transmit_delay):
         st.root_time = end_time - st.root_origin
         adjusted = st.root_origin + transmit_delay * st.hops
         st.synchronized = st.max_seen == root.ident and adjusted == root.start_offset
+
+
+def estimate_every_epoch(config, true_n, rng=None):
+    """``estimate_n``'s epoch loop syncing every epoch in full, its
+    guess above ``true_n`` or not, and reading each root's BFS count.
+    The input checks are left out: call it on inputs ``estimate_n``
+    accepts."""
+    if rng is None:
+        rng = spawn_rng(config.seed)
+    d = config.d
+    shape = protocol.pipeline_params(d, d, scale=config.scale, columns=config.columns)
+    guesses = [math.ceil(d / 2**epoch) for epoch in range(math.floor(math.log2(d)) + 1)]
+    guesses = [guess for guess in guesses if guess >= 2]
+    offsets = protocol.draw_offsets(true_n, d, rng)
+    total_cost = np.zeros(true_n, dtype=np.int64)
+    per_epoch_max = []
+    for epoch, guess in enumerate(guesses):
+        exponent = (1.0 - math.log(guess, d)) / 2.0
+        params = replace(
+            shape, draws=protocol.row_draws(shape.columns, exponent, config.scale)
+        )
+        matrix = protocol.build_pipeline_matrix(true_n, params, rng).with_offsets(offsets)
+        result = protocol.run_sync(
+            matrix,
+            protocol.draw_identifiers(true_n, rng),
+            params.rounds,
+            exclusive=config.exclusive,
+            backoff_rounds=config.backoff_rounds,
+            transmit_delay=config.transmit_delay,
+            rng=rng,
+        )
+        total_cost += result.per_node_radio_cost
+        per_epoch_max.append(int(result.per_node_radio_cost.max()))
+        if reached_from(result.comm_graph, root=result.root_index) >= guess:
+            return protocol.EstimateResult(
+                estimate=guess,
+                accepted=True,
+                epochs_run=epoch + 1,
+                synchronized_fraction=int(result.synchronized.sum()) / true_n,
+                per_node_cost=total_cost,
+                per_epoch_max_cost=per_epoch_max,
+            )
+    return protocol.EstimateResult(
+        estimate=None,
+        accepted=False,
+        epochs_run=len(guesses),
+        synchronized_fraction=0.0,
+        per_node_cost=total_cost,
+        per_epoch_max_cost=per_epoch_max,
+    )

@@ -70,7 +70,8 @@ def test_a9_cost_scaling_exponent():
 def test_a10_unknown_count_loop():
     check(
         criterion_a10(),
-        "100/100 within factor 2, 100 accepted, fraction_ok=True, cost_ok=True",
+        "100/100 within factor 2, 100 accepted, fraction_ok=True, cost_ok=True, "
+        "estimates {32: 100}, 100 of 600 epochs synced",
     )
 
 

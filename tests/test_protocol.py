@@ -3,7 +3,7 @@ gossip cases, convergence invariants, and the unknown-count loop."""
 
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -25,8 +25,26 @@ from radiosync.protocol import (
     run_pipeline,
     run_sync,
 )
-from radiosync.randsched import graph_stats
+from radiosync.randsched import CommGraph, ScheduleMatrix, graph_stats
 from radiosync.seeding import spawn_rng
+
+
+def differing_fields(got, want) -> list[str]:
+    """The fields on which two result dataclasses differ: arrays in
+    dtype or values, graphs by :func:`oracles.same_graph`, the rest in
+    type or by ``==``."""
+    out = []
+    for name in (f.name for f in fields(want)):
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(b, np.ndarray):
+            same = a.dtype == b.dtype and np.array_equal(a, b)
+        elif isinstance(b, CommGraph):
+            same = oracles.same_graph(a, b)
+        else:
+            same = type(a) is type(b) and a == b
+        if not same:
+            out.append(name)
+    return out
 
 
 def matrix_from_ones(columns, rows, offsets):
@@ -597,6 +615,66 @@ def test_estimate_refuses_fields_it_derives(field, value):
     config = SimConfig(d=1024, seed=5, **{field: value})
     with pytest.raises(ValueError, match=f"estimate_n derives {field} from d"):
         estimate_n(config, 32)
+
+
+@pytest.mark.parametrize("exclusive", [False, True], ids=["base", "exclusive"])
+@pytest.mark.parametrize("d", [16, 64, 256])
+def test_estimate_equals_syncing_every_epoch(d, exclusive):
+    # a root never counts more radios than there are, so an epoch whose
+    # guess exceeds true_n is refused whatever it simulates: in the base
+    # model it is only drawn and billed, yet every output and the rng
+    # stream after the call are those of syncing it in full
+    for true_n in (2, 3, 7, 12, 40, 100):
+        for transmit_delay in (0, 3):
+            for seed in range(3):
+                config = SimConfig(
+                    d=d, exclusive=exclusive, transmit_delay=transmit_delay, seed=seed
+                )
+                got_rng, want_rng = spawn_rng(seed), spawn_rng(seed)
+                got = estimate_n(config, true_n, got_rng)
+                want = oracles.estimate_every_epoch(config, true_n, want_rng)
+                assert differing_fields(got, want) == [], (true_n, transmit_delay, seed)
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_estimate_detects_meetings_only_in_epochs_it_could_accept(monkeypatch):
+    calls = []
+    detect = protocol.detect_meetings
+    monkeypatch.setattr(protocol, "detect_meetings", lambda m: calls.append(m) or detect(m))
+    # guesses 256, 128, 64 and 32 exceed the 16 radios present
+    above = sum(guess > 16 for guess in protocol.estimate_guesses(256))
+    assert above == 4
+    for exclusive, skipped in ((False, above), (True, 0)):
+        calls.clear()
+        res = estimate_n(SimConfig(d=256, exclusive=exclusive, seed=13), true_n=16)
+        assert res.accepted and res.epochs_run > above
+        assert len(calls) == res.epochs_run - skipped
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.int32], ids=["int64", "int32"])
+def test_numpy_integer_counts_run_as_python_ints(integer):
+    # a numpy count once reached the uint32 meeting keys: int64 failed
+    # to cast, int32 overflowed
+    config = SimConfig(d=256, n=integer(16), seed=3)
+    assert type(config.n) is int
+    want = run_pipeline(SimConfig(d=256, n=16, seed=3))
+    assert differing_fields(run_pipeline(config), want) == []
+    want = estimate_n(SimConfig(d=64, seed=3), 8)
+    assert differing_fields(estimate_n(SimConfig(d=64, seed=3), integer(8)), want) == []
+    positions, starts = np.array([0, 4, 1, 4, 7, 4]), np.array([0, 2, 5, 6])
+    m = ScheduleMatrix(integer(3), integer(10), positions, [2, 0, 1], starts=starts)
+    assert (type(m.n), type(m.columns)) == (int, int)
+    plain = ScheduleMatrix(3, 10, positions, [2, 0, 1], starts=starts)
+    want = run_sync(plain, [5, 9, 2], 2)
+    assert differing_fields(run_sync(m, [5, 9, 2], integer(2)), want) == []
+    # the overflow check multiplies Python ints, so the type's largest
+    # value neither wraps it nor warns: the refusal is the same
+    top = int(np.iinfo(integer).max)
+    with pytest.raises(ValueError) as want_err:
+        run_sync(plain, [5, 9, 2], top, exclusive=True, backoff_rounds=top)
+    with pytest.raises(ValueError) as got_err:
+        run_sync(m, [5, 9, 2], integer(top), exclusive=True, backoff_rounds=integer(top))
+    assert str(got_err.value) == str(want_err.value)
 
 
 def test_estimate_requires_known_offset_bound():
