@@ -116,6 +116,8 @@ class SimConfig:
             raise ValueError(
                 f"transmit_delay must be non-negative, got {self.transmit_delay}"
             )
+        if self.polylog_exp < 0:
+            raise ValueError(f"polylog_exp must be non-negative, got {self.polylog_exp}")
         if self.beta is not None:
             try:
                 n = math.ceil(float(self.d) ** self.beta)
@@ -225,10 +227,11 @@ def build_pipeline_matrix(
 
 def _check_draw_fits(n: int, params: PipelineParams) -> None:
     """Refuse a schedule draw that would exceed the machine's physical
-    memory, before anything is allocated. The price is 8 bytes a draw:
-    the raw int32 buffer of :func:`~radiosync.randsched.draw_rows` plus
-    its deduplicated copy, or the raw buffer alone where positions need
-    int64."""
+    memory, before anything is allocated. The price is 8 bytes a draw,
+    which covers the raw buffer of :func:`~radiosync.randsched.draw_rows`
+    where positions need int64; the deduplicated positions are a view of
+    that buffer, and the draw's other temporaries are one block of rows
+    at a time."""
     refuse_beyond_memory(
         n * params.windows * params.draws * 8,
         f"schedule draw too large: n={n} rows x {params.windows} windows x "

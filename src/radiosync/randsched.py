@@ -21,10 +21,12 @@ grouped by (receiver, sender) once, by stable 16-bit radix passes
 (:func:`_radix_order`) rather than comparison sorts; the runs of that
 grouping are the CSR entries, and the protocol's flood reads the same
 grouped pairs. Schedule positions are int32 whenever every value they
-can take fits (:func:`_width`), which halves what the draw moves.
-Meeting detection sorts uint32 keys one band of ``2**32 // n`` global
-columns at a time, so its sort moves 32-bit keys whatever the window;
-meetings and graphs are int64.
+can take fits (:func:`_width`), which halves what the draw moves. The
+draw deduplicates its rows block by block, in place in its one raw
+buffer. Meeting detection sorts uint32 keys one band of global columns
+at a time, at most ``2**32 // n`` columns and about
+:data:`_BAND_UNITS` units wide, so its sort moves 32-bit keys whatever
+the window and each band fits in cache; meetings and graphs are int64.
 """
 
 from __future__ import annotations
@@ -51,6 +53,12 @@ _EMPTY.flags.writeable = False
 #: values per sort in :func:`draw_rows`: whole windows are sorted
 #: together in runs of about this many (64-256 measure alike)
 _SORT_RUN = 128
+
+#: values per block of rows in :func:`draw_rows`, and awake units per
+#: band of :func:`detect_meetings` at the matrix's mean density: about
+#: a megabyte of positions or keys, so each pass stays in cache
+_BLOCK = 1 << 18
+_BAND_UNITS = 1 << 18
 
 _INT32_MAX = np.iinfo(np.int32).max
 
@@ -227,16 +235,21 @@ def draw_rows(
     along every row, so windows occupy disjoint ranges and sorting a run
     of whole windows sorts each of them. Runs hold about
     :data:`_SORT_RUN` values (at least one window), plus one sort of
-    each row's leftover windows. Entries equal to their left neighbour
-    along a row are then dropped, through the flat mask. O(n * windows *
+    each row's leftover windows. The rows are then deduplicated in
+    blocks of about :data:`_BLOCK` values (at least one row): entries
+    equal to their left neighbour along a row are dropped, and the
+    block's kept values are written into the front of the raw buffer,
+    behind the blocks before it. The positions returned are a view of
+    that buffer; nothing else of its size is held. O(n * windows *
     draws * log _SORT_RUN).
     """
     # the draw's own bound must fit too, even with no windows to draw
     width = _width(max(windows, 1) * columns)
     raw = rng.integers(0, columns, size=(n, windows, draws), dtype=width)
     size = windows * draws
+    starts = np.zeros(n + 1, dtype=np.int64)
     if raw.size == 0:
-        return raw.reshape(-1), np.zeros(n + 1, dtype=np.int64)
+        return raw.reshape(-1), starts
     flat = raw.reshape(n, size)
     flat += np.repeat(np.arange(windows, dtype=width) * columns, draws)
     run = max(1, _SORT_RUN // draws) * draws
@@ -244,12 +257,22 @@ def draw_rows(
     # both sorts act on views of ``raw``: each row's slice is contiguous
     flat[:, :whole].reshape(n, -1, run).sort(axis=-1)
     flat[:, whole:].sort(axis=-1)
-    keep = np.empty(flat.shape, dtype=bool)
-    keep[:, 0] = True
-    np.not_equal(flat[:, 1:], flat[:, :-1], out=keep[:, 1:])
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=starts[1:])
-    return flat.reshape(-1)[keep.reshape(-1)], starts
+    rows = max(1, _BLOCK // size)
+    out = raw.reshape(-1)
+    kept = 0
+    for r0 in range(0, n, rows):
+        part = flat[r0 : r0 + rows]
+        keep = np.empty(part.shape, dtype=bool)
+        keep[:, 0] = True
+        np.not_equal(part[:, 1:], part[:, :-1], out=keep[:, 1:])
+        starts[r0 + 1 : r0 + 1 + part.shape[0]] = np.count_nonzero(keep, axis=1)
+        # the mask copies the kept values out, and they are written at or
+        # before this block's start, over values already read
+        values = part[keep]
+        out[kept : kept + values.size] = values
+        kept += values.size
+    np.cumsum(starts, out=starts)
+    return out[:kept], starts
 
 
 def _radix_order(keys: np.ndarray, bound: int) -> np.ndarray:
@@ -388,21 +411,23 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     when it builds its graph (see :func:`radiosync.protocol.run_sync`).
 
     Sort-and-group on uint32 keys, one band of global columns at a
-    time. A band is ``2**32 // n`` columns wide and starts at the first
-    awake unit not yet placed, so only occupied bands are visited, and
-    never more of them than there are units. In band ``[lo, lo +
-    width)`` a unit is keyed ``(column - lo) * n + row``, which is below
-    2**32; it is built mod 2**32 as ``position * n + ((offset - lo) * n
-    + row)``. Each row with a unit in the band (a live row) adds one
-    slice of its positions, cut by one vectorized bisection
+    time. A band is ``2**32 // n`` columns wide, or narrower, so that it
+    holds about :data:`_BAND_UNITS` units at the matrix's mean density
+    (``_BAND_UNITS * (columns + top offset) // units`` columns, at least
+    one) and its keys, sort and temporaries stay in cache. It starts at
+    the first awake unit not yet placed, so only occupied bands are
+    visited, and never more of them than there are units. In band ``[lo,
+    lo + width)`` a unit is keyed ``(column - lo) * n + row``, which is
+    below 2**32; it is built mod 2**32 as ``position * n + ((offset -
+    lo) * n + row)``. Each row with a unit in the band (a live row) adds
+    one slice of its positions, cut by one vectorized bisection
     (:func:`_bisect`) at ``lo + width - offset`` over the live rows that
     do not end inside the band. The slices are copied back to back and
     sorted, and runs of equal columns form the groups, whose rows are
     gathered into one owner array. A band with one live row holds no
     meeting and is only stepped over. Bands come in column order, so
-    their meetings concatenate in it. Keys that fit in 32 bits make one
-    band and one sort. O(N log N) in the N awake units; the returned
-    arrays are int64.
+    their meetings concatenate in it. O(N log N) in the N awake units;
+    the returned arrays are int64.
     """
     if m.offsets is None:
         raise ValueError("offsets must be set before detecting meetings")
@@ -412,8 +437,8 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
     top = int(m.offsets.max())
     if (m.columns + top) * n > np.iinfo(np.int64).max:
         raise ValueError(f"{n} rows over {m.columns} columns overflow the int64 sort keys")
-    width = (1 << 32) // n
     flat = m.positions
+    width = min((1 << 32) // n, max(1, _BAND_UNITS * (m.columns + top) // flat.size))
     # the rows with units left to place, from the first of them (cut)
     rows = np.flatnonzero(m.densities())
     cut, stop, off = m.starts[rows], m.starts[rows + 1], m.offsets[rows]

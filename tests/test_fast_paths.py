@@ -144,6 +144,27 @@ def test_banded_kernel_and_graph_match_oracle(m):
     assert_kernel_and_graph_match_oracle(m)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.one_of(matrices(), sparse_matrices(min_rows=2)),
+    band_units=st.integers(1, 4),
+)
+def test_narrow_bands_match_oracle(m, band_units):
+    # a band of a few units at the mean density: most meetings sit in
+    # bands of their own, or at a band's first or last column. Every
+    # band places at least one unit and bisects at most once, so a
+    # kernel that stops placing units fails here rather than looping
+    bisect, calls = randsched._bisect, []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= m.positions.size, "a band placed no unit"
+        return bisect(*args)
+
+    with mock.patch.multiple(randsched, _BAND_UNITS=band_units, _bisect=counted):
+        assert list(detect_meetings(m)) == oracles.detect_meetings(m)
+
+
 @settings(max_examples=100, deadline=None)
 @given(case=meeting_lists())
 def test_graph_builder_matches_oracle(case):
@@ -276,6 +297,24 @@ def test_draw_rows_matches_oracle(n, windows, columns, draws, seed):
     assert_draw_matches_oracle(
         n, windows, columns, draws, spawn_rng(seed), spawn_rng(seed)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(1, 9),
+    windows=st.integers(1, 12),
+    columns=st.integers(1, 20),
+    draws=st.integers(1, 12),
+    block=st.integers(1, 64),
+    seed=st.integers(0, 2**32),
+)
+def test_draw_in_small_blocks_matches_oracle(n, windows, columns, draws, block, seed):
+    # blocks of one row up to a few: narrow windows repeat values in
+    # most rows, so every block's kept values move to the front
+    with mock.patch.object(randsched, "_BLOCK", block):
+        assert_draw_matches_oracle(
+            n, windows, columns, draws, spawn_rng(seed), spawn_rng(seed)
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Seeded CLI output pinned byte for byte.
+"""Seeded output pinned byte for byte: the CLI's CSVs, and the library
+results the CLI does not print.
 
 The digests were taken before the meeting kernel and the schedule draw
 were vectorized; they hold as long as the random stream and the
@@ -11,13 +12,22 @@ failure says which of them moved.
 ``drift_c`` column was dropped, with that column cut out (rewritten
 with ``csv``, ``lineterminator="\n"``): removing the column changed no
 other byte of the summary.
+
+The ``estimate-n`` and large-n pins were taken before meeting bands
+were narrowed to a cache-sized count of units. Arrays are pinned by the
+sha256 of their little-endian int64 bytes. The large-n base run is the
+one pinned output of meeting detection over dozens of bands of a
+pipeline-sized matrix.
 """
 
+import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 
 from radiosync import cli
+from radiosync.protocol import EstimateResult, SimConfig, estimate_n, run_pipeline
 
 RUN_DIGESTS = {
     "base": {
@@ -59,3 +69,82 @@ def test_sweep_summary_pinned(tmp_path):
             "--both-modes", "--trials", "2", "--seed", "11", "--out", str(out)]
     assert cli.main(argv) == 0
     assert sha256(out) == SWEEP_DIGEST
+
+
+#: ``sync estimate-n`` stdout by (d, true n, seed). No command-line input
+#: was found that fails to accept; ``ESTIMATES`` pins such a case.
+ESTIMATE_CSV_DIGESTS = {
+    # the four guesses above 16 are billed, not synced; accepts at 16
+    ("256", "16", "7"): "d8a6f7f539c5b717960256ac24e56323e70a780817c31d45f75949e80eb94cc0",
+    # more radios than d: the first epoch is synced and accepts
+    ("16", "40", "7"): "db752cf4c89c8d8ce72f47785ed97a680288766b5d212288bd762cdfbc1ac625",
+}
+
+#: every :class:`EstimateResult` field of library-level runs, the
+#: per-node costs by digest
+ESTIMATES = {
+    "interference": (
+        SimConfig(d=64, seed=3, exclusive=True),
+        16,
+        dict(
+            estimate=16, accepted=True, epochs_run=3, synchronized_fraction=1.0,
+            per_node_cost="199f4131e0436002f77ded0f4d6581cfa6092273592658284d58ce5280cc06f7",
+            per_epoch_max_cost=[456192, 682560, 1135296],
+        ),
+    ),
+    # one wake-up or two a window over 2**16 columns: the two radios
+    # never meet, and the last epochs' duplicate draws move the costs
+    "not-accepted": (
+        SimConfig(d=64, scale=0.1, columns=2**16, seed=21),
+        2,
+        dict(
+            estimate=None, accepted=False, epochs_run=6, synchronized_fraction=0.0,
+            per_node_cost="52f33f0f464e4999123c0fefeecab847347e0b31152100b241d8c1fedf6fde5a",
+            per_epoch_max_cost=[6336, 6336, 6336, 12672, 31680, 69680],
+        ),
+    ),
+}
+
+#: ``run_pipeline(SimConfig(d=16384, beta=0.75, seed=3))``: 1449 radios
+LARGE_N_DIGESTS = {
+    "max_seen": "b75ded86bed723f5c8f1efa576c77c240d7dbe8670718d1580844f7b010ef66f",
+    "root_origin": "f6a64c4179ac77dfa67591a565871f9d0fe37628cce70954b3dea14d57747139",
+    "hops": "54a129c436f950236c7f871dc5acf2aab388c8443634e152b8b6efa79d88f344",
+    "per_node_radio_cost": "adb47a97ee33625941868d7d810bf836c8fd751db79bca8ace149a650080d980",
+    "indptr": "42e0135711e61793b305c3e11121781f797bafdfde110d69c1f8f0d4b171a337",
+    "indices": "77863e8bd2006b97ba5f4c83ee0c79be7860b8ee5d057bd2f24e56825e4a8b75",
+    "first_cols": "37f4a8de49b8585583dff17c0e3e5b412bc41d9bbb2fb45be7a202cfbfca7817",
+}
+
+
+def array_digest(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("d, true_n, seed", sorted(ESTIMATE_CSV_DIGESTS))
+def test_estimate_n_csv_pinned(d, true_n, seed, capsys):
+    argv = ["sync", "estimate-n", "--d", d, "--true-n", true_n, "--seed", seed]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    pinned = ESTIMATE_CSV_DIGESTS[d, true_n, seed]
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned, out
+
+
+@pytest.mark.parametrize("case", sorted(ESTIMATES))
+def test_estimate_n_result_pinned(case):
+    config, true_n, pinned = ESTIMATES[case]
+    result = estimate_n(config, true_n)
+    got = {f.name: getattr(result, f.name) for f in dataclasses.fields(EstimateResult)}
+    got["per_node_cost"] = array_digest(got["per_node_cost"])
+    assert got == pinned
+
+
+def test_large_n_base_run_pinned():
+    result = run_pipeline(SimConfig(d=16384, beta=0.75, seed=3))
+    graph = result.comm_graph
+    got = {
+        name: array_digest(getattr(graph if hasattr(graph, name) else result, name))
+        for name in LARGE_N_DIGESTS
+    }
+    moved = [name for name, digest in LARGE_N_DIGESTS.items() if got[name] != digest]
+    assert not moved, f"large-n digests moved: {', '.join(moved)} (now {got})"

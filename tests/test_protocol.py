@@ -94,6 +94,7 @@ def test_config_validation():
         ("columns", 0),
         ("backoff_rounds", 0),
         ("transmit_delay", -1),
+        ("polylog_exp", -3),
     ]:
         with pytest.raises(ValueError, match=field):
             SimConfig(d=64, beta=0.5, exclusive=True, **{field: value})
