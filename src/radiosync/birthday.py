@@ -43,21 +43,16 @@ class BirthdayParams:
         require_integer("bins", self.bins)
 
     @classmethod
-    def from_exponents(
-        cls, bins: int, red_exp: float, scale: float, blue_exp: float | None = None
-    ) -> "BirthdayParams":
-        """Derive ball counts; ``blue_exp`` defaults to 1 - red_exp.
+    def from_exponents(cls, bins: int, red_exp: float, scale: float) -> "BirthdayParams":
+        """Derive ball counts, the blue exponent being 1 - red_exp.
 
         Counts whose draw, 8 bytes a ball, would exceed the machine's
         physical memory are refused before anything is allocated."""
-        if blue_exp is None:
-            blue_exp = 1.0 - red_exp
+        blue_exp = 1.0 - red_exp
         if bins < 1:
             raise ValueError(f"bins must be positive, got {bins}")
         if not (0.0 < red_exp < 1.0 and 0.0 < blue_exp < 1.0):
             raise ValueError("exponents must lie in (0, 1)")
-        if abs(red_exp + blue_exp - 1.0) > 1e-12:
-            raise ValueError(f"exponents must sum to 1, got {red_exp + blue_exp}")
         if not (math.isfinite(scale) and scale > 0):
             raise ValueError(f"scale must be finite and positive, got {scale}")
         try:

@@ -27,9 +27,7 @@ from .detsched import build_two_proc_schedule, first_uncovered_shift
 from .harness import (
     ExperimentSpec,
     load_config_file,
-    per_node_costs_to_csv,
     run_one,
-    runs_to_csv,
     summaries_to_csv,
     run_sweep,
     to_csv,
@@ -97,21 +95,14 @@ def cmd_birthday(args) -> int:
 
 def cmd_sync_run(args) -> int:
     trace = [] if args.trace else None
-    record = run_one(
-        d=args.d,
-        beta=args.beta,
-        exclusive=args.exclusive,
-        seed=args.seed,
-        trace=trace,
-    )
-    _write_out(runs_to_csv([record]), args.out)
+    row, result = run_one(args.d, args.beta, args.exclusive, args.seed, trace=trace)
+    _write_out(to_csv(row, [row.values()]), args.out)
     if args.trace:
         Path(args.trace).write_text(trace_to_csv(trace))
     if args.per_node_costs:
-        Path(args.per_node_costs).write_text(
-            per_node_costs_to_csv(record["_per_node_cost"])
-        )
-    return 0 if record["success"] else 1
+        costs = enumerate(result.per_node_radio_cost.tolist())
+        Path(args.per_node_costs).write_text(to_csv(("node", "radio_cost"), costs))
+    return 0 if result.success else 1
 
 
 def cmd_sync_estimate_n(args) -> int:
@@ -121,7 +112,7 @@ def cmd_sync_estimate_n(args) -> int:
         d=args.d, true_n=args.true_n, seed=args.seed, accepted=int(res.accepted),
         estimate=res.estimate if res.estimate is not None else "",
         epochs=res.epochs_run, synchronized_fraction=f"{res.synchronized_fraction:.4f}",
-        max_cost=int(res.per_node_cost.max()) if res.per_node_cost.size else 0,
+        max_cost=int(res.per_node_cost.max()),
     )
     sys.stdout.write(to_csv(row, [row.values()]))
     return 0 if res.accepted else 1

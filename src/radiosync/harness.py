@@ -16,22 +16,9 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .protocol import SimConfig, run_pipeline
+from .protocol import PipelineResult, SimConfig, run_pipeline
 from .randsched import graph_stats
-from .seeding import derive_seed, require_integer, spawn_rng
-
-#: per-run CSV schema, fixed
-RUN_COLUMNS = (
-    "seed",
-    "d",
-    "n",
-    "beta",
-    "exclusive",
-    "success",
-    "max_radio_cost",
-    "rounds",
-    "diameter",
-)
+from .seeding import derive_seed, require_integer
 
 
 @dataclass(frozen=True)
@@ -97,16 +84,16 @@ def run_one(
     exclusive: bool,
     seed: int,
     trace: Optional[list] = None,
-) -> dict:
-    """Single seeded pipeline run, reported as a flat record.
+) -> tuple[dict, PipelineResult]:
+    """Single seeded pipeline run, as ``(row, result)``: the run CSV's
+    row, its keys the header, and the :class:`PipelineResult` it reads.
 
     ``trace``, when given, collects one radio event per meeting unit.
-    The per-node awake counts ride along under a non-CSV key.
     """
     config = SimConfig(d=d, beta=beta, exclusive=exclusive, seed=seed)
-    result = run_pipeline(config, spawn_rng(seed), trace=trace)
+    result = run_pipeline(config, trace=trace)
     stats = graph_stats(result.comm_graph, root=result.root_index)
-    return {
+    row = {
         "seed": seed,
         "d": d,
         "n": config.n,
@@ -116,8 +103,8 @@ def run_one(
         "max_radio_cost": int(result.per_node_radio_cost.max()),
         "rounds": result.rounds_used,
         "diameter": stats.diameter,
-        "_per_node_cost": result.per_node_radio_cost.tolist(),
     }
+    return row, result
 
 
 def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
@@ -131,7 +118,7 @@ def run_sweep(spec: ExperimentSpec) -> list[SummaryRecord]:
         runs = []
         for trial_idx in range(spec.trials):
             seed = derive_seed(spec.root_seed, cell_idx, trial_idx)
-            runs.append(run_one(d, beta, excl, seed))
+            runs.append(run_one(d, beta, excl, seed)[0])
         diameters = [r["diameter"] for r in runs if math.isfinite(r["diameter"])]
         records.append(
             SummaryRecord(
@@ -163,14 +150,6 @@ def to_csv(header: Iterable, rows: Iterable[Iterable]) -> str:
 
 def summaries_to_csv(records: Sequence[SummaryRecord]) -> str:
     return to_csv(SUMMARY_COLUMNS, (rec.csv_row() for rec in records))
-
-
-def runs_to_csv(runs: Sequence[dict]) -> str:
-    return to_csv(RUN_COLUMNS, ([r[c] for c in RUN_COLUMNS] for r in runs))
-
-
-def per_node_costs_to_csv(costs: Sequence[int]) -> str:
-    return to_csv(("node", "radio_cost"), enumerate(costs))
 
 
 def trace_to_csv(trace: Sequence[tuple]) -> str:

@@ -107,17 +107,16 @@ def max_step_overlap(
     return best
 
 
-def check_unit_overlap(
-    p: DriftParams, phase_i: float, phase_j: float, i: int = 0, j: int = 1
-) -> float:
-    """Longest co-awake stretch of nodes i and j inside one unit.
+def check_unit_overlap(p: DriftParams, phase_i: float, phase_j: float) -> float:
+    """Longest co-awake stretch of nodes 0 and 1 inside one unit, node 0
+    starting ``phase_i`` and node 1 ``phase_j`` into its first step.
 
-    Both nodes start within their first step of the unit and work
-    through it; the unit is long enough for at least three complete
-    steps each, so the result is at least min(step_i, step_j) / 2.
+    Both nodes work through the unit from there; it is long enough for
+    at least three complete steps each, so the result is at least
+    min(step_i, step_j) / 2.
     """
-    s_i = p.step_length(i)
-    s_j = p.step_length(j)
+    s_i = p.step_length(0)
+    s_j = p.step_length(1)
     if not 0.0 <= phase_i < s_i:
         raise ValueError(f"phase_i must lie in [0, {s_i}), got {phase_i}")
     if not 0.0 <= phase_j < s_j:

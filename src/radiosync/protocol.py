@@ -106,18 +106,12 @@ class SimConfig:
             raise ValueError(f"offset bound must be positive, got {self.d}")
         if self.beta is not None and not math.isfinite(self.beta):
             raise ValueError(f"beta must be finite, got {self.beta}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise ValueError(f"scale must be finite and positive, got {self.scale}")
-        for name in ("repetition_k", "rounds", "columns", "backoff_rounds"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be positive, got {value}")
+        counts = ("repetition_k", "rounds", "columns", "backoff_rounds")
+        _check_shape(self.scale, self.polylog_exp, **{k: getattr(self, k) for k in counts})
         if self.transmit_delay < 0:
             raise ValueError(
                 f"transmit_delay must be non-negative, got {self.transmit_delay}"
             )
-        if self.polylog_exp < 0:
-            raise ValueError(f"polylog_exp must be non-negative, got {self.polylog_exp}")
         if self.beta is not None:
             try:
                 n = math.ceil(float(self.d) ** self.beta)
@@ -140,6 +134,21 @@ class SimConfig:
         if self.backoff_rounds is None:
             known = self.n if self.n is not None else self.d
             self.backoff_rounds = math.ceil(clamped_log2(known)) ** 2
+
+
+def _check_shape(scale: float, polylog_exp: int, **counts: Optional[int]) -> None:
+    """Refuse, in one line naming the field, a ``scale`` that is not
+    finite and positive, a ``polylog_exp`` that is not a non-negative
+    integer, or any of the ``counts`` given that is not a positive
+    integer. :class:`SimConfig` and :func:`pipeline_params` both check
+    here."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be finite and positive, got {scale}")
+    for name, value in counts.items():
+        if value is not None and require_integer(name, value) < 1:
+            raise ValueError(f"{name} must be positive, got {value}")
+    if require_integer("polylog_exp", polylog_exp) < 0:
+        raise ValueError(f"polylog_exp must be non-negative, got {polylog_exp}")
 
 
 NodeReading = namedtuple("NodeReading", "max_seen root_origin hops synchronized root_time")
@@ -178,8 +187,12 @@ def pipeline_params(
     a = (1 - log_d n) / 2, which balances the two-color collision
     probability per window. For n > d a fixed poly-log density
     ceil(log2(d)**polylog_exp) suffices (the window is saturated by
-    sheer processor count) and a single stage window is used.
+    sheer processor count) and a single stage window is used. The shape
+    fields are refused as :class:`SimConfig` refuses them.
     """
+    _check_shape(
+        scale, polylog_exp, columns=columns, repetition_k=repetition_k, rounds=rounds
+    )
     if columns is None:
         columns = 4 * d
     beta = math.log(n, d) if d > 1 else 1.0
@@ -240,7 +253,7 @@ def _check_draw_fits(n: int, params: PipelineParams) -> None:
 
 
 def draw_offsets(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """Adversarial start offsets, uniform in [0, d] by default."""
+    """Adversarial start offsets, uniform in [0, d]."""
     return rng.integers(0, d + 1, size=n, dtype=np.int64)
 
 
@@ -408,8 +421,9 @@ def _spread(
     subset of the grouped deliveries, so nothing is sorted. So every
     round assigns a node, and the identifier strictly descends.
     """
-    value, origin, hops = out = tuple(array.copy() for array in held)
-    ident = held[0]
+    value, origin, hops = held
+    # the rounds read every node's own identifier and origin
+    ident, start = value.copy(), origin.copy()
     n = ident.size
     never = copies * period
     open_ = np.ones(n, dtype=bool)
@@ -420,7 +434,7 @@ def _spread(
         take = open_ & (key < never * n)
         time, level = np.divmod(key[take], n)
         value[take] = ident[source]
-        origin[take] = held[1][source] - transmit_delay * level
+        origin[take] = start[source] - transmit_delay * level
         hops[take] = level
         adopted[take] = time
         open_ &= ~take
@@ -438,8 +452,6 @@ def _spread(
         key = np.full(n, never * n, dtype=np.int64)
         key[source] = -n
         key = _relax(key, active, period, never)
-    for array, result in zip(held, out):
-        array[:] = result
     return adopted
 
 
@@ -723,23 +735,18 @@ def run_sync(
     )
 
 
-def run_pipeline(
-    config: SimConfig,
-    rng: Optional[np.random.Generator] = None,
-    trace: Optional[list] = None,
-) -> PipelineResult:
+def run_pipeline(config: SimConfig, trace: Optional[list] = None) -> PipelineResult:
     """Build schedule, offsets and identifiers from the config, then sync.
 
-    The rng (seeded from ``config.seed`` when not given) draws, in this
-    order, the schedule stack, the start offsets, the node identifiers
-    and, in interference mode, the back-off winners. A budget that
+    One rng, seeded from ``config.seed``, draws, in this order, the
+    schedule stack, the start offsets, the node identifiers and, in
+    interference mode, the back-off winners. A budget that
     :func:`run_sync` would refuse for int64 overflow on some draw of
     this shape is refused before anything is drawn.
     """
     if config.n is None:
         raise ValueError("processor count unknown; use estimate_n")
-    if rng is None:
-        rng = spawn_rng(config.seed)
+    rng = spawn_rng(config.seed)
     params = pipeline_params(
         config.d,
         config.n,
@@ -837,11 +844,12 @@ def estimate_n(
     d = config.d
     # repetition counts and round budget depend only on d (the known
     # quantity); only the density tracks the current guess
-    shape = pipeline_params(d, d, scale=config.scale, columns=config.columns)
+    density = dict(scale=config.scale, columns=config.columns)
+    shape = pipeline_params(d, d, **density)
     guesses = estimate_guesses(d)
     epochs = [
-        replace(shape, draws=row_draws(shape.columns, (1.0 - beta) / 2.0, config.scale))
-        for beta in (math.log(guess, d) for guess in guesses)
+        replace(shape, draws=pipeline_params(d, guess, **density).draws)
+        for guess in guesses
     ]
     # the last epoch is the densest
     _check_draw_fits(true_n, epochs[-1])
@@ -850,8 +858,8 @@ def estimate_n(
     offsets = draw_offsets(true_n, d, rng)
     total_cost = np.zeros(true_n, dtype=np.int64)
     per_epoch_max: list[int] = []
-
-    for epoch, (guess, params) in enumerate(zip(guesses, epochs)):
+    estimate, fraction = None, 0.0
+    for guess, params in zip(guesses, epochs):
         matrix = build_pipeline_matrix(true_n, params, rng)
         idents = draw_identifiers(true_n, rng)
         # no root counts more than the true_n radios present; the draws
@@ -874,20 +882,13 @@ def estimate_n(
         per_epoch_max.append(int(cost.max()))
 
         if accepted:
-            synced = int(result.synchronized.sum())
-            return EstimateResult(
-                estimate=guess,
-                accepted=True,
-                epochs_run=epoch + 1,
-                synchronized_fraction=synced / true_n,
-                per_node_cost=total_cost,
-                per_epoch_max_cost=per_epoch_max,
-            )
+            estimate, fraction = guess, int(result.synchronized.sum()) / true_n
+            break
     return EstimateResult(
-        estimate=None,
-        accepted=False,
-        epochs_run=len(guesses),
-        synchronized_fraction=0.0,
+        estimate=estimate,
+        accepted=estimate is not None,
+        epochs_run=len(per_epoch_max),
+        synchronized_fraction=fraction,
         per_node_cost=total_cost,
         per_epoch_max_cost=per_epoch_max,
     )

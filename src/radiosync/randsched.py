@@ -315,14 +315,14 @@ class Meetings:
         """Every ordered pair of distinct participants of every meeting
         among ``n`` rows, as (senders, receivers, meeting, slots),
         grouped by (receiver, sender) by one stable radix sort
-        (:func:`_pair_order`). The pairs are built in meeting order, so
-        each (receiver, sender) run starts at its link's earliest
-        meeting. The slots (None unless ``slots`` is set) are the sender's
-        and receiver's in ``owners``, one (2, pairs) array at :func:`_width`
-        (gather with ``take``: int32 fancy indexing is slow). Each array
-        is gathered in turn, freeing what it replaces. O(sum of size**2);
-        pairs that would not fit in physical memory are refused before
-        any is built."""
+        (:func:`_radix_order` on ``receivers * n + senders``). The pairs
+        are built in meeting order, so each (receiver, sender) run comes
+        out with its link's earliest column first. The slots (None unless
+        ``slots`` is set) are the sender's and receiver's in ``owners``,
+        one (2, pairs) array at :func:`_width` (gather with ``take``:
+        int32 fancy indexing is slow). Each array is gathered in turn,
+        freeing what it replaces. O(sum of size**2); pairs that would not
+        fit in physical memory are refused before any is built."""
         per = self.sizes * (self.sizes - 1)
         pairs = int(per.sum())
         refuse_beyond_memory(
@@ -346,7 +346,7 @@ class Meetings:
         del src
         receivers = self.owners[dst]
         del dst
-        order = _pair_order(n, senders, receivers)
+        order = _radix_order(receivers * n + senders, n * n)
         senders = senders[order]
         receivers = receivers[order]
         which = which[order]
@@ -371,10 +371,10 @@ def _bisect(
 
 def _band_meetings(
     flat: np.ndarray, begin: np.ndarray, end: np.ndarray, bases: np.ndarray, n: int, lo: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The meetings of one band of :func:`detect_meetings`, as ``(cols,
-    sizes, starts, owners)``: live row k's units are ``flat[begin[k]:
-    end[k]]`` and its key base ``(offset - lo) * n + row``."""
+    sizes, owners)``: live row k's units are ``flat[begin[k]: end[k]]``
+    and its key base ``(offset - lo) * n + row``."""
     # slices that follow on from each other in ``flat`` are copied as one
     gaps = np.flatnonzero(begin[1:] != end[:-1])
     lefts = np.concatenate((begin[:1], begin[gaps + 1])).tolist()
@@ -399,7 +399,7 @@ def _band_meetings(
     owners = (units % n).astype(np.int64)
     cols = (keys[starts] // n).astype(np.int64)
     cols += lo
-    return cols, counts, packed, owners
+    return cols, counts, owners
 
 
 def detect_meetings(m: ScheduleMatrix) -> Meetings:
@@ -461,21 +461,10 @@ def detect_meetings(m: ScheduleMatrix) -> Meetings:
         more = cut < stop
         if not more.all():
             rows, cut, stop, off, last = (a[more] for a in (rows, cut, stop, off, last))
-    if len(bands) == 1:
-        cols, sizes, starts, owners = bands[0]
-    else:
-        # the empty band in front covers a matrix with no band to join
-        cols, sizes, _, owners = map(np.concatenate, zip((_EMPTY,) * 4, *bands))
-        starts = np.cumsum(sizes) - sizes
+    # the empty band in front covers a matrix with no band to join
+    cols, sizes, owners = map(np.concatenate, zip((_EMPTY,) * 3, *bands))
+    starts = np.cumsum(sizes) - sizes
     return Meetings(cols=cols, starts=starts, sizes=sizes, owners=owners)
-
-
-def _pair_order(n: int, senders: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-    """The stable permutation that groups directed pairs among ``n``
-    nodes by (receiver, sender): :func:`_radix_order` on ``receivers *
-    n + senders``. Pairs given in column order come out with each
-    (receiver, sender) run's earliest column first."""
-    return _radix_order(receivers * n + senders, n * n)
 
 
 class CommGraph:

@@ -7,6 +7,7 @@ shows here. A7 and A8
 share one cached batch of seeded pipeline runs.
 """
 
+from radiosync import acceptance
 from radiosync.acceptance import (
     criterion_a1,
     criterion_a2,
@@ -21,6 +22,7 @@ from radiosync.acceptance import (
     criterion_a11,
     criterion_a12,
 )
+from radiosync.bitstrings import ShiftAssignment
 
 
 def check(res, measured):
@@ -45,6 +47,27 @@ def test_a3_shift_finder_vs_oracle():
 
 def test_a4_sequential_packing():
     check(criterion_a4(), "100/100 clean")
+
+
+def test_a4_counts_failing_seeds_once(monkeypatch):
+    # with every shift 0, a seed is clean iff its strings are pairwise
+    # disjoint as drawn; one that overlaps counts once, however many of
+    # its pairs do
+    disjoint = []
+
+    def unshifted(strings, bound):
+        ones = [set(s.ones) for s in strings]
+        disjoint.append(
+            all(not a & b for i, a in enumerate(ones) for b in ones[i + 1 :])
+        )
+        return ShiftAssignment((0,) * len(strings), bound)
+
+    monkeypatch.setattr(acceptance, "pack_non_overlapping", unshifted)
+    res = criterion_a4()
+    clean = sum(disjoint)
+    assert len(disjoint) == 100 and 0 < clean < 100
+    assert not res.passed
+    assert res.measured == f"{clean}/100 clean"
 
 
 def test_a5_shared_bin_probability():

@@ -34,8 +34,6 @@ def test_param_validation():
     with pytest.raises(ValueError):
         BirthdayParams.from_exponents(bins=10, red_exp=0.0, scale=1.0)
     with pytest.raises(ValueError):
-        BirthdayParams.from_exponents(bins=10, red_exp=0.5, scale=1.0, blue_exp=0.6)
-    with pytest.raises(ValueError):
         BirthdayParams.from_exponents(bins=10, red_exp=0.5, scale=-1.0)
 
 

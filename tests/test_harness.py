@@ -13,7 +13,6 @@ import radiosync
 from radiosync import acceptance
 from radiosync.cli import main
 from radiosync.harness import (
-    RUN_COLUMNS,
     SUMMARY_COLUMNS,
     ExperimentSpec,
     load_config_file,
@@ -56,11 +55,16 @@ def test_csv_schema_fixed():
     assert "wall_clock" not in text
 
 
+#: the run CSV's header, pinned here so a renamed or reordered key shows
+RUN_HEADER = "seed,d,n,beta,exclusive,success,max_radio_cost,rounds,diameter"
+
+
 def test_run_one_record_shape():
-    record = run_one(d=64, beta=0.5, exclusive=False, seed=7)
-    assert all(col in record for col in RUN_COLUMNS)
-    assert record["n"] == 8
-    assert len(record["_per_node_cost"]) == 8
+    row, result = run_one(d=64, beta=0.5, exclusive=False, seed=7)
+    assert ",".join(row) == RUN_HEADER
+    assert row["n"] == 8
+    assert result.per_node_radio_cost.shape == (8,)
+    assert row["max_radio_cost"] == int(result.per_node_radio_cost.max())
 
 
 def test_spec_validation():
@@ -210,7 +214,7 @@ def test_star_import_binds_every_public_name():
 def test_cli_sync_run(capsys):
     code = main(["sync", "run", "--d", "64", "--beta", "0.5", "--seed", "2"])
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == ",".join(RUN_COLUMNS)
+    assert out.splitlines()[0] == RUN_HEADER
     assert code in (0, 1)
 
 

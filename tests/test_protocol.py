@@ -104,6 +104,33 @@ def test_config_validation():
             SimConfig(d=64, beta=beta)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        # once draws=1 a window (n > d takes the poly-log density)
+        ("polylog_exp", -3),
+        # once draws=-1, refused later by numpy's negative dimensions
+        ("scale", -1.0),
+        # once numpy's "cannot convert float NaN to integer"
+        ("scale", math.nan),
+        # once an empty schedule, or a silent zero-copy budget
+        ("columns", 0),
+        ("repetition_k", 0),
+        ("rounds", 0),
+        # once taken as given: a fractional poly-log exponent or window
+        ("polylog_exp", 1.5),
+        ("columns", 64.5),
+    ],
+)
+def test_pipeline_params_refuses_what_config_refuses(field, value):
+    # the library entry and SimConfig share one check and one message
+    with pytest.raises(ValueError, match=field) as from_params:
+        pipeline_params(16, 40, **{field: value})
+    with pytest.raises(ValueError, match=field) as from_config:
+        SimConfig(d=16, n=40, **{field: value})
+    assert str(from_params.value) == str(from_config.value)
+
+
 # --- parameter derivations ---------------------------------------------------
 
 def test_pipeline_params_reference_point():
