@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import refuse_beyond_memory, require_integer, spawn_rng
+from .seeding import refuse_beyond_memory, require_integer, require_real, spawn_rng
 
 #: two-sided 99% normal quantile used for every half-width below
 Z99 = 2.5758293035489004
@@ -49,12 +49,10 @@ class BirthdayParams:
         Counts whose draw, 8 bytes a ball, would exceed the machine's
         physical memory are refused before anything is allocated."""
         blue_exp = 1.0 - red_exp
-        if bins < 1:
-            raise ValueError(f"bins must be positive, got {bins}")
+        require_integer("bins", bins, 1)
         if not (0.0 < red_exp < 1.0 and 0.0 < blue_exp < 1.0):
             raise ValueError("exponents must lie in (0, 1)")
-        if not (math.isfinite(scale) and scale > 0):
-            raise ValueError(f"scale must be finite and positive, got {scale}")
+        require_real("scale", scale, positive=True)
         try:
             red, blue = scale * bins**red_exp, scale * bins**blue_exp
         except OverflowError:  # a bin count beyond the float range
@@ -118,9 +116,7 @@ def estimate_probs(
     (exclusive implies shared) holds estimate-wise, not just in
     expectation.
     """
-    require_integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    require_integer("trials", trials, 1)
     shared = exclusive = 0
     for idx in range(trials):
         outcome = run_trial(params, spawn_rng(seed, idx))

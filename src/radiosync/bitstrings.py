@@ -27,6 +27,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .seeding import require_integer
+
 
 @dataclass(frozen=True)
 class BitSchedule:
@@ -41,8 +43,7 @@ class BitSchedule:
     ones: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.length < 1:
-            raise ValueError(f"length must be positive, got {self.length}")
+        require_integer("length", self.length, 1)
         if self.length > 2**63:
             raise ValueError(
                 f"length {self.length} exceeds 2**63: positions must fit in int64"
@@ -145,8 +146,7 @@ def _difference_flags(
     so memory stays bounded by the pair count and the chunk, never by
     ``bound`` alone.
     """
-    if bound < 0:
-        raise ValueError(f"bound must be non-negative, got {bound}")
+    bound = require_integer("bound", bound, 0)
     a = np.fromiter(a_ones, dtype=np.int64)
     b = np.asarray(b_ones, dtype=np.int64)
     top = min(bound, a.size * b.size + 1)
@@ -179,8 +179,7 @@ def brute_force_min_overlap_shift(
     a: BitSchedule, b: BitSchedule, bound: int
 ) -> Optional[int]:
     """Exhaustive oracle: test every shift 0..bound with overlaps_at."""
-    if bound < 0:
-        raise ValueError(f"bound must be non-negative, got {bound}")
+    bound = require_integer("bound", bound, 0)
     for i in range(bound + 1):
         if not overlaps_at(a, b, i):
             return i

@@ -30,6 +30,7 @@ from math import isqrt
 from typing import Optional
 
 from .bitstrings import BitSchedule, _difference_flags, _first_gap
+from .seeding import require_integer
 
 
 def ceil_sqrt(d: int) -> int:
@@ -43,8 +44,7 @@ def build_two_proc_schedule(d: int) -> BitSchedule:
     The result has at most 4*ceil(sqrt(d)) + 4 ones inside a window of
     at most 2d + 4*ceil(sqrt(d)) + 2 units.
     """
-    if d < 1:
-        raise ValueError(f"offset bound must be positive, got {d}")
+    d = require_integer("offset bound", d, 1)
     r = isqrt(d)
     if r * r == d:
         # integer sqrt: both families over i = 1..2r+2, zero-based via -1
@@ -70,8 +70,7 @@ def first_uncovered_shift(s: BitSchedule, d: int) -> Optional[int]:
     so this is the first gap past shift 0 in the shared difference-set
     table.
     """
-    if d < 1:
-        raise ValueError(f"offset bound must be positive, got {d}")
+    d = require_integer("offset bound", d, 1)
     return _first_gap(_difference_flags(s.ones, s.ones, d), start=1)
 
 

@@ -32,10 +32,8 @@ class ExperimentSpec:
     root_seed: int = 0
 
     def __post_init__(self) -> None:
-        require_integer("trials", self.trials)
+        require_integer("trials", self.trials, 1)
         require_integer("root_seed", self.root_seed)
-        if self.trials < 1:
-            raise ValueError(f"trials must be positive, got {self.trials}")
         if not (self.d_grid and self.beta_grid and self.exclusive_grid):
             raise ValueError("grids must be non-empty")
 
@@ -158,7 +156,8 @@ def trace_to_csv(trace: Sequence[tuple]) -> str:
     Every awake radio hears every transmitter but itself; deliveries
     are those ``receiver<-senders`` entries, ascending by receiver and
     separated by ';' (an empty sender list means the receiver heard
-    only noise)."""
+    only noise). Copy c's rows sit at ``c * columns`` plus the column, but
+    copies meet only within themselves (:func:`~radiosync.protocol.run_sync`)."""
     return to_csv(
         ("t", "awake", "transmitters", "deliveries"),
         (

@@ -55,7 +55,7 @@ from .randsched import (
     repetition_constant,
     row_draws,
 )
-from .seeding import refuse_beyond_memory, require_integer, spawn_rng
+from .seeding import refuse_beyond_memory, require_integer, require_real, spawn_rng
 
 
 #: identifiers are drawn uniformly below 2**63; far wider than any
@@ -102,17 +102,12 @@ class SimConfig:
             value = getattr(self, name)
             if value is not None:
                 setattr(self, name, require_integer(name, value))
-        if self.d < 1:
-            raise ValueError(f"offset bound must be positive, got {self.d}")
-        if self.beta is not None and not math.isfinite(self.beta):
-            raise ValueError(f"beta must be finite, got {self.beta}")
+        require_integer("offset bound", self.d, 1)
         counts = ("repetition_k", "rounds", "columns", "backoff_rounds")
         _check_shape(self.scale, self.polylog_exp, **{k: getattr(self, k) for k in counts})
-        if self.transmit_delay < 0:
-            raise ValueError(
-                f"transmit_delay must be non-negative, got {self.transmit_delay}"
-            )
+        require_integer("transmit_delay", self.transmit_delay, 0)
         if self.beta is not None:
+            require_real("beta", self.beta)
             try:
                 n = math.ceil(float(self.d) ** self.beta)
             except OverflowError:
@@ -142,13 +137,11 @@ def _check_shape(scale: float, polylog_exp: int, **counts: Optional[int]) -> Non
     integer, or any of the ``counts`` given that is not a positive
     integer. :class:`SimConfig` and :func:`pipeline_params` both check
     here."""
-    if not (math.isfinite(scale) and scale > 0):
-        raise ValueError(f"scale must be finite and positive, got {scale}")
+    require_real("scale", scale, positive=True)
     for name, value in counts.items():
-        if value is not None and require_integer(name, value) < 1:
-            raise ValueError(f"{name} must be positive, got {value}")
-    if require_integer("polylog_exp", polylog_exp) < 0:
-        raise ValueError(f"polylog_exp must be non-negative, got {polylog_exp}")
+        if value is not None:
+            require_integer(name, value, 1)
+    require_integer("polylog_exp", polylog_exp, 0)
 
 
 NodeReading = namedtuple("NodeReading", "max_seen root_origin hops synchronized root_time")
@@ -656,7 +649,10 @@ def run_sync(
     interference model); the same grouped pairs feed the flood both
     ways, :func:`_deliver_meetings`. Copies of the schedule beyond the
     point where a full pass changes nothing count as unused, but are still
-    paid for in radio cost. Success requires every node to end at the
+    paid for in radio cost. Copy c starts at time ``c * columns`` (the
+    trace's and ``root_time``'s time base), yet meets only within itself:
+    a row whose offset keeps it in copy c never meets one already in c + 1.
+    Success requires every node to end at the
     global maximum with an identical delay-adjusted clock; otherwise
     the unreached nodes are reported. Every per-node result is an
     array; ``idents`` is left as it was. A ``rounds``, ``transmit_delay``
@@ -670,16 +666,11 @@ def run_sync(
     1)`` and the billed cost below ``max density * rounds *
     backoff_rounds``.
     """
-    rounds = require_integer("rounds", rounds)
-    backoff_rounds = require_integer("backoff_rounds", backoff_rounds)
-    transmit_delay = require_integer("transmit_delay", transmit_delay)
-    if rounds < 1:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    if exclusive and backoff_rounds < 1:
-        raise ValueError(f"backoff_rounds must be positive, got {backoff_rounds}")
-    if transmit_delay < 0:
-        raise ValueError(f"transmit_delay must be non-negative, got {transmit_delay}")
-    n = matrix.n
+    rounds = require_integer("rounds", rounds, 1)
+    least = 1 if exclusive else None
+    backoff_rounds = require_integer("backoff_rounds", backoff_rounds, least)
+    transmit_delay = require_integer("transmit_delay", transmit_delay, 0)
+    n = require_integer("row count", matrix.n, 1)
     ident = _node_array("ident", idents, n)
     if np.unique(ident).size < n:
         raise ValueError("node identifiers must be unique")

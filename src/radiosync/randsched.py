@@ -172,8 +172,8 @@ class ScheduleMatrix:
         *,
         starts,
     ) -> None:
-        n = require_integer("n", n)
-        columns = require_integer("columns", columns)
+        n = require_integer("n", n, 0)
+        columns = require_integer("columns", columns, 1)
         width = _width(columns)
         positions = np.asarray(positions)
         if positions.dtype != width:

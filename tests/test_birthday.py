@@ -35,6 +35,9 @@ def test_param_validation():
         BirthdayParams.from_exponents(bins=10, red_exp=0.0, scale=1.0)
     with pytest.raises(ValueError):
         BirthdayParams.from_exponents(bins=10, red_exp=0.5, scale=-1.0)
+    # once a scale of 1
+    with pytest.raises(ValueError, match="^scale must be finite and positive, got True$"):
+        BirthdayParams.from_exponents(bins=10, red_exp=0.5, scale=True)
 
 
 def test_ball_counts_beyond_memory_refused():

@@ -37,6 +37,9 @@ def test_schedule_validation():
         BitSchedule(4, (4,))  # out of range
     with pytest.raises(ValueError, match="int64"):
         BitSchedule(2**63 + 1, ())
+    # once accepted, a string of 2.5 units
+    with pytest.raises(ValueError, match=r"^length must be an integer, got 2\.5$"):
+        BitSchedule(2.5, ())
     assert BitSchedule(2**63, (2**63 - 1,)).density == 1
 
 
@@ -153,6 +156,17 @@ def test_find_rejects_negative_bound():
         find_non_overlap_shift(a, a, -1)
     with pytest.raises(ValueError):
         pack_non_overlapping([a], -1)
+    with pytest.raises(ValueError, match="^bound must be non-negative, got -1$"):
+        brute_force_min_overlap_shift(a, a, -1)
+    # once a TypeError from numpy or from range
+    for search in (find_non_overlap_shift, brute_force_min_overlap_shift):
+        with pytest.raises(ValueError, match=r"^bound must be an integer, got 2\.5$"):
+            search(a, a, 2.5)
+
+
+def test_shift_assignment_refuses_a_shift_beyond_its_bound():
+    with pytest.raises(ValueError, match=r"^shift 5 outside \[0, 4\]$"):
+        ShiftAssignment((0, 5), 4)
 
 
 # --- brute-force oracle agreement ------------------------------------------

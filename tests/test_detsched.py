@@ -3,6 +3,7 @@ cases, and cross-validation of the fast verifier against a literal
 per-shift loop."""
 
 import math
+import re
 
 import pytest
 
@@ -33,6 +34,22 @@ def test_params_derivation():
     assert max(s.ones) == 14 * 7 - 1
     with pytest.raises(ValueError, match="offset bound must be positive, got 0"):
         build_two_proc_schedule(0)
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        (0, "must be positive, got 0"),
+        # once the d=1 schedule, and a TypeError from range or numpy
+        (True, "must be an integer, got True"),
+        (2.5, "must be an integer, got 2.5"),
+    ],
+)
+def test_offset_bound_must_be_a_positive_integer(d, message):
+    s = build_two_proc_schedule(4)
+    for refuse in (build_two_proc_schedule, lambda d: first_uncovered_shift(s, d)):
+        with pytest.raises(ValueError, match=f"^offset bound {re.escape(message)}$"):
+            refuse(d)
 
 
 def test_worked_example_d36():

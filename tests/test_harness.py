@@ -21,6 +21,7 @@ from radiosync.harness import (
     summaries_to_csv,
     trace_to_csv,
 )
+from radiosync.seeding import derive_seed, spawn_rng
 
 
 def test_single_cell_single_trial():
@@ -100,6 +101,10 @@ def test_config_file_loading(tmp_path):
     nested.write_text(json.dumps({"grid": {"d": 64}}))
     with pytest.raises(ValueError):
         load_config_file(str(nested))
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps([64, 128]))
+    with pytest.raises(ValueError, match="listed.json: expected a flat JSON object$"):
+        load_config_file(str(listed))
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -394,6 +399,17 @@ def test_cli_negative_seed_is_named(argv, capsys):
     assert captured.err.splitlines() == [
         "radiosync: error: seeds must be non-negative, got -7"
     ]
+
+
+@pytest.mark.parametrize(
+    "part, message",
+    # once numpy's "seed must be integer" and a seed of 1
+    [(-3, "non-negative, got -3"), (2.5, "an integer, got 2.5"), (True, "an integer, got True")],
+)
+def test_seed_parts_must_be_non_negative_integers(part, message):
+    for derive in (spawn_rng, derive_seed):
+        with pytest.raises(ValueError, match=f"^seeds must be {re.escape(message)}$"):
+            derive(7, part)
 
 
 @pytest.mark.parametrize("key", ["trials", "seed"])

@@ -213,6 +213,19 @@ def test_drift_steps_differ_by_speed_ratio():
     assert (p.step_length(0), p.step_length(1)) == (4.0, 2.0)
 
 
+@pytest.mark.parametrize(
+    "speeds, transmit, message",
+    [
+        ((), 1.0, "need at least one clock speed"),
+        ((1.0, 0.0), 1.0, "clock speeds must be positive"),
+        ((1.0, 1.0), 0.0, "transmission time must be positive"),
+    ],
+)
+def test_drift_params_refused(speeds, transmit, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DriftParams(speeds=speeds, ratio_bound=2.0, min_transmit_time=transmit)
+
+
 def test_drift_ratio_bound_enforced():
     with pytest.raises(ValueError):
         DriftParams(speeds=(1.0, 3.0), ratio_bound=2.0, min_transmit_time=1.0)
@@ -284,3 +297,5 @@ def test_overlap_rejects_bad_phase():
     p = DriftParams(speeds=(1.0, 1.0), ratio_bound=1.0, min_transmit_time=1.0)
     with pytest.raises(ValueError):
         check_unit_overlap(p, p.step_length(0) * 1.5, 0.0)
+    with pytest.raises(ValueError, match=r"^phase_j must lie in \[0, 2\.0\), got -1\.0$"):
+        check_unit_overlap(p, 0.0, -1.0)

@@ -102,6 +102,10 @@ def test_config_validation():
     for beta in (math.inf, -math.inf, math.nan, 200.0):
         with pytest.raises(ValueError, match="beta"):
             SimConfig(d=64, beta=beta)
+    # once n = 64 from d**True, and a TypeError inside math.isfinite
+    for beta in (True, "0.5"):
+        with pytest.raises(ValueError, match=f"^beta must be finite, got {beta!r}$"):
+            SimConfig(d=64, beta=beta)
 
 
 @pytest.mark.parametrize(
@@ -120,6 +124,9 @@ def test_config_validation():
         # once taken as given: a fractional poly-log exponent or window
         ("polylog_exp", 1.5),
         ("columns", 64.5),
+        # once a scale of 1, and a TypeError inside math.isfinite
+        ("scale", True),
+        ("scale", "2"),
     ],
 )
 def test_pipeline_params_refuses_what_config_refuses(field, value):
@@ -258,6 +265,29 @@ def test_run_sync_refuses_int64_overflow(field, kwargs):
     assert "\n" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # once numpy's "zero-size array to reduction operation maximum"
+        (
+            lambda: run_sync(ScheduleMatrix(0, 4, [], [], starts=[0]), [], 1),
+            "row count must be positive, got 0",
+        ),
+        (
+            lambda: run_sync(
+                matrix_from_ones(8, [[2], [2, 5]], [0, 0]), [2, 1], 1, exclusive=True
+            ),
+            "interference mode needs an rng for back-off",
+        ),
+        (lambda: run_pipeline(SimConfig(d=64)), "processor count unknown; use estimate_n"),
+    ],
+    ids=["no-rows", "no-rng", "n-unknown"],
+)
+def test_run_refuses_what_it_cannot_simulate(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_largest_delay_allowed_keeps_its_clocks():
     # two hops from the root over 2 copies of 8 columns; one more is
     # refused
@@ -294,6 +324,7 @@ def test_pipeline_and_estimation_refuse_int64_overflow():
     [
         # no back-off slot: zero cost and no delivery, reported as a run
         ("backoff_rounds", 0, True),
+        ("rounds", 0, False),
         ("transmit_delay", -3, False),
         ("transmit_delay", -3, True),
         # a fraction would be billed as fractional copies or slots, or

@@ -197,6 +197,11 @@ def test_flat_rows_must_be_consistent():
         ScheduleMatrix(2, 10, np.array([1, 2, 3]), starts=np.array([0, 2, 2]))
     with pytest.raises(ValueError, match="row 1: positions must be strictly increasing"):
         ScheduleMatrix(2, 10, np.array([1, 5, 3]), starts=np.array([0, 1, 3]))
+    # once an IndexError, and a matrix of -5 columns
+    with pytest.raises(ValueError, match="^n must be non-negative, got -1$"):
+        ScheduleMatrix(-1, 4, [], starts=[])
+    with pytest.raises(ValueError, match="^columns must be positive, got -5$"):
+        ScheduleMatrix(2, -5, [], starts=[0, 0, 0])
 
 
 # --- meetings ----------------------------------------------------------------
