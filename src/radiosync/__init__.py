@@ -35,7 +35,6 @@ from .bitstrings import (
 )
 from .detsched import (
     build_two_proc_schedule,
-    radio_cost,
     verify_self_overlap,
 )
 from .birthday import (
@@ -76,7 +75,6 @@ __all__ = [
     "pack_non_overlapping",
     "build_two_proc_schedule",
     "verify_self_overlap",
-    "radio_cost",
     "BirthdayParams",
     "TrialOutcome",
     "ProbEstimate",

@@ -30,7 +30,7 @@ from .bitstrings import (
     find_non_overlap_shift,
     pack_non_overlapping,
 )
-from .detsched import build_two_proc_schedule, ceil_sqrt, radio_cost, verify_self_overlap
+from .detsched import build_two_proc_schedule, ceil_sqrt, verify_self_overlap
 from .netsim import DriftParams, check_unit_overlap
 from .protocol import (
     SimConfig,
@@ -105,7 +105,7 @@ def criterion_a1() -> tuple[bool, str]:
         cd = ceil_sqrt(d)
         if (
             s.length > 2 * d + 4 * cd + 2
-            or radio_cost(s) > 4 * cd + 4
+            or s.density > 4 * cd + 4
             or not verify_self_overlap(s, d)
         ):
             bad.append(d)
@@ -119,8 +119,8 @@ def criterion_a1() -> tuple[bool, str]:
 def criterion_a2() -> tuple[bool, str]:
     """Worked example d=36: window 98, at most 28 ones, 26 distinct."""
     s = build_two_proc_schedule(36)
-    ok = s.length == 98 and radio_cost(s) == 26
-    return ok, f"window {s.length}, {radio_cost(s)} ones"
+    ok = s.length == 98 and s.density == 26
+    return ok, f"window {s.length}, {s.density} ones"
 
 
 @_criterion(

@@ -32,15 +32,17 @@ Z99 = 2.5758293035489004
 
 @dataclass(frozen=True)
 class BirthdayParams:
+    """A throw of ``n_red`` red and ``n_blue`` blue balls into ``bins``
+    bins (at least 1; ball counts at least 0), from :meth:`from_exponents`."""
+
     bins: int
-    red_exp: float
-    blue_exp: float
-    scale: float
     n_red: int
     n_blue: int
 
     def __post_init__(self) -> None:
-        require_integer("bins", self.bins)
+        require_integer("bins", self.bins, 1)
+        require_integer("n_red", self.n_red, 0)
+        require_integer("n_blue", self.n_blue, 0)
 
     @classmethod
     def from_exponents(cls, bins: int, red_exp: float, scale: float) -> "BirthdayParams":
@@ -62,7 +64,7 @@ class BirthdayParams:
             f"ball draw too large: scale {scale} gives {red:.4g} red and "
             f"{blue:.4g} blue balls, which",
         )
-        return cls(bins, red_exp, blue_exp, scale, math.ceil(red), math.ceil(blue))
+        return cls(bins, math.ceil(red), math.ceil(blue))
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,9 @@ from .seeding import require_integer
 class BitSchedule:
     """A finite wake-up string.
 
-    ``ones`` holds the zero-based awake positions, strictly increasing
-    and all below ``length``. ``density`` is the radio cost of running
-    the schedule once.
+    ``ones`` holds the zero-based awake positions: integers, not bools,
+    strictly increasing and all below ``length``. ``density`` is the
+    radio cost of running the schedule once.
     """
 
     length: int
@@ -50,8 +50,9 @@ class BitSchedule:
             )
         prev = -1
         for p in self.ones:
-            if p <= prev:
-                raise ValueError("one-positions must be strictly increasing")
+            if type(p) is not int or p <= prev:
+                if require_integer("ones", p, 0) <= prev:
+                    raise ValueError("one-positions must be strictly increasing")
             prev = p
         if prev >= self.length:
             raise ValueError(
@@ -106,8 +107,9 @@ class ShiftAssignment:
     bound: int
 
     def __post_init__(self) -> None:
+        require_integer("bound", self.bound, 0)
         for s in self.shifts:
-            if s < 0 or s > self.bound:
+            if require_integer("shifts", s) < 0 or s > self.bound:
                 raise ValueError(f"shift {s} outside [0, {self.bound}]")
 
 

@@ -77,8 +77,3 @@ def first_uncovered_shift(s: BitSchedule, d: int) -> Optional[int]:
 def verify_self_overlap(s: BitSchedule, d: int) -> bool:
     """True iff ``s`` overlaps its own translate at every shift 1..d."""
     return first_uncovered_shift(s, d) is None
-
-
-def radio_cost(s: BitSchedule) -> int:
-    """Awake time units needed to run the schedule once."""
-    return s.density

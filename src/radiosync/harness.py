@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 from .protocol import PipelineResult, SimConfig, run_pipeline
 from .randsched import graph_stats
-from .seeding import derive_seed, require_integer
+from .seeding import derive_seed, require_bool, require_integer
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class ExperimentSpec:
         require_integer("root_seed", self.root_seed)
         if not (self.d_grid and self.beta_grid and self.exclusive_grid):
             raise ValueError("grids must be non-empty")
+        for exclusive in self.exclusive_grid:
+            require_bool("exclusive_grid", exclusive)
 
     def cells(self) -> list[tuple[int, float, bool]]:
         return [

@@ -40,8 +40,8 @@ class DriftParams:
     """Per-node clock speeds with a bounded ratio.
 
     ``speeds[i]`` is node i's tick rate; the fastest over the slowest
-    may not exceed ``ratio_bound``. ``min_transmit_time`` is the global
-    lower bound on the time one message exchange needs.
+    may not exceed ``ratio_bound``. ``min_transmit_time`` bounds the
+    time one message exchange needs from below. All must be finite.
     """
 
     speeds: tuple[float, ...]
@@ -51,6 +51,11 @@ class DriftParams:
     def __post_init__(self) -> None:
         if not self.speeds:
             raise ValueError("need at least one clock speed")
+        if not all(map(math.isfinite, self.speeds)):
+            raise ValueError(f"speeds must be finite, got {self.speeds}")
+        for name in ("ratio_bound", "min_transmit_time"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if min(self.speeds) <= 0:
             raise ValueError("clock speeds must be positive")
         if self.min_transmit_time <= 0:

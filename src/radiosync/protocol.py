@@ -55,7 +55,9 @@ from .randsched import (
     repetition_constant,
     row_draws,
 )
-from .seeding import refuse_beyond_memory, require_integer, require_real, spawn_rng
+from .seeding import (
+    refuse_beyond_memory, require_bool, require_integer, require_real, spawn_rng
+)
 
 
 #: identifiers are drawn uniformly below 2**63; far wider than any
@@ -73,15 +75,14 @@ class SimConfig:
     Either ``n`` or ``beta`` fixes the processor count (n =
     ceil(d**beta); given both, they must agree, so a config derived from
     ``beta`` can be copied with ``dataclasses.replace``); with neither,
-    the count is unknown and only
-    :func:`estimate_n` applies. ``exclusive`` selects the interference
-    model, in which every awake unit is expanded into ``backoff_rounds``
-    back-off slots. Optional fields left as None are derived: window
-    ``columns`` 4d and back-off slot count ceil(log2 n)**2 here, the
-    stage shape and sync ``rounds`` (ceil(log2 n) + 10) by
-    :func:`pipeline_params`. A count field given as anything but an
-    integer is refused, as is a bool; a numpy integer is held as a
-    Python int.
+    the count is unknown and only :func:`estimate_n` applies. ``exclusive``,
+    a bool, selects the interference model, in which every awake unit is
+    expanded into ``backoff_rounds`` back-off slots. Optional fields
+    left as None are derived: window ``columns`` 4d and back-off slot
+    count ceil(log2 n)**2 here, the stage shape and sync ``rounds``
+    (ceil(log2 n) + 10) by :func:`pipeline_params`. A count field given
+    as anything but an integer is refused, as is a bool; a numpy integer
+    is held as a Python int.
     """
 
     d: int
@@ -103,6 +104,7 @@ class SimConfig:
             if value is not None:
                 setattr(self, name, require_integer(name, value))
         require_integer("offset bound", self.d, 1)
+        self.exclusive = require_bool("exclusive", self.exclusive)
         counts = ("repetition_k", "rounds", "columns", "backoff_rounds")
         _check_shape(self.scale, self.polylog_exp, **{k: getattr(self, k) for k in counts})
         require_integer("transmit_delay", self.transmit_delay, 0)
@@ -154,10 +156,9 @@ class PipelineParams:
 
     columns: int          # window length, 4d
     draws: int            # wake-ups drawn per row per window
-    stage_windows: int    # windows per stage: ceil(K * log2(n-1))
+    stage_windows: int    # windows per stage: ceil(K * log2(n-1)), K repetition_k
     amplification: int    # stage repeats: ceil(log2(n-1))
     rounds: int           # copies of the full stack: ceil(log2 n) + 10
-    repetition_k: int     # the K above
 
     @property
     def windows(self) -> int:
@@ -207,7 +208,6 @@ def pipeline_params(
         stage_windows=stage_windows,
         amplification=math.ceil(log_n1),
         rounds=rounds,
-        repetition_k=repetition_k,
     )
 
 
@@ -279,7 +279,6 @@ class PipelineResult:
     success: bool
     root_index: int
     root_ident: int
-    unreached: frozenset[int]
     max_seen: np.ndarray = field(repr=False)
     root_origin: np.ndarray = field(repr=False)
     hops: np.ndarray = field(repr=False)
@@ -315,22 +314,13 @@ def _arrivals(
     return np.minimum(arrive, never * n, out=arrive)
 
 
-def _grouped(
-    senders: np.ndarray, receivers: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, ...]:
-    """Deliveries already grouped by receiver, plus the index of each
-    receiver's first delivery and that receiver, for
-    ``np.minimum.reduceat``."""
-    heads = np.flatnonzero(np.diff(receivers, prepend=-1))
-    return senders, receivers, cols, heads, receivers[heads]
-
-
 def _relax(
     key: np.ndarray, deliveries: tuple[np.ndarray, ...], period: int, never: int
 ) -> np.ndarray:
     """Earliest arrivals, and the fewest hops behind each, from the
     starting keys ``key`` (:func:`_arrivals`): relax over the
-    :func:`_grouped` deliveries until nothing moves.
+    ``deliveries`` (senders, receivers, cols), grouped by receiver, until
+    nothing moves. Their run heads are found on entry and after each cut.
 
     Every pass takes its minimum with the starting keys, not with the
     previous pass's: a sender may improve to an earlier time with more
@@ -348,26 +338,27 @@ def _relax(
     the receiver's own time stay for their hop counts. Every pass
     computes the same keys as over all deliveries, so the passes are as
     many; the halving keeps the cuts' cost below that of the passes."""
-    senders, receivers, cols, heads, into = deliveries
+    senders, receivers, cols = deliveries
     n = key.size
     first = key
-    start = first[into]
     bound = int(cols.max(initial=-1))
     while True:
-        nxt = key.copy()
-        arrive = _arrivals(key, senders, cols, period, never)
-        nxt[into] = np.minimum(start, np.minimum.reduceat(arrive, heads))
-        if np.array_equal(nxt, key):
-            return key
-        key = nxt
-        latest = int(key.max()) // n
-        if 2 * latest <= bound:
-            keep = cols <= (key // n)[receivers]
-            senders, receivers, cols, heads, into = _grouped(
-                senders[keep], receivers[keep], cols[keep]
-            )
-            start = first[into]
-            bound = latest
+        heads = np.flatnonzero(np.diff(receivers, prepend=-1))
+        into = receivers[heads]
+        start = first[into]
+        while True:
+            nxt = key.copy()
+            arrive = _arrivals(key, senders, cols, period, never)
+            nxt[into] = np.minimum(start, np.minimum.reduceat(arrive, heads))
+            if np.array_equal(nxt, key):
+                return key
+            key = nxt
+            latest = int(key.max()) // n
+            if 2 * latest <= bound:
+                break
+        keep = cols <= (key // n)[receivers]
+        senders, receivers, cols = senders[keep], receivers[keep], cols[keep]
+        bound = latest
 
 
 def _spread(
@@ -388,10 +379,9 @@ def _spread(
     ``first`` is the largest identifier's round, already relaxed by the
     caller: its :func:`_relax` keys, ``time * n + hops`` from -n at the
     holder. ``later`` is None if that round reaches every node;
-    otherwise it holds the deliveries, in which ``senders[i]`` reaches
-    ``receivers[i]`` at column ``cols[i]``, grouped by receiver as
-    :func:`_grouped` gives them, and the same reversed (ends swapped,
-    column ``period - 1 - c``), grouped alike.
+    otherwise it holds the deliveries as :func:`_relax` takes them,
+    (senders, receivers, cols) grouped by receiver, and the same
+    reversed (ends swapped, column ``period - 1 - c``), grouped alike.
 
     A node ends with the largest identifier that reaches it by a
     time-respecting path: over a delivery, the column in the sender's
@@ -433,13 +423,12 @@ def _spread(
         open_ &= ~take
         if not open_.any():
             break
-        forward, backward = later
-        senders, receivers, cols = forward[:3]
+        (senders, receivers, cols), backward = later
         back = _relax(np.where(open_, -n, never * n), backward, period, never) // n
         # paths that cannot reach an unassigned node in time end at
         # assigned nodes, whose results stand: leave them out
         keep = back[receivers] + cols < never - 1
-        active = _grouped(senders[keep], receivers[keep], cols[keep])
+        active = senders[keep], receivers[keep], cols[keep]
         below = np.flatnonzero((back < never) & (ident < ident[source]))
         source = int(below[ident[below].argmax()])
         key = np.full(n, never * n, dtype=np.int64)
@@ -489,9 +478,10 @@ def _deliver_meetings(
     identifier from the ``root`` that holds it, is relaxed here, on
     keys ``time * n + hops`` that start at -n at the root and at
     ``rounds * period * n`` elsewhere (:func:`_arrivals`); only if it
-    leaves a node unreached are :func:`_spread`'s later deliveries
-    built. A pair's reverse is a pair of the same meeting, so the pairs
-    at mirrored columns are the reversed deliveries.
+    leaves a node unreached does :func:`_spread` get later deliveries,
+    (senders, receivers, cols) as :func:`_relax` takes them. A pair's
+    reverse is a pair of the same meeting, so the pairs at mirrored
+    columns are the reversed deliveries.
 
     In the base model every participant hears every other, so the
     first round is one relaxation over all copies; the copies used
@@ -519,11 +509,10 @@ def _deliver_meetings(
     reach = np.full(n, horizon * n, dtype=np.int64)
     reach[root] = -n
     if not exclusive:
-        forward = _grouped(senders, receivers, cols)
-        reach = _relax(reach, forward, period, horizon)
+        reach = _relax(reach, (senders, receivers, cols), period, horizon)
         later = None
         if not (reach < horizon * n).all():
-            later = forward, (senders, receivers, period - 1 - cols, *forward[3:])
+            later = (senders, receivers, cols), (senders, receivers, period - 1 - cols)
         adopted = _spread(reach, later, period, rounds, held, transmit_delay)
         last = int(adopted.max()) // period
         used = max(last, 0) + 1 if later is None else min(rounds, last + 2)
@@ -540,7 +529,7 @@ def _deliver_meetings(
         won = resolve_backoff(meetings.sizes, backoff_rounds, rng)
         won_per_copy.append(won)
         heard = won.take(slots[0])
-        part = _grouped(senders[heard], receivers[heard], cols[heard] + copy * period)
+        part = senders[heard], receivers[heard], cols[heard] + copy * period
         if trace is not None:
             trace.extend(_trace_rows(meetings, won, copy * columns))
         # a later copy arrives after every key set so far, so this
@@ -553,10 +542,10 @@ def _deliver_meetings(
         # the copies, laid end to end, are one copy of a longer period
         won = np.stack(won_per_copy, axis=1)
         pair, copy = np.nonzero(won.take(slots[0], axis=0))
-        forward = _grouped(senders[pair], receivers[pair], cols[pair] + copy * period)
+        forward = senders[pair], receivers[pair], cols[pair] + copy * period
         pair, copy = np.nonzero(won.take(slots[1], axis=0))
         mirrored = horizon - 1 - cols[pair] - copy * period
-        later = forward, _grouped(senders[pair], receivers[pair], mirrored)
+        later = forward, (senders[pair], receivers[pair], mirrored)
         del pair, copy
     _spread(reach, later, horizon, 1, held, transmit_delay)
     return len(won_per_copy)
@@ -652,21 +641,22 @@ def run_sync(
     paid for in radio cost. Copy c starts at time ``c * columns`` (the
     trace's and ``root_time``'s time base), yet meets only within itself:
     a row whose offset keeps it in copy c never meets one already in c + 1.
-    Success requires every node to end at the
-    global maximum with an identical delay-adjusted clock; otherwise
-    the unreached nodes are reported. Every per-node result is an
-    array; ``idents`` is left as it was. A ``rounds``, ``transmit_delay``
-    or ``backoff_rounds`` whose int64 arithmetic would overflow is
-    refused before detection; each is taken as a Python int, so the
-    check itself cannot wrap. The flood keys stay below ``(3 * (columns
-    + max offset) * rounds + 1) * n``: a delivery's key, before its
-    clamp, may pass the budget by two copies, and a copy of the
-    interference model's later rounds is the whole budget. The clocks
-    stay below ``max offset + columns * rounds + transmit_delay * (n -
-    1)`` and the billed cost below ``max density * rounds *
-    backoff_rounds``.
+    Success requires every node to end at the global maximum with an
+    identical delay-adjusted clock; the nodes that do not are those
+    ``synchronized`` marks False. Every per-node result is an array;
+    ``idents`` is left as it was. An ``exclusive`` that is not a bool is
+    refused, and so is a ``rounds``, ``transmit_delay`` or
+    ``backoff_rounds`` whose int64 arithmetic would overflow is refused
+    before detection; each is taken as a Python int, so the check itself
+    cannot wrap. The flood keys stay below ``(3 * (columns + max offset)
+    * rounds + 1) * n``: a delivery's key, before its clamp, may pass
+    the budget by two copies, and a copy of the interference model's
+    later rounds is the whole budget. The clocks stay below ``max offset
+    + columns * rounds + transmit_delay * (n - 1)`` and the billed cost
+    below ``max density * rounds * backoff_rounds``.
     """
     rounds = require_integer("rounds", rounds, 1)
+    exclusive = require_bool("exclusive", exclusive)
     least = 1 if exclusive else None
     backoff_rounds = require_integer("backoff_rounds", backoff_rounds, least)
     transmit_delay = require_integer("transmit_delay", transmit_delay, 0)
@@ -707,17 +697,15 @@ def run_sync(
     end_time = top + matrix.columns * rounds
     adjusted = root_origin + transmit_delay * hops
     synchronized = (max_seen == root_ident) & (adjusted == matrix.offsets[root_index])
-    unreached = frozenset(np.flatnonzero(~synchronized).tolist())
 
     cost = billed_cost(matrix, rounds, expansion)
     return PipelineResult(
         comm_graph=graph,
         rounds_used=rounds_used,
         per_node_radio_cost=cost,
-        success=not unreached,
+        success=bool(synchronized.all()),
         root_index=root_index,
         root_ident=root_ident,
-        unreached=unreached,
         max_seen=max_seen,
         root_origin=root_origin,
         hops=hops,
@@ -789,9 +777,7 @@ def estimate_guesses(d: int) -> list[int]:
     return [guess for guess in guesses if guess >= 2]
 
 
-def estimate_n(
-    config: SimConfig, true_n: int, rng: Optional[np.random.Generator] = None
-) -> EstimateResult:
+def estimate_n(config: SimConfig, true_n: int) -> EstimateResult:
     """Synchronize without knowing the processor count.
 
     Epoch i sizes the schedule density for the guess n_i =
@@ -813,9 +799,10 @@ def estimate_n(
     such an epoch makes only its rng draws, the schedule and the
     identifiers, and is billed as :func:`run_sync` would bill it
     (:func:`billed_cost`); it detects no meetings and floods nothing.
-    The rng stream, and so every later epoch and every output, is that
-    of syncing each epoch in full. In the interference model every epoch
-    runs in full: its back-off draws depend on how far the flood got.
+    The stream of the one rng, seeded from ``config.seed``, and so
+    every later epoch and every output, is that of syncing each epoch
+    in full. In the interference model every epoch runs in full: its
+    back-off draws depend on how far the flood got.
     """
     if config.d < 2:
         raise ValueError(
@@ -830,8 +817,6 @@ def estimate_n(
             raise ValueError(
                 f"estimate_n derives {name} from d; leave it unset, got {value}"
             )
-    if rng is None:
-        rng = spawn_rng(config.seed)
     d = config.d
     # repetition counts and round budget depend only on d (the known
     # quantity); only the density tracks the current guess
@@ -846,6 +831,7 @@ def estimate_n(
     _check_draw_fits(true_n, epochs[-1])
     _check_int64_before_draw(true_n, epochs[-1], config)
 
+    rng = spawn_rng(config.seed)
     offsets = draw_offsets(true_n, d, rng)
     total_cost = np.zeros(true_n, dtype=np.int64)
     per_epoch_max: list[int] = []

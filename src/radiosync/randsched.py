@@ -34,7 +34,6 @@ from __future__ import annotations
 import copy
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -592,8 +591,9 @@ def reached_from(g: CommGraph, root: int = 0) -> int:
     """How many nodes a BFS from ``root`` reaches, the root included,
     one level at a time from the CSR rows: the frontier's neighbour
     lists are gathered at once and marked in a node mask, whose unseen
-    nodes are the next frontier. A root outside the graph is refused."""
-    root = operator.index(root)
+    nodes are the next frontier. A root that is not an integer, or is
+    outside the graph, is refused."""
+    root = require_integer("root", root)
     if not 0 <= root < g.n:
         raise ValueError(f"root {root} is not a node of a graph of n = {g.n} nodes")
     indptr, indices = g.indptr, g.indices

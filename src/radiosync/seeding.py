@@ -7,8 +7,8 @@ mixes the key material platform-independently. There is no global RNG
 state anywhere. A draw whose buffers would exceed physical memory is
 refused by :func:`refuse_beyond_memory` before the rng is touched.
 :func:`require_integer` states the rule of every integer input (an
-integer, and positive or non-negative), seeds included;
-:func:`require_real` that of a finite, or finite and positive, real.
+integer, and positive or non-negative), seeds included; :func:`require_real`
+that of a finite, or finite and positive, real; :func:`require_bool` a switch's.
 """
 
 from __future__ import annotations
@@ -60,6 +60,14 @@ def require_integer(name: str, value, least: int | None = None) -> int:
         rule = "positive" if least else "non-negative"
         raise ValueError(f"{name} must be {rule}, got {value}")
     return value
+
+
+def require_bool(name: str, value) -> bool:
+    """``value`` as a Python bool; anything but a Python or numpy bool,
+    which would pick a mode by its truth, is refused with one line."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def require_real(name: str, value, positive: bool = False) -> None:

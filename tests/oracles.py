@@ -189,16 +189,19 @@ def arrivals(key, senders, cols, period, never):
 
 
 def relax_every_delivery(key, deliveries, period, never):
-    """``protocol._relax`` without its cut: every grouped delivery on
-    every pass, each pass's minimum taken with the starting keys, until
-    nothing moves. Arrivals come from ``protocol._arrivals`` looked up
-    at each pass, so a test can count the passes."""
-    senders, _receivers, cols, heads, into = deliveries
-    start = key[into]
+    """``protocol._relax`` without its cut: every delivery (senders,
+    receivers, cols) on every pass, each pass's minimum taken with the
+    starting keys, until nothing moves. A pass takes each receiver's
+    minimum with ``np.minimum.at``, not over grouped runs, so the
+    deliveries need not be grouped. Arrivals come from
+    ``protocol._arrivals`` looked up at each pass, so a test can count
+    the passes."""
+    senders, receivers, cols = deliveries
+    start = key
     while True:
-        nxt = key.copy()
+        nxt = start.copy()
         arrive = protocol._arrivals(key, senders, cols, period, never)
-        nxt[into] = np.minimum(start, np.minimum.reduceat(arrive, heads))
+        np.minimum.at(nxt, receivers, arrive)
         if np.array_equal(nxt, key):
             return key
         key = nxt

@@ -14,15 +14,12 @@ from radiosync.seeding import spawn_rng
 
 
 def raw_params(bins, n_red, n_blue):
-    return BirthdayParams(
-        bins=bins, red_exp=0.5, blue_exp=0.5, scale=1.0, n_red=n_red, n_blue=n_blue
-    )
+    return BirthdayParams(bins=bins, n_red=n_red, n_blue=n_blue)
 
 
 def test_param_derivation():
     p = BirthdayParams.from_exponents(bins=10_000, red_exp=0.5, scale=1.82)
     assert p.n_red == p.n_blue == 182
-    assert p.red_exp + p.blue_exp == 1.0
     p = BirthdayParams.from_exponents(bins=100, red_exp=0.3, scale=2.0)
     assert p.n_red == 8  # ceil(2 * 100**0.3) = ceil(7.96)
     assert p.n_blue == 51  # ceil(2 * 100**0.7) = ceil(50.2)
@@ -49,6 +46,21 @@ def test_ball_counts_beyond_memory_refused():
         BirthdayParams.from_exponents(bins=100, red_exp=0.5, scale=1e300)
     with pytest.raises(ValueError, match="gives inf red and inf blue"):
         BirthdayParams.from_exponents(bins=10**400, red_exp=0.5, scale=1.0)
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ((0, 1, 1), "bins must be positive, got 0"),
+        ((4, -1, 1), "n_red must be non-negative, got -1"),
+        ((4, 1, -2), "n_blue must be non-negative, got -2"),
+    ],
+)
+def test_direct_params_refuse_counts_out_of_range(counts, message):
+    # built directly, not through from_exponents: one line naming the
+    # count, not numpy's "high <= 0" or "negative dimensions" in run_trial
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        raw_params(*counts)
 
 
 def test_outcome_containment_enforced():
@@ -88,7 +100,8 @@ def test_rejects_zero_trials():
 
 
 @pytest.mark.parametrize(
-    "field, value", [("bins", 10.5), ("bins", True), ("trials", 2.5), ("trials", True)]
+    "field, value",
+    [("bins", 10.5), ("bins", True), ("trials", 2.5), ("trials", True), ("n_red", 1.5)],
 )
 def test_counts_must_be_integers(field, value):
     # one line naming the count, not a fractional bin range, a numpy
@@ -98,6 +111,8 @@ def test_counts_must_be_integers(field, value):
             lambda: BirthdayParams.from_exponents(bins=value, red_exp=0.5, scale=1.0),
             lambda: raw_params(bins=value, n_red=1, n_blue=1),
         ]
+    elif field == "n_red":
+        refusals = [lambda: raw_params(bins=2, n_red=value, n_blue=1)]
     else:
         refusals = [lambda: estimate_probs(raw_params(bins=2, n_red=1, n_blue=1), value, 0)]
     for refuse in refusals:

@@ -4,6 +4,7 @@ brute-force oracles."""
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,6 +26,24 @@ def sched(length, *ones):
 
 
 # --- BitSchedule -----------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "ones, message",
+    [
+        # once accepted: the shift finder then returned 1 against the
+        # string (1,) where its brute-force oracle returned 0
+        ((1.5,), r"ones must be an integer, got 1\.5"),
+        ((0, True), "ones must be an integer, got True"),
+        # once reported as out of order
+        ((-3,), "ones must be non-negative, got -3"),
+    ],
+)
+def test_schedule_positions_must_be_non_negative_integers(ones, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BitSchedule(10, ones)
+    # numpy integers pass
+    assert BitSchedule(10, (np.int64(1), 3)).density == 2
+
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
@@ -167,6 +186,11 @@ def test_find_rejects_negative_bound():
 def test_shift_assignment_refuses_a_shift_beyond_its_bound():
     with pytest.raises(ValueError, match=r"^shift 5 outside \[0, 4\]$"):
         ShiftAssignment((0, 5), 4)
+    # once accepted, a fractional shift and a bound of True
+    with pytest.raises(ValueError, match=r"^shifts must be an integer, got 1\.5$"):
+        ShiftAssignment((1.5,), 3)
+    with pytest.raises(ValueError, match="^bound must be an integer, got True$"):
+        ShiftAssignment((1,), True)
 
 
 # --- brute-force oracle agreement ------------------------------------------

@@ -12,7 +12,6 @@ from radiosync.detsched import (
     build_two_proc_schedule,
     ceil_sqrt,
     first_uncovered_shift,
-    radio_cost,
     verify_self_overlap,
 )
 from radiosync.seeding import spawn_rng
@@ -55,7 +54,7 @@ def test_offset_bound_must_be_a_positive_integer(d, message):
 def test_worked_example_d36():
     s = build_two_proc_schedule(36)
     assert s.length == 98
-    assert radio_cost(s) == 26
+    assert s.density == 26
     # multiples of 6 and of 7 (indices 1..14, zero-based): the two
     # families coincide at 42 and 84
     expected = {6 * i - 1 for i in range(1, 15)} | {7 * i - 1 for i in range(1, 15)}
@@ -68,7 +67,7 @@ def test_smallest_case_exhaustive():
     s = build_two_proc_schedule(1)
     assert verify_self_overlap(s, 1)
     assert naive_verify(s, 1) is None
-    assert radio_cost(s) <= 4 * 1 + 4
+    assert s.density <= 4 * 1 + 4
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 17, 20, 42, 99, 100, 144])
@@ -76,7 +75,7 @@ def test_bounds_and_overlap(d):
     s = build_two_proc_schedule(d)
     cd = ceil_sqrt(d)
     assert s.length <= 2 * d + 4 * cd + 2
-    assert radio_cost(s) <= 4 * cd + 4
+    assert s.density <= 4 * cd + 4
     assert verify_self_overlap(s, d)
     assert naive_verify(s, d) is None
 
@@ -125,5 +124,5 @@ def test_sparse_negative_control():
 
 
 def test_radio_cost_counts_ones():
-    assert radio_cost(BitSchedule(5, ())) == 0
-    assert radio_cost(BitSchedule(5, (0, 2, 4))) == 3
+    assert BitSchedule(5, ()).density == 0
+    assert BitSchedule(5, (0, 2, 4)).density == 3

@@ -14,7 +14,6 @@ import oracles
 from radiosync import acceptance, netsim, protocol, randsched
 from radiosync.protocol import (
     _arrivals,
-    _grouped,
     _relax,
     SimConfig,
     build_pipeline_matrix,
@@ -238,7 +237,7 @@ def test_one_pair_grouping_per_run(monkeypatch):
         )
         bounds.clear()
         result = run_pipeline(config)
-        assert len(result.unreached) == 160
+        assert (~result.synchronized).sum() == 160
         assert bounds == [config.n * config.n]
     rng = spawn_rng(7)
     positions, starts = draw_rows(40, 1, 64, 8, rng)
@@ -719,7 +718,7 @@ def test_reversed_relaxation_mirrors_latest_departures(case, data):
     receivers = np.array(data.draw(nodes), dtype=np.int64)
     open_ = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     order = np.argsort(senders, kind="stable")
-    backward = _grouped(receivers[order], senders[order], period - 1 - cols[order])
+    backward = receivers[order], senders[order], period - 1 - cols[order]
     back = _relax(np.where(open_, -n, never * n), backward, period, never) // n
     want = oracles.deadlines(open_, senders, receivers, cols, period, never)
     assert np.array_equal(never - 1 - back, want)
@@ -742,7 +741,7 @@ def test_relax_matches_every_delivery_oracle_in_as_many_passes(copies, data):
         nodes = st.lists(st.integers(0, n - 1), min_size=senders.size, max_size=senders.size)
         receivers = np.array(data.draw(nodes), dtype=np.int64)
     order = np.argsort(receivers, kind="stable")
-    deliveries = _grouped(senders[order], receivers[order], cols[order])
+    deliveries = senders[order], receivers[order], cols[order]
     passes = []
     arrivals = protocol._arrivals
 
@@ -1002,7 +1001,7 @@ def test_exclusive_fallback_relaxes_from_the_root_only_per_copy(seed, monkeypatc
         d=1024, beta=0.75, scale=0.3, repetition_k=1, rounds=2, exclusive=True, seed=seed
     )
     result = run_pipeline(config)
-    assert result.unreached and len(relax) > len(draws) == 2
+    assert not result.success and len(relax) > len(draws) == 2
     # the root starts each of its relaxations at time -1 and 0 hops
     from_root = [args[0][result.root_index] == -config.n for args, _kwargs in relax]
     assert from_root == [True] * len(draws) + [False] * (len(relax) - len(draws))
@@ -1014,7 +1013,7 @@ def test_base_later_deliveries_only_when_the_first_round_falls_short(monkeypatch
     spread = counting(monkeypatch, "_spread")
     assert run_pipeline(SimConfig(d=256, beta=0.5, seed=0)).success
     cut = run_pipeline(SimConfig(d=1024, beta=0.75, scale=0.3, repetition_k=1, rounds=1))
-    assert cut.unreached
+    assert not cut.success
     (no_later, later) = later_of(spread)
     assert no_later is None and later is not None
 

@@ -92,6 +92,14 @@ def test_spec_counts_must_be_integers(field, value):
         ExperimentSpec(d_grid=(64,), beta_grid=(0.5,), **{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", 1])
+def test_spec_exclusive_grid_must_hold_bools(value):
+    # once the cell was simulated in the mode the value's truth picked,
+    # and its summary row then failed on int("no")
+    with pytest.raises(ValueError, match=f"^exclusive_grid must be a bool, got {value!r}$"):
+        ExperimentSpec(d_grid=(16,), beta_grid=(0.5,), exclusive_grid=(False, value))
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"d_grid": "64,128", "trials": 2, "seed": 9}))

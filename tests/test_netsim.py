@@ -219,11 +219,22 @@ def test_drift_steps_differ_by_speed_ratio():
         ((), 1.0, "need at least one clock speed"),
         ((1.0, 0.0), 1.0, "clock speeds must be positive"),
         ((1.0, 1.0), 0.0, "transmission time must be positive"),
+        # once unit_length nan and inf
+        ((math.nan, 1.0), 1.0, r"speeds must be finite, got \(nan, 1\.0\)"),
+        ((1.0, 1.0), math.inf, "min_transmit_time must be finite, got inf"),
     ],
 )
 def test_drift_params_refused(speeds, transmit, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         DriftParams(speeds=speeds, ratio_bound=2.0, min_transmit_time=transmit)
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf])
+def test_drift_ratio_bound_must_be_finite(bound):
+    # once accepted: no speed ratio exceeds a nan or an infinite bound,
+    # and unit_length came out nan or inf
+    with pytest.raises(ValueError, match=f"^ratio_bound must be finite, got {bound}$"):
+        DriftParams(speeds=(1.0, 2.0), ratio_bound=bound, min_transmit_time=1.0)
 
 
 def test_drift_ratio_bound_enforced():

@@ -23,6 +23,7 @@ from radiosync.randsched import (
     detect_meetings,
     draw_rows,
     graph_stats,
+    reached_from,
     repetition_constant,
     row_draws,
 )
@@ -397,6 +398,15 @@ def test_stats_root_outside_graph_rejected(root):
     g = oracles.graph(3, {(0, 1): 0, (1, 2): 1})
     with pytest.raises(ValueError, match=f"root {root} is not a node .* n = 3"):
         graph_stats(g, root=root)
+
+
+@pytest.mark.parametrize("root", [True, 1.0])
+def test_stats_root_must_be_an_integer(root):
+    # once True counted from node 1, and 1.0 raised numpy's TypeError
+    g = oracles.graph(3, {(0, 1): 0, (1, 2): 1})
+    for count in (reached_from, graph_stats):
+        with pytest.raises(ValueError, match=f"^root must be an integer, got {root!r}$"):
+            count(g, root)
 
 
 def test_graph_from_unordered_edge_list():
