@@ -23,7 +23,12 @@ from .seeding import derive_seed, require_bool, require_integer
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep grid; one cell per (d, beta, exclusive) tuple."""
+    """A sweep grid; one cell per (d, beta, exclusive) tuple. Every
+    cell's :class:`~radiosync.protocol.SimConfig` is checked on
+    construction, so an entry it refuses is refused before any cell
+    runs; a budget that only :func:`~radiosync.protocol.run_pipeline`
+    refuses (int64 overflow at the cell's shape) is still refused when
+    that cell runs."""
 
     d_grid: tuple[int, ...]
     beta_grid: tuple[float, ...]
@@ -38,6 +43,8 @@ class ExperimentSpec:
             raise ValueError("grids must be non-empty")
         for exclusive in self.exclusive_grid:
             require_bool("exclusive_grid", exclusive)
+        for d, beta, exclusive in self.cells():
+            SimConfig(d=d, beta=beta, exclusive=exclusive)
 
     def cells(self) -> list[tuple[int, float, bool]]:
         return [

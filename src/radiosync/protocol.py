@@ -22,7 +22,8 @@ sparse to connect that many nodes, which the root detects by counting
 the nodes its BFS reaches; the first guess that count covers is accepted.
 That count never exceeds the radios present, so in the base model an
 epoch whose guess does is simulated only as far as its rng draws and
-its bill.
+its bill: its schedule draw stops at each row's count of distinct
+wake-ups, and no schedule matrix is built.
 Densities grow geometrically with the epoch index while the
 repetition counts stay fixed (they depend only on d), so the total
 radio spend is dominated by the last epoch.
@@ -49,6 +50,7 @@ from .randsched import (
     _integers,
     clamped_log2,
     detect_meetings,
+    draw_row_counts,
     draw_rows,
     graph_stats,  # noqa: F401  (the benchmark tracer wraps it by this name)
     reached_from,
@@ -259,8 +261,15 @@ def draw_identifiers(n: int, rng: np.random.Generator) -> np.ndarray:
     """
     while True:
         idents = rng.integers(1, 1 << ID_BITS, size=n, dtype=np.int64)
-        if np.unique(idents).size == n:
+        if _distinct(idents):
             return idents
+
+
+def _distinct(values: np.ndarray) -> bool:
+    """Whether no two of ``values`` are equal: one sort, then a
+    comparison of neighbours."""
+    ordered = np.sort(values)
+    return not (ordered[1:] == ordered[:-1]).any()
 
 
 @dataclass
@@ -600,12 +609,14 @@ def _check_int64_before_draw(n: int, params: PipelineParams, config: SimConfig) 
     )
 
 
-def billed_cost(matrix: ScheduleMatrix, rounds: int, expansion: int) -> np.ndarray:
-    """Each node's radio cost over ``rounds`` copies of ``matrix``: its
-    awake units, each billed ``expansion`` times (the back-off slots in
-    the interference model, 1 in the base model). Every copy is paid,
-    used or not."""
-    return matrix.densities() * rounds * expansion
+def billed_cost(densities: np.ndarray, rounds: int, expansion: int) -> np.ndarray:
+    """Each node's radio cost over ``rounds`` copies of a schedule whose
+    rows hold ``densities`` awake units (a matrix's
+    :meth:`~radiosync.randsched.ScheduleMatrix.densities`, or the counts
+    of :func:`~radiosync.randsched.draw_row_counts`): each unit billed
+    ``expansion`` times (the back-off slots in the interference model, 1
+    in the base model). Every copy is paid, used or not."""
+    return densities * rounds * expansion
 
 
 def run_sync(
@@ -662,11 +673,12 @@ def run_sync(
     transmit_delay = require_integer("transmit_delay", transmit_delay, 0)
     n = require_integer("row count", matrix.n, 1)
     ident = _node_array("ident", idents, n)
-    if np.unique(ident).size < n:
+    if not _distinct(ident):
         raise ValueError("node identifiers must be unique")
     expansion = backoff_rounds if exclusive else 1
     top = int(matrix.offsets.max())
-    density = int(matrix.densities().max())
+    densities = matrix.densities()
+    density = int(densities.max())
     _check_int64(n, matrix.columns, rounds, top, density, transmit_delay, expansion)
     meetings = detect_meetings(matrix)
     # one grouping by (receiver, sender) serves the graph and the flood
@@ -698,7 +710,7 @@ def run_sync(
     adjusted = root_origin + transmit_delay * hops
     synchronized = (max_seen == root_ident) & (adjusted == matrix.offsets[root_index])
 
-    cost = billed_cost(matrix, rounds, expansion)
+    cost = billed_cost(densities, rounds, expansion)
     return PipelineResult(
         comm_graph=graph,
         rounds_used=rounds_used,
@@ -798,7 +810,10 @@ def estimate_n(config: SimConfig, true_n: int) -> EstimateResult:
     whose guess does is refused whatever it simulates. In the base model
     such an epoch makes only its rng draws, the schedule and the
     identifiers, and is billed as :func:`run_sync` would bill it
-    (:func:`billed_cost`); it detects no meetings and floods nothing.
+    (:func:`billed_cost`). Its schedule draw keeps only each row's count
+    of distinct wake-ups (:func:`~radiosync.randsched.draw_row_counts`),
+    so it builds no :class:`~radiosync.randsched.ScheduleMatrix`, detects
+    no meetings and floods nothing.
     The stream of the one rng, seeded from ``config.seed``, and so
     every later epoch and every output, is that of syncing each epoch
     in full. In the interference model every epoch runs in full: its
@@ -837,16 +852,19 @@ def estimate_n(config: SimConfig, true_n: int) -> EstimateResult:
     per_epoch_max: list[int] = []
     estimate, fraction = None, 0.0
     for guess, params in zip(guesses, epochs):
-        matrix = build_pipeline_matrix(true_n, params, rng)
-        idents = draw_identifiers(true_n, rng)
         # no root counts more than the true_n radios present; the draws
-        # above stay, so later epochs read the stream of a full sync
+        # stay, so later epochs read the stream of a full sync
         if guess > true_n and not config.exclusive:
-            cost, accepted = billed_cost(matrix, params.rounds, 1), False
+            counts = draw_row_counts(
+                true_n, params.windows, params.columns, params.draws, rng
+            )
+            draw_identifiers(true_n, rng)
+            cost, accepted = billed_cost(counts, params.rounds, 1), False
         else:
+            matrix = build_pipeline_matrix(true_n, params, rng)
             result = run_sync(
                 matrix.with_offsets(offsets),
-                idents,
+                draw_identifiers(true_n, rng),
                 params.rounds,
                 exclusive=config.exclusive,
                 backoff_rounds=config.backoff_rounds,

@@ -22,11 +22,14 @@ grouped by (receiver, sender) once, by stable 16-bit radix passes
 grouping are the CSR entries, and the protocol's flood reads the same
 grouped pairs. Schedule positions are int32 whenever every value they
 can take fits (:func:`_width`), which halves what the draw moves. The
-draw deduplicates its rows block by block, in place in its one raw
-buffer. Meeting detection sorts uint32 keys one band of global columns
-at a time, at most ``2**32 // n`` columns and about
-:data:`_BAND_UNITS` units wide, so its sort moves 32-bit keys whatever
-the window and each band fits in cache; meetings and graphs are int64.
+draw sorts its rows in runs, finds each block's repeats once, and
+deduplicates block by block, in place in its one raw buffer; a caller
+that needs only each row's count of distinct wake-ups
+(:func:`draw_row_counts`) stops at the repeats. Meeting detection
+sorts uint32 keys one band of global columns at a time, at most
+``2**32 // n`` columns and about :data:`_BAND_UNITS` units wide, so its
+sort moves 32-bit keys whatever the window and each band fits in cache;
+meetings and graphs are int64.
 """
 
 from __future__ import annotations
@@ -211,17 +214,14 @@ def row_draws(columns: int, density_exponent: float, scale: float) -> int:
     return math.ceil(scale * columns**density_exponent)
 
 
-def draw_rows(
+def _sorted_draw(
     n: int, windows: int, columns: int, draws: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """n rows of ``windows`` back-to-back random windows of ``columns``
-    units, ``draws`` uniform wake-ups per window, duplicates within a
-    window collapsed; each row comes out strictly increasing. Returns
-    the rows flat, as ``(positions, starts)`` in the
-    :class:`ScheduleMatrix` layout: ``starts`` int64, ``positions``
-    int32 when ``windows * columns`` is at most 2**31 - 1, else int64
-    (:func:`_width`). The draw, the sorts and the dedupe all run at that
-    width.
+) -> np.ndarray:
+    """The draw of :func:`draw_rows` before its dedupe: ``n`` rows of
+    ``windows`` back-to-back windows of ``columns`` units, ``draws``
+    uniform wake-ups per window, each row sorted. Returns the raw buffer
+    as ``(n, windows * draws)``, at :func:`_width` of ``windows *
+    columns``.
 
     The rng is called once, with shape ``(n, windows, draws)``. That
     consumes the stream exactly as ``n`` row-by-row int64 calls of
@@ -234,40 +234,88 @@ def draw_rows(
     along every row, so windows occupy disjoint ranges and sorting a run
     of whole windows sorts each of them. Runs hold about
     :data:`_SORT_RUN` values (at least one window), plus one sort of
-    each row's leftover windows. The rows are then deduplicated in
-    blocks of about :data:`_BLOCK` values (at least one row): entries
-    equal to their left neighbour along a row are dropped, and the
-    block's kept values are written into the front of the raw buffer,
-    behind the blocks before it. The positions returned are a view of
-    that buffer; nothing else of its size is held. O(n * windows *
-    draws * log _SORT_RUN).
+    each row's leftover windows. O(n * windows * draws * log _SORT_RUN).
     """
     # the draw's own bound must fit too, even with no windows to draw
     width = _width(max(windows, 1) * columns)
     raw = rng.integers(0, columns, size=(n, windows, draws), dtype=width)
     size = windows * draws
-    starts = np.zeros(n + 1, dtype=np.int64)
-    if raw.size == 0:
-        return raw.reshape(-1), starts
     flat = raw.reshape(n, size)
+    if raw.size == 0:
+        return flat
     flat += np.repeat(np.arange(windows, dtype=width) * columns, draws)
     run = max(1, _SORT_RUN // draws) * draws
     whole = size - size % run
     # both sorts act on views of ``raw``: each row's slice is contiguous
     flat[:, :whole].reshape(n, -1, run).sort(axis=-1)
     flat[:, whole:].sort(axis=-1)
+    return flat
+
+
+def _repeats(
+    flat: np.ndarray,
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The repeats of the sorted rows ``flat``, one block of about
+    :data:`_BLOCK` values (at least one row) at a time, as (first row,
+    the block's values flat, the indices in them of the values equal to
+    their left neighbour along a row, each row's distinct count). One
+    comparison runs over the whole block; a row's first value is never a
+    repeat, whatever ends the row before it."""
+    n, size = flat.shape
+    if flat.size == 0:
+        return
     rows = max(1, _BLOCK // size)
-    out = raw.reshape(-1)
-    kept = 0
     for r0 in range(0, n, rows):
         part = flat[r0 : r0 + rows]
-        keep = np.empty(part.shape, dtype=bool)
-        keep[:, 0] = True
-        np.not_equal(part[:, 1:], part[:, :-1], out=keep[:, 1:])
-        starts[r0 + 1 : r0 + 1 + part.shape[0]] = np.count_nonzero(keep, axis=1)
+        values = part.reshape(-1)
+        at = np.flatnonzero(values[1:] == values[:-1]) + 1
+        at = at[at % size != 0]
+        yield r0, values, at, size - np.bincount(at // size, minlength=len(part))
+
+
+def draw_row_counts(
+    n: int, windows: int, columns: int, draws: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Each row's count of distinct wake-ups in the draw of
+    :func:`draw_rows` with the same arguments and stream, int64, without
+    its rows: the same rng call, and no compaction."""
+    counts = np.zeros(n, dtype=np.int64)
+    flat = _sorted_draw(n, windows, columns, draws, rng)
+    for r0, _values, _at, distinct in _repeats(flat):
+        counts[r0 : r0 + distinct.size] = distinct
+    return counts
+
+
+def draw_rows(
+    n: int, windows: int, columns: int, draws: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """n rows of ``windows`` back-to-back random windows of ``columns``
+    units, ``draws`` uniform wake-ups per window, duplicates within a
+    window collapsed; each row comes out strictly increasing. Returns
+    the rows flat, as ``(positions, starts)`` in the
+    :class:`ScheduleMatrix` layout: ``starts`` int64, ``positions``
+    int32 when ``windows * columns`` is at most 2**31 - 1, else int64
+    (:func:`_width`). The draw, the sorts and the dedupe all run at that
+    width.
+
+    The rows are drawn and sorted by :func:`_sorted_draw`, and their
+    repeats found block by block by :func:`_repeats`, which also gives
+    each row's count (:func:`draw_row_counts` stops there). Each block's
+    kept values are written into the front of the raw buffer, behind the
+    blocks before it. The positions returned are a view of that buffer;
+    nothing else of its size is held.
+    """
+    flat = _sorted_draw(n, windows, columns, draws, rng)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    out = flat.reshape(-1)
+    kept = 0
+    for r0, values, at, distinct in _repeats(flat):
+        starts[r0 + 1 : r0 + 1 + distinct.size] = distinct
+        keep = np.ones(values.size, dtype=bool)
+        keep[at] = False
         # the mask copies the kept values out, and they are written at or
         # before this block's start, over values already read
-        values = part[keep]
+        values = values[keep]
         out[kept : kept + values.size] = values
         kept += values.size
     np.cumsum(starts, out=starts)

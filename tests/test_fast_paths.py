@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -29,6 +29,7 @@ from radiosync.randsched import (
     _radix_order,
     build_comm_graph,
     detect_meetings,
+    draw_row_counts,
     draw_rows,
     graph_stats,
     row_draws,
@@ -350,6 +351,45 @@ def test_draw_rows_runs_and_stream(n, windows, columns, draws, cached_half):
     assert_draw_matches_oracle(n, windows, columns, draws, fast_rng, slow_rng)
     if draws == 0 or windows == 0:
         assert fast_rng.bit_generator.state == before
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(0, 6),
+    windows=st.one_of(st.integers(0, 2), st.integers(0, 40)),
+    columns=st.one_of(st.integers(1, 20), st.sampled_from(ODD_COLUMNS)),
+    draws=st.integers(0, 60),
+    block=st.sampled_from([1, 7, 64, 1 << 18]),
+    cached_half=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+# draws beyond the columns: most values repeat
+@example(n=5, windows=3, columns=4, draws=30, block=64, cached_half=False, seed=1)
+# one window of few columns, several rows a block: a row's last value
+# can equal the next row's first, and with one column always does
+@example(n=6, windows=1, columns=3, draws=4, block=1 << 18, cached_half=False, seed=2)
+@example(n=4, windows=1, columns=1, draws=5, block=64, cached_half=False, seed=3)
+# int64 positions: windows * columns beyond 2**31 - 1
+@example(n=3, windows=2, columns=2**31 + 1, draws=5, block=64, cached_half=False, seed=4)
+@example(n=0, windows=3, columns=5, draws=2, block=64, cached_half=False, seed=5)
+@example(n=4, windows=5, columns=9, draws=6, block=7, cached_half=True, seed=6)
+def test_draw_row_counts_match_oracle(
+    n, windows, columns, draws, block, cached_half, seed
+):
+    # the counts are the oracle rows' lengths and draw_rows' densities,
+    # and the stream is left where both leave it
+    rngs = [spawn_rng(seed) for _ in range(3)]
+    if cached_half:
+        for rng in rngs:
+            rng.integers(0, 10)
+    with mock.patch.object(randsched, "_BLOCK", block):
+        counts = draw_row_counts(n, windows, columns, draws, rngs[0])
+        _positions, starts = draw_rows(n, windows, columns, draws, rngs[1])
+    want = [len(row) for row in oracles.draw_rows(n, windows, columns, draws, rngs[2])]
+    assert counts.dtype == np.int64 and counts.tolist() == want
+    assert np.diff(starts).tolist() == want
+    state = rngs[2].bit_generator.state
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == state
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,21 @@ def test_spec_exclusive_grid_must_hold_bools(value):
         ExperimentSpec(d_grid=(16,), beta_grid=(0.5,), exclusive_grid=(False, value))
 
 
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        (dict(d_grid=(16, 16.5), beta_grid=(0.5,)), "d must be an integer, got 16.5"),
+        (dict(d_grid=(16,), beta_grid=(float("nan"),)), "beta must be finite, got nan"),
+        (dict(d_grid=(64, 1), beta_grid=(0.5,)), "need at least two processors, got 1"),
+    ],
+    ids=["fractional-d", "nan-beta", "one-processor"],
+)
+def test_spec_refuses_a_bad_cell_on_construction(grids, message):
+    # once found only when its cell ran, after the cells before it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ExperimentSpec(**grids)
+
+
 def test_config_file_loading(tmp_path):
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps({"d_grid": "64,128", "trials": 2, "seed": 9}))

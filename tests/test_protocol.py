@@ -691,15 +691,17 @@ def test_estimate_refuses_fields_it_derives(field, value):
 
 
 @pytest.mark.parametrize("exclusive", [False, True], ids=["base", "exclusive"])
-@pytest.mark.parametrize("d", [16, 64, 256])
+@pytest.mark.parametrize("d", [16, 64, 256, 1024])
 def test_estimate_equals_syncing_every_epoch(d, exclusive):
     # a root never counts more radios than there are, so an epoch whose
     # guess exceeds true_n is refused whatever it simulates: in the base
     # model it is only drawn and billed, yet every output and the rng
-    # stream after the call are those of syncing it in full
-    for true_n in (2, 3, 7, 12, 40, 100):
+    # stream after the call are those of syncing it in full. d=1024 with
+    # 32 radios is the benchmark's estimate-n shape, at one seed.
+    true_ns, seeds = ((32,), (0,)) if d == 1024 else ((2, 3, 7, 12, 40, 100), range(3))
+    for true_n in true_ns:
         for transmit_delay in (0, 3):
-            for seed in range(3):
+            for seed in seeds:
                 config = SimConfig(
                     d=d, exclusive=exclusive, transmit_delay=transmit_delay, seed=seed
                 )
@@ -723,6 +725,33 @@ def test_estimate_detects_meetings_only_in_epochs_it_could_accept(monkeypatch):
         res = estimate_n(SimConfig(d=256, exclusive=exclusive, seed=13), true_n=16)
         assert res.accepted and res.epochs_run > above
         assert len(calls) == res.epochs_run - skipped
+
+
+def test_refused_epochs_build_no_matrix(monkeypatch):
+    # a refused base-model epoch keeps only its rows' counts: it builds
+    # no schedule matrix and detects no meetings
+    built, detected = [], []
+    build, detect = protocol.build_pipeline_matrix, protocol.detect_meetings
+    monkeypatch.setattr(
+        protocol,
+        "build_pipeline_matrix",
+        lambda n, params, rng: built.append(params.draws) or build(n, params, rng),
+    )
+    monkeypatch.setattr(
+        protocol, "detect_meetings", lambda m: detected.append(m) or detect(m)
+    )
+    guesses = protocol.estimate_guesses(256)
+    draws = [
+        pipeline_params(256, guess).draws for guess in guesses
+    ]
+    above = sum(guess > 16 for guess in guesses)
+    for exclusive, skipped in ((False, above), (True, 0)):
+        built.clear()
+        detected.clear()
+        res = estimate_n(SimConfig(d=256, exclusive=exclusive, seed=13), true_n=16)
+        assert res.accepted and res.epochs_run > above
+        assert built == draws[skipped : res.epochs_run]
+        assert len(detected) == res.epochs_run - skipped
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.int32], ids=["int64", "int32"])
