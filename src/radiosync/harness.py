@@ -13,6 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -95,7 +96,8 @@ def run_one(
     """Single seeded pipeline run, as ``(row, result)``: the run CSV's
     row, its keys the header, and the :class:`PipelineResult` it reads.
 
-    ``trace``, when given, collects one radio event per meeting unit.
+    ``trace``, when given, collects the run's radio events, one entry per
+    copy (:func:`trace_to_csv` writes them).
     """
     config = SimConfig(d=d, beta=beta, exclusive=exclusive, seed=seed)
     result = run_pipeline(config, trace=trace)
@@ -160,28 +162,37 @@ def summaries_to_csv(records: Sequence[SummaryRecord]) -> str:
 
 
 def trace_to_csv(trace: Sequence[tuple]) -> str:
-    """Event-trace rows ``(t, awake, transmitters)``: time unit, awake
-    set, transmitters, and who heard whom. Node lists are |-separated.
-    Every awake radio hears every transmitter but itself; deliveries
-    are those ``receiver<-senders`` entries, ascending by receiver and
-    separated by ';' (an empty sender list means the receiver heard
-    only noise). Copy c's rows sit at ``c * columns`` plus the column, but
-    copies meet only within themselves (:func:`~radiosync.protocol.run_sync`)."""
-    return to_csv(
-        ("t", "awake", "transmitters", "deliveries"),
-        (
-            (
-                t,
-                "|".join(map(str, awake)),
-                "|".join(map(str, transmitters)),
-                ";".join(
-                    f"{r}<-" + "|".join(str(s) for s in transmitters if s != r)
-                    for r in awake
-                ),
-            )
-            for t, awake, transmitters in trace
-        ),
-    )
+    """The event trace CSV of :func:`~radiosync.protocol.run_sync`'s
+    ``trace`` entries ``(time_base, meetings, won)``, one per copy: a row
+    ``t,awake,transmitters`` per meeting unit, at ``time_base`` plus its
+    column, with its awake radios and those that transmitted, ascending
+    and |-separated. Every awake radio hears every transmitter but
+    itself. ``won`` marks the radios that transmitted alone in some
+    back-off slot, maybe none of a unit; None, in the base model, marks
+    every radio. Copies meet only within themselves. A meeting's
+    ``awake`` is joined once per run, its ``transmitters`` once per copy."""
+    return to_csv(("t", "awake", "transmitters"), chain.from_iterable(_trace_copies(trace)))
+
+
+def _trace_copies(trace: Sequence[tuple]) -> Iterable[Iterable[tuple]]:
+    """The rows of each entry of ``trace`` in turn (:func:`trace_to_csv`)."""
+    meetings = None
+    for time_base, copy_meetings, won in trace:
+        if copy_meetings is not meetings:
+            meetings = copy_meetings
+            names = list(map(str, meetings.owners.tolist()))
+            ends = meetings.starts + meetings.sizes
+            awake = _joined(names, ends)
+        sent = awake
+        if won is not None:
+            sent = _joined(list(compress(names, won.tolist())), won.cumsum()[ends - 1])
+        yield zip((meetings.cols + time_base).tolist(), awake, sent)
+
+
+def _joined(names: list, ends) -> list:
+    """``names`` cut at each of ``ends``, each piece |-joined."""
+    ends = ends.tolist()
+    return ["|".join(names[lo:hi]) for lo, hi in zip([0, *ends], ends)]
 
 
 def load_config_file(path: str) -> dict:

@@ -446,22 +446,6 @@ def _spread(
     return adopted
 
 
-def _trace_rows(meetings: Meetings, won: Optional[np.ndarray], time_base: int) -> list:
-    """One (t, awake, transmitters) row per meeting unit, both node
-    tuples ascending. Every participant transmits unless ``won`` (one
-    bool per owner slot) names the sole transmitters; each awake radio
-    hears every transmitter but itself."""
-    owners = meetings.owners.tolist()
-    sent = owners if won is None else np.where(won, meetings.owners, -1).tolist()
-    rows = []
-    for col, lo, k in zip(
-        meetings.cols.tolist(), meetings.starts.tolist(), meetings.sizes.tolist()
-    ):
-        heard = tuple(s for s in sent[lo : lo + k] if s >= 0)
-        rows.append((time_base + col, tuple(owners[lo : lo + k]), heard))
-    return rows
-
-
 def _deliver_meetings(
     meetings: Meetings,
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
@@ -507,8 +491,8 @@ def _deliver_meetings(
     unreached, the copies drawn are laid end to end, pair-major so they
     stay grouped, as one copy of a longer period: a pair delivers in
     the copies its sender won, its reverse in those its receiver won.
-    With ``trace``, one row per meeting unit and copy is appended
-    (:func:`_trace_rows`), at ``copy * columns + column``.
+    With ``trace``, one entry per copy used is appended, ``(copy *
+    columns, meetings, won)``; ``won`` is None in the base model.
     """
     senders, receivers, cols, slots = pairs
     n = held[0].size
@@ -526,8 +510,7 @@ def _deliver_meetings(
         last = int(adopted.max()) // period
         used = max(last, 0) + 1 if later is None else min(rounds, last + 2)
         if trace is not None:
-            for copy in range(used):
-                trace.extend(_trace_rows(meetings, None, copy * columns))
+            trace.extend((copy * columns, meetings, None) for copy in range(used))
         return used
     if len(meetings) and rng is None:
         raise ValueError("interference mode needs an rng for back-off")
@@ -540,7 +523,7 @@ def _deliver_meetings(
         heard = won.take(slots[0])
         part = senders[heard], receivers[heard], cols[heard] + copy * period
         if trace is not None:
-            trace.extend(_trace_rows(meetings, won, copy * columns))
+            trace.append((copy * columns, meetings, won))
         # a later copy arrives after every key set so far, so this
         # copy's keys are final
         reach = _relax(reach, part, horizon, horizon)
@@ -655,17 +638,23 @@ def run_sync(
     Success requires every node to end at the global maximum with an
     identical delay-adjusted clock; the nodes that do not are those
     ``synchronized`` marks False. Every per-node result is an array;
-    ``idents`` is left as it was. An ``exclusive`` that is not a bool is
-    refused, and so is a ``rounds``, ``transmit_delay`` or
-    ``backoff_rounds`` whose int64 arithmetic would overflow is refused
-    before detection; each is taken as a Python int, so the check itself
-    cannot wrap. The flood keys stay below ``(3 * (columns + max offset)
-    * rounds + 1) * n``: a delivery's key, before its clamp, may pass
-    the budget by two copies, and a copy of the interference model's
-    later rounds is the whole budget. The clocks stay below ``max offset
-    + columns * rounds + transmit_delay * (n - 1)`` and the billed cost
-    below ``max density * rounds * backoff_rounds``.
+    ``idents`` is left as it was. ``trace``, a list, gets one entry per
+    copy used (:func:`~radiosync.harness.trace_to_csv`); the result and
+    the rng's draws are those of an untraced run.
+    A matrix whose offsets are unset is refused before any work, as is
+    an ``exclusive`` that is not a bool. A ``rounds``,
+    ``transmit_delay`` or ``backoff_rounds`` whose int64 arithmetic
+    would overflow is refused before detection; each is taken as a
+    Python int, so the check itself cannot wrap. The flood keys stay
+    below ``(3 * (columns + max offset) * rounds + 1) * n``: a
+    delivery's key, before its clamp, may pass the budget by two copies,
+    and a copy of the interference model's later rounds is the whole
+    budget. The clocks stay below ``max offset + columns * rounds +
+    transmit_delay * (n - 1)`` and the billed cost below ``max density
+    * rounds * backoff_rounds``.
     """
+    if matrix.offsets is None:
+        raise ValueError("offsets must be set before syncing")
     rounds = require_integer("rounds", rounds, 1)
     exclusive = require_bool("exclusive", exclusive)
     least = 1 if exclusive else None

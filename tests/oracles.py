@@ -279,6 +279,23 @@ def deliver_unit(participants, heard_from, states, transmit_delay):
     return bool(updates)
 
 
+def trace_rows(trace) -> list:
+    """``run_sync``'s trace entries ``(time_base, meetings, won)`` as one
+    (t, awake, transmitters) row per meeting unit and copy, both node
+    tuples ascending: every participant transmits unless ``won`` (one
+    bool per owner slot) names the sole transmitters. The rows the
+    oracle floods trace, and the reference ``trace_to_csv`` writes."""
+    rows = []
+    for time_base, meetings, won in trace:
+        owners = meetings.owners.tolist()
+        sent = owners if won is None else np.where(won, meetings.owners, -1).tolist()
+        spans = zip(meetings.cols.tolist(), meetings.starts.tolist(), meetings.sizes.tolist())
+        for col, lo, k in spans:
+            heard = tuple(s for s in sent[lo : lo + k] if s >= 0)
+            rows.append((time_base + col, tuple(owners[lo : lo + k]), heard))
+    return rows
+
+
 def deliver_meetings(meetings, states, *, transmit_delay, trace=None, time_base=0):
     """The base-model flood of one schedule copy, meeting after
     meeting: every participant hears every other."""

@@ -614,8 +614,8 @@ def test_batched_backoff_lone_units_draw_nothing():
 
 
 def flood_both_ways(m, idents, rounds, backoff_rounds, seed):
-    """(trace, states, rounds used, rng state) of ``run_sync`` and of the
-    per-unit oracle flood, from the nodes' unique ``idents``."""
+    """(trace rows, states, rounds used, rng state) of ``run_sync`` and
+    of the per-unit oracle flood, from the nodes' unique ``idents``."""
     out = []
     for fast in (True, False):
         rng, trace = spawn_rng(seed), []
@@ -628,7 +628,7 @@ def flood_both_ways(m, idents, rounds, backoff_rounds, seed):
             used = oracles.flood_exclusive(m, states, rounds, **kwargs)
         out.append(
             (
-                trace,
+                oracles.trace_rows(trace) if fast else trace,
                 [(s.max_seen, s.root_origin, s.hops) for s in states],
                 used,
                 rng.bit_generator.state,
@@ -652,7 +652,7 @@ def test_exclusive_flood_matches_per_unit_oracle(m, rounds, backoff_rounds, seed
 
 
 def flood_both_ways_base(m, idents, rounds, transmit_delay):
-    """(trace, states, rounds used) of ``run_sync`` in the base model
+    """(trace rows, states, rounds used) of ``run_sync`` in the base model
     and of the per-meeting oracle flood, from the nodes' unique
     ``idents``."""
     out = []
@@ -661,6 +661,7 @@ def flood_both_ways_base(m, idents, rounds, transmit_delay):
         if fast:
             result = run_sync(m, idents, rounds, transmit_delay=transmit_delay, trace=trace)
             used, states = result.rounds_used, result.states
+            trace = oracles.trace_rows(trace)
         else:
             nodes = oracles.nodes(m, idents)
             used = oracles.flood_base(

@@ -11,7 +11,9 @@ failure says which of them moved.
 ``SWEEP_DIGEST`` is the sha256 of the sweep CSV pinned before the
 ``drift_c`` column was dropped, with that column cut out (rewritten
 with ``csv``, ``lineterminator="\n"``): removing the column changed no
-other byte of the summary.
+other byte of the summary. The two ``trace`` digests were re-taken the
+same way, from the traces pinned before their ``deliveries`` column was
+dropped.
 
 The ``estimate-n`` and large-n pins were taken before meeting bands
 were narrowed to a cache-sized count of units. Arrays are pinned by the
@@ -32,12 +34,12 @@ from radiosync.protocol import EstimateResult, SimConfig, estimate_n, run_pipeli
 RUN_DIGESTS = {
     "base": {
         "run": "d8fa288cf01522e57fcb3cab26048c8a990a319ed7df272a37fe4d867323c779",
-        "trace": "b0c509e6dc4cb437e20896898ece56a6129b0bb986b053b67de854f55fe0df4c",
+        "trace": "a1a0fad219f260ed74601a5282d7c63c6bd9281064e127c11e396ad1acbb5a61",
         "costs": "1d9c038a244c42b4651a5ee36c1e78aa8e93dd1d6a8079a248c9979960b65f74",
     },
     "exclusive": {
         "run": "aaef3143e0a10a1de402bfae2b4edeb114c36ee575817b4e536fca4c10ed87e1",
-        "trace": "299b1f55b1615d3bfa70a2d8e77a18d9d728ccfa2437a3b42476be28ca0bf73c",
+        "trace": "d40376fb964e3b35dbac1ca5c4b31db6495442d38272ef2eca89cabdcf8ee39e",
         "costs": "60627394415b981b96b6ac889b2689585f3117c73349ee31cb04c593b02eeea1",
     },
 }

@@ -7,8 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 import radiosync
 from radiosync import acceptance
 from radiosync.cli import main
@@ -19,8 +21,10 @@ from radiosync.harness import (
     run_one,
     run_sweep,
     summaries_to_csv,
+    to_csv,
     trace_to_csv,
 )
+from radiosync.protocol import run_sync
 from radiosync.seeding import derive_seed, spawn_rng
 
 
@@ -257,7 +261,7 @@ def test_cli_sync_run_trace_and_costs(tmp_path, capsys):
     )
     capsys.readouterr()
     trace_lines = trace.read_text().splitlines()
-    assert trace_lines[0] == "t,awake,transmitters,deliveries"
+    assert trace_lines[0] == "t,awake,transmitters"
     assert len(trace_lines) > 1
     first = trace_lines[1].split(",")
     assert "|" in first[1] or first[1].isdigit()  # awake set present
@@ -266,14 +270,25 @@ def test_cli_sync_run_trace_and_costs(tmp_path, capsys):
     assert len(cost_lines) == 1 + 8
 
 
-def test_trace_deliveries_are_every_transmitter_but_the_receiver():
-    # a unit in which only radio 1 was heard, then a pair both heard
-    rows = [(3, (0, 1, 2), (1,)), (5, (0, 4), (0, 4))]
-    assert trace_to_csv(rows).splitlines() == [
-        "t,awake,transmitters,deliveries",
-        "3,0|1|2,1,0<-1;1<-;2<-1",
-        "5,0|4,0|4,0<-4;4<-0",
-    ]
+def test_trace_csv_writes_the_reference_rows():
+    # a base run, then an interference run over several copies with units
+    # of three and four radios, one of which no radio transmitted alone in
+    chain = oracles.matrix(3, 8, [[2], [2, 5], [5]], np.zeros(3, dtype=np.int64))
+    rows = [[1, 4, 9, 12], [1, 6, 9], [4, 6, 9, 12], [4, 9, 12]]
+    m = oracles.matrix(4, 16, rows, np.zeros(4, dtype=np.int64))
+    trace = []
+    run_sync(chain, [10, 50, 100], 3, trace=trace)
+    result = run_sync(
+        m, [10, 20, 30, 40], 3, exclusive=True, backoff_rounds=1, rng=spawn_rng(2), trace=trace
+    )
+    rows = oracles.trace_rows(trace)
+    assert result.rounds_used >= 2
+    assert any(len(awake) >= 3 and not sent for _t, awake, sent in rows)
+    assert any(0 < len(sent) < len(awake) for _t, awake, sent in rows)
+    assert trace_to_csv(trace) == to_csv(
+        ("t", "awake", "transmitters"),
+        ((t, "|".join(map(str, awake)), "|".join(map(str, sent))) for t, awake, sent in rows),
+    )
 
 
 def test_cli_sync_estimate(capsys):

@@ -17,6 +17,7 @@ from radiosync.detsched import build_two_proc_schedule
 from radiosync.netsim import resolve_backoff
 from radiosync.protocol import (
     NodeReading,
+    PipelineResult,
     SimConfig,
     build_pipeline_matrix,
     draw_identifiers,
@@ -281,8 +282,13 @@ def test_run_sync_refuses_int64_overflow(field, kwargs):
             "interference mode needs an rng for back-off",
         ),
         (lambda: run_pipeline(SimConfig(d=64)), "processor count unknown; use estimate_n"),
+        # once "'NoneType' object has no attribute 'max'"
+        (
+            lambda: run_sync(oracles.matrix(3, 8, [[2], [2, 5], [5]]), [100, 50, 10], 2),
+            "offsets must be set before syncing",
+        ),
     ],
-    ids=["no-rows", "no-rng", "n-unknown"],
+    ids=["no-rows", "no-rng", "n-unknown", "no-offsets"],
 )
 def test_run_refuses_what_it_cannot_simulate(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -470,6 +476,39 @@ def test_run_leaves_its_identifiers_unchanged():
             assert np.array_equal(getattr(rerun, name), getattr(first, name))
 
 
+@pytest.mark.parametrize("exclusive", [False, True], ids=["base", "interference"])
+def test_trace_leaves_result_and_stream_unchanged(exclusive):
+    # a sparse pipeline draw, and a chain whose root is heard last in
+    # time, so the flood takes a second copy
+    config = SimConfig(d=64, beta=0.75, scale=0.1)
+    params = pipeline_params(config.d, config.n, scale=config.scale)
+    rng = spawn_rng(5)
+    drawn = build_pipeline_matrix(config.n, params, rng)
+    drawn = drawn.with_offsets(draw_offsets(config.n, config.d, rng))
+    cases = [
+        (drawn, draw_identifiers(config.n, rng), params.rounds),
+        (matrix_from_ones(8, [[2], [2, 5], [5]], [0, 0, 0]), [10, 50, 100], 3),
+    ]
+    for m, idents, rounds in cases:
+        runs = []
+        for trace in (None, []):
+            rng = spawn_rng(9)
+            result = run_sync(
+                m, idents, rounds, exclusive=exclusive, backoff_rounds=1, rng=rng, trace=trace
+            )
+            runs.append((result, rng.bit_generator.state))
+        (plain, plain_state), (traced, traced_state) = runs
+        assert len(trace) == traced.rounds_used
+        assert traced_state == plain_state
+        for f in fields(PipelineResult):
+            got, want = getattr(traced, f.name), getattr(plain, f.name)
+            if f.name == "comm_graph":
+                assert oracles.same_graph(got, want)
+            else:
+                assert np.array_equal(got, want), f.name
+    assert plain.rounds_used > 1
+
+
 # --- radio medium ------------------------------------------------------------
 
 def test_base_mode_delivers_pair_and_triple():
@@ -477,14 +516,14 @@ def test_base_mode_delivers_pair_and_triple():
     m = matrix_from_ones(8, [[1, 3], [1, 3], [3, 5]], [0, 0, 0])
     trace = []
     run_sync(m, [100, 50, 10], 1, trace=trace)
-    assert trace == [(1, (0, 1), (0, 1)), (3, (0, 1, 2), (0, 1, 2))]
+    assert oracles.trace_rows(trace) == [(1, (0, 1), (0, 1)), (3, (0, 1, 2), (0, 1, 2))]
 
 
 def test_offset_row_meets_at_position_plus_offset():
     m = matrix_from_ones(8, [[5], [3]], [0, 2])
     trace = []
     run_sync(m, [100, 50], 1, trace=trace)
-    assert trace == [(5, (0, 1), (0, 1))]
+    assert oracles.trace_rows(trace) == [(5, (0, 1), (0, 1))]
 
 
 def test_exclusive_transmitters_replay_backoff():
@@ -504,6 +543,7 @@ def test_exclusive_transmitters_replay_backoff():
     )
     # each copy's winners are one resolve_backoff draw over its units
     replay = spawn_rng(21)
+    trace = oracles.trace_rows(trace)
     assert trace
     for copy in range(3):
         rows = [row for row in trace if row[0] // 16 == copy]
@@ -523,7 +563,7 @@ def test_exclusive_unit_without_winner_delivers_nothing():
     result = run_sync(
         m, [100, 50, 10], 1, exclusive=True, backoff_rounds=1, rng=spawn_rng(seed), trace=trace
     )
-    assert trace == [(3, (0, 1, 2), ())]
+    assert oracles.trace_rows(trace) == [(3, (0, 1, 2), ())]
     assert result.max_seen.tolist() == [100, 50, 10]
 
 
